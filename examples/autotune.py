@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Autotuning: let the cost model search the knob space for you.
+"""Autotuning: let the simulator search the knob space for you.
 
-Runs a budgeted ``repro.tune`` search over vit_tiny on the 16-core
-``small`` preset: the analytic cost model scores the whole
-mapping x ROB x shard x placement grid without simulating, the best
-``--budget`` candidates are measured at ``fidelity="fast"``, and the
-leaders are re-verified cycle-accurately against BOTH built-in mapping
-baselines.
+Runs a ``repro.tune`` search over vit_tiny on the 16-core ``small``
+preset: every point of the mapping x ROB x shard x placement grid is
+measured at ``fidelity="fast"`` (the analytic tier gated against the
+cycle model), and the leaders are re-verified cycle-accurately against
+BOTH built-in mapping baselines.
 
-    python examples/autotune.py [--model NAME] [--budget N]
+    python examples/autotune.py [--model NAME]
                                 [--objective latency|energy|edp]
 
 Equivalent CLI::
 
-    pimsim tune vit_tiny --preset small --budget 8 \
+    pimsim tune vit_tiny --preset small \
         --output tune.jsonl --report tune-report.json
 
 The ``--output`` journal streams every measurement as it lands, so an
@@ -31,8 +30,6 @@ from repro.tune import Tuner
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="vit_tiny")
-    parser.add_argument("--budget", type=int, default=8,
-                        help="candidates measured after cost-model pruning")
     parser.add_argument("--objective", default="latency",
                         choices=["latency", "energy", "edp"])
     args = parser.parse_args()
@@ -40,11 +37,11 @@ def main() -> None:
     config = small_chip()
     with Engine(config) as engine:
         tuner = Tuner(args.model, config, objective=args.objective,
-                      budget=args.budget, top_k=2, engine=engine)
+                      top_k=2, engine=engine)
         report = tuner.tune()
 
-    # The full cost-vs-measured table: what the model predicted, what
-    # the simulator measured, what got pruned without ever simulating.
+    # The full measured table, fastest first ([cycle] rows were
+    # re-verified, [fast] rows were not).
     print(report.summary())
     print()
 

@@ -20,11 +20,10 @@ analytic executor returns the same report shape several times faster,
 with total cycles within 2% of cycle-accurate across the zoo (see the
 Fidelity section of ``repro.engine``).
 
-Autotuning: instead of sweeping knobs by hand, ``pimsim tune <network>
---budget 8`` (or ``repro.tune.Tuner`` — see ``examples/autotune.py``)
-searches the mapping / ROB / attention-shard / shard-placement space
-for you: an analytic cost model prunes the grid without simulating,
-survivors are measured at fast fidelity, and the winner is re-verified
+Autotuning: instead of sweeping knobs by hand, ``pimsim tune <network>``
+(or ``repro.tune.Tuner`` — see ``examples/autotune.py``) searches the
+mapping / ROB / attention-shard / shard-placement space for you: every
+candidate is measured at fast fidelity, and the winner is re-verified
 cycle-accurately against both built-in mapping baselines.
 """
 

@@ -51,7 +51,7 @@ class CoreModel:
         rob_size = chip.config.core.rob_size
         # Straight-line programs carry a static hazard table (cached on
         # the sealed program, amortized across sweeps/repeat runs);
-        # branchy programs fall back to the runtime scoreboard.
+        # branchy programs fall back to the ROB's window scan.
         static = program.static_blockers(rob_size) if program.sealed else None
         self.rob = ReorderBuffer(chip.sim, rob_size,
                                  f"core{self.core_id}.rob",
@@ -103,7 +103,7 @@ class CoreModel:
                 if inst.op == "HALT":
                     break
                 # Branch: wait for in-flight writers of its sources (the
-                # scoreboard names the oldest, so dispatch blocks on that
+                # ROB names the oldest, so dispatch blocks on that
                 # entry's completion event), then resolve against the
                 # architectural register file.
                 t0 = sim.now

@@ -31,9 +31,13 @@ the walker's real position in simulated time), with one deviation
 source: a walker that must wait for an in-flight SEND — as a hazard
 blocker or at the retirement frontier — blocks in real simulated time,
 which can floor a *later* transfer's start at that wait's end where the
-cycle-accurate core would have started it earlier.  Energy charges are
-the unit formulas term for term.  ``tools/check_fidelity.py`` bounds the
-resulting total-cycle deviation at 2% across the whole model zoo.
+cycle-accurate core would have started it earlier.
+``tools/check_fidelity.py`` bounds the resulting total-cycle deviation at
+2% across the whole model zoo.  The walker inlines the unit loops'
+latency and energy arithmetic (:mod:`repro.arch.units`);
+``tests/test_fidelity.py`` is the gate that keeps the two copies equal —
+per energy category, per-core unit busy/ops/ROB stalls and per-layer
+busy cycles — so edit either side only with that test green.
 """
 
 from __future__ import annotations
@@ -158,9 +162,9 @@ class FastCore:
         the ROB is full; units: serialized per unit — the matrix unit
         frees after 1 issue cycle, children overlap — floored by the
         oldest-blocker completion max).  Latency and energy arithmetic
-        mirrors the unit loops / :func:`repro.arch.units.unit_latency`
-        term for term; it is inlined here because this loop runs once
-        per instruction.
+        is the unit loops' (gated by ``tests/test_fidelity.py``, see the
+        module docstring); it is inlined here because this loop runs
+        once per instruction.
         """
         sim = self.sim
         chip = self.chip
@@ -466,7 +470,7 @@ class FastChipModel(ChipModel):
             return CoreModel(self, program)
         if not program.sealed \
                 or program.static_blockers(cfg.core.rob_size) is None:
-            return CoreModel(self, program)  # branchy: runtime scoreboard
+            return CoreModel(self, program)  # branchy: ROB window scan
         return FastCore(self, program)
 
     def _collect(self) -> RawResult:

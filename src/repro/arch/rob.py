@@ -1,4 +1,4 @@
-"""Re-order buffer with an incremental hazard scoreboard.
+"""Re-order buffer with a static hazard table.
 
 The ROB bounds the number of instructions a core may have in flight
 (Fig. 2b).  Dispatch allocates an entry in program order; execution units
@@ -8,30 +8,19 @@ never enters an execution unit while an older in-flight instruction
 conflicts with it — including the crossbar-group *structure hazard* the
 paper uses to explain the ROB-size plateau of Fig. 4.
 
-Hazard queries are answered by a *scoreboard* maintained incrementally at
-:meth:`allocate` and :meth:`mark_done` instead of the seed's O(window)
-re-scan of the whole ROB on every probe:
-
-* registers and crossbar groups are footprint-indexed — one bucket of
-  in-flight entries per register (readers and writers separately) and per
-  group, so a probe touches only the buckets its own footprint names;
-* local-memory ranges live in two flat in-flight maps (readers/writers),
-  insertion-ordered by allocation, probed with the precise interval
-  overlap — only entries that touch memory at all are visited, and the
-  scan stops at the first entry younger than the probe.
-
-All buckets and maps are insertion-ordered dicts, i.e. ordered by
-allocation sequence (= program order), so the first member is always the
-oldest and scans can cut off early.  Queries return the *oldest*
-conflicting entry, so a blocked unit can wait on exactly the entry that
-blocks it (via :meth:`ready_event`) and re-probe only when that entry
-completes, rather than being woken by every completion in the window.
-The answers are bit-identical to the seed's
-:meth:`Instruction.conflicts_with` scan (pinned by the randomized oracle
-in ``tests/test_rob_scoreboard.py`` and the ``tests/golden/`` traces).
+Hazard queries return the *oldest* conflicting entry, so a blocked unit
+can wait on exactly the entry that blocks it (via :meth:`ready_event`)
+and re-probe only when that entry completes, rather than being woken by
+every completion in the window.  Sealed straight-line programs — every
+compiled program — answer them from the precomputed table of
+:meth:`repro.isa.Program.static_blockers`; branchy or unsealed
+hand-assembled programs fall back to a program-order
+:meth:`Instruction.conflicts_with` scan of the window.  Both answer
+identically (pinned by the randomized oracle in
+``tests/test_rob_scoreboard.py`` and the ``tests/golden/`` traces).
 
 This module is on the per-instruction hot path of every simulation, so
-the scoreboard insert/remove/probe bodies are inlined rather than
+the table-mode allocate/complete/retire bodies are inlined rather than
 factored (mirroring the kernel's own style); ``RobEntry`` is a
 ``__slots__`` class for the same reason.
 """
@@ -52,7 +41,7 @@ def analytic_window(size: int) -> AnalyticWindow:
     Ring sizing and index masking match :class:`ReorderBuffer`'s static
     ring exactly (``2*size - 1`` covered indices), so the fast-fidelity
     walker's blocker lookups hit the same slots the cycle-accurate
-    scoreboard would, with completion *times* in place of entries.
+    ROB would, with completion *times* in place of entries.
     """
     return AnalyticWindow(size)
 
@@ -60,15 +49,12 @@ def analytic_window(size: int) -> AnalyticWindow:
 class RobEntry:
     """One in-flight instruction: identity-keyed, slotted (hot path)."""
 
-    __slots__ = ("inst", "fp", "done", "dispatched_at", "completed_at",
+    __slots__ = ("inst", "done", "dispatched_at", "completed_at",
                  "seq", "done_event")
 
-    def __init__(self, inst: Instruction, fp: tuple = None,
-                 dispatched_at: int = 0, seq: int = 0) -> None:
+    def __init__(self, inst: Instruction, dispatched_at: int = 0,
+                 seq: int = 0) -> None:
         self.inst = inst
-        #: the instruction's cached dependence footprint ``(groups,
-        #: reads_regs, writes_regs, reads_mem, writes_mem)``.
-        self.fp = fp if fp is not None else _footprint(inst)
         self.done = False
         self.dispatched_at = dispatched_at
         self.completed_at = -1
@@ -82,22 +68,15 @@ class RobEntry:
         return f"RobEntry({self.inst!r}, {state}, seq={self.seq})"
 
 
-def _footprint(inst: Instruction) -> tuple:
-    try:
-        return inst._fp
-    except AttributeError:
-        return inst._footprint()
-
-
 class ReorderBuffer:
     """In-order allocate / out-of-order complete / in-order retire.
 
     ``static_blockers`` (from :meth:`repro.isa.Program.static_blockers`)
-    switches the hazard engine to table mode: for straight-line programs
+    switches hazard probes to table mode: for straight-line programs
     the conflicting predecessors of every instruction are known up front,
-    so a hazard probe is a couple of done-flag checks on a ring of recent
-    entries and the runtime scoreboard is skipped entirely.  Both engines
-    answer identically (pinned by ``tests/test_rob_scoreboard.py``).
+    so a probe is a couple of done-flag checks on a ring of recent
+    entries.  Without a table a probe scans the window in program order.
+    Both answer identically (pinned by ``tests/test_rob_scoreboard.py``).
     """
 
     def __init__(self, sim: Simulator, size: int, name: str = "rob", *,
@@ -126,15 +105,6 @@ class ReorderBuffer:
             self._ring_mask = ring_size - 1
             #: recent entries by instruction index (in-flight ⊆ ring).
             self._ring: list[RobEntry | None] = [None] * ring_size
-        # -- scoreboard: in-flight readers/writers, oldest first ------------
-        #: crossbar group -> ordered set of in-flight entries using it.
-        self._group_users: dict[int, dict[RobEntry, None]] = {}
-        #: register -> ordered set of in-flight readers / writers.
-        self._reg_readers: dict[int, dict[RobEntry, None]] = {}
-        self._reg_writers: dict[int, dict[RobEntry, None]] = {}
-        #: in-flight entries touching local memory -> their byte ranges.
-        self._mem_readers: dict[RobEntry, tuple] = {}
-        self._mem_writers: dict[RobEntry, tuple] = {}
 
     @property
     def full(self) -> bool:
@@ -145,98 +115,6 @@ class ReorderBuffer:
         return not self.entries
 
     # -- hazard queries -------------------------------------------------------
-
-    def _oldest_conflicting(self, fp: tuple,
-                            before_seq: int) -> RobEntry | None:
-        """Oldest in-flight entry with ``seq < before_seq`` whose footprint
-        conflicts with ``fp``; ``None`` when none does.  Mirrors the
-        dependence rules of :meth:`Instruction.conflicts_with` exactly
-        (RAW/WAR/WAW through registers and local memory, structural on
-        groups)."""
-        groups, reads_r, writes_r, reads_m, writes_m = fp
-        best: RobEntry | None = None
-        best_seq = before_seq
-        # Structural: the oldest in-flight user of one of my groups.  A
-        # bucket's first member is its oldest, so one probe per bucket.
-        for g in groups:
-            bucket = self._group_users.get(g)
-            if bucket:
-                e = next(iter(bucket))
-                if e.seq < best_seq:
-                    best, best_seq = e, e.seq
-        if reads_r or writes_r:
-            # RAW: an older writer of a register I read.
-            for r in reads_r:
-                bucket = self._reg_writers.get(r)
-                if bucket:
-                    e = next(iter(bucket))
-                    if e.seq < best_seq:
-                        best, best_seq = e, e.seq
-            # WAW + WAR: an older writer or reader of a register I write.
-            for r in writes_r:
-                bucket = self._reg_writers.get(r)
-                if bucket:
-                    e = next(iter(bucket))
-                    if e.seq < best_seq:
-                        best, best_seq = e, e.seq
-                bucket = self._reg_readers.get(r)
-                if bucket:
-                    e = next(iter(bucket))
-                    if e.seq < best_seq:
-                        best, best_seq = e, e.seq
-        # Memory scans: insertion order == program order, so each scan
-        # stops at the first entry not older than the current best.  The
-        # range tuples are tiny (one or two intervals), so the precise
-        # overlap test is inlined (the triple break/else ladders) rather
-        # than paying a function call per candidate.
-        if reads_m and self._mem_writers:
-            # RAW: an older writer overlapping a range I read.
-            for e, ranges in self._mem_writers.items():
-                if e.seq >= best_seq:
-                    break
-                for lo, hi in reads_m:
-                    for olo, ohi in ranges:
-                        if lo < ohi and olo < hi:
-                            best, best_seq = e, e.seq
-                            break
-                    else:
-                        continue
-                    break
-                else:
-                    continue
-                break
-        if writes_m:
-            # WAW: an older writer overlapping a range I write.
-            for e, ranges in self._mem_writers.items():
-                if e.seq >= best_seq:
-                    break
-                for lo, hi in writes_m:
-                    for olo, ohi in ranges:
-                        if lo < ohi and olo < hi:
-                            best, best_seq = e, e.seq
-                            break
-                    else:
-                        continue
-                    break
-                else:
-                    continue
-                break
-            # WAR: an older reader of a range I write.
-            for e, ranges in self._mem_readers.items():
-                if e.seq >= best_seq:
-                    break
-                for lo, hi in writes_m:
-                    for olo, ohi in ranges:
-                        if lo < ohi and olo < hi:
-                            best, best_seq = e, e.seq
-                            break
-                    else:
-                        continue
-                    break
-                else:
-                    continue
-                break
-        return best
 
     def oldest_conflict(self, entry: RobEntry) -> RobEntry | None:
         """The oldest in-flight entry older than ``entry`` that conflicts
@@ -250,26 +128,30 @@ class ReorderBuffer:
 
         In table mode the static blocker set is fixed at allocation and
         only done-flags change, so the oldest *undone* static blocker is
-        exactly what the dynamic scoreboard would return.
+        exactly what the window scan would return.
         """
         table = self._static
-        if table is None:
-            return self._oldest_conflicting(entry.fp, entry.seq)
-        ring = self._ring
-        mask = self._ring_mask
-        for j in table[entry.inst.index]:
-            blocker = ring[j & mask]
-            if not blocker.done:
-                return blocker
+        if table is not None:
+            ring = self._ring
+            mask = self._ring_mask
+            for j in table[entry.inst.index]:
+                blocker = ring[j & mask]
+                if not blocker.done:
+                    return blocker
+            return None
+        inst = entry.inst
+        for older in self.entries:  # program order: oldest first
+            if older is entry:
+                break
+            if not older.done and inst.conflicts_with(older.inst):
+                return older
         return None
 
     def oldest_conflict_inst(self, inst: Instruction) -> RobEntry | None:
         """Oldest in-flight entry conflicting with a not-yet-allocated
         instruction (branch resolution at dispatch).  Table mode implies a
-        branch-free program, so this only runs under the scoreboard — the
-        table-mode fallback below serves external callers."""
-        if self._static is None:
-            return self._oldest_conflicting(_footprint(inst), self._seq + 1)
+        branch-free program, so the model only asks this without a table;
+        the scan answers in either mode."""
         for e in self.entries:
             if not e.done and inst.conflicts_with(e.inst):
                 return e
@@ -301,37 +183,11 @@ class ReorderBuffer:
         if len(entries) >= self.size:
             raise RuntimeError(f"{self.name}: allocate on full ROB")
         self._seq = seq = self._seq + 1
-        try:
-            fp = inst._fp
-        except AttributeError:
-            fp = inst._footprint()
-        entry = RobEntry(inst, fp, self.sim.now, seq)
+        entry = RobEntry(inst, self.sim.now, seq)
         entries.append(entry)
         if self._static is not None:
             # Table mode: in-flight lookups go through the index ring.
             self._ring[inst.index & self._ring_mask] = entry
-        else:
-            # Scoreboard insert (inlined; see module docstring).
-            groups, reads_r, writes_r, reads_m, writes_m = fp
-            for g in groups:
-                bucket = self._group_users.get(g)
-                if bucket is None:
-                    bucket = self._group_users[g] = {}
-                bucket[entry] = None
-            for r in reads_r:
-                bucket = self._reg_readers.get(r)
-                if bucket is None:
-                    bucket = self._reg_readers[r] = {}
-                bucket[entry] = None
-            for r in writes_r:
-                bucket = self._reg_writers.get(r)
-                if bucket is None:
-                    bucket = self._reg_writers[r] = {}
-                bucket[entry] = None
-            if reads_m:
-                self._mem_readers[entry] = reads_m
-            if writes_m:
-                self._mem_writers[entry] = writes_m
         n = len(entries)
         if n > self.occupancy_peak:
             self.occupancy_peak = n
@@ -342,19 +198,6 @@ class ReorderBuffer:
             raise RuntimeError(f"{self.name}: double completion of {entry.inst!r}")
         entry.done = True
         entry.completed_at = self.sim.now
-        if self._static is None:
-            # Scoreboard remove (inlined).
-            groups, reads_r, writes_r, reads_m, writes_m = entry.fp
-            for g in groups:
-                del self._group_users[g][entry]
-            for r in reads_r:
-                del self._reg_readers[r][entry]
-            for r in writes_r:
-                del self._reg_writers[r][entry]
-            if reads_m:
-                del self._mem_readers[entry]
-            if writes_m:
-                del self._mem_writers[entry]
         if entry.done_event is not None:
             entry.done_event.notify()
         # ``completed`` is notified only when observed: nothing in the

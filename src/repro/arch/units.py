@@ -15,11 +15,14 @@
 Each unit pulls ROB entries from its issue queue, executes, charges energy
 and per-layer busy time, and marks the entry done.
 
-Issue-side hazard enforcement is scoreboard-driven: a unit asks the ROB
-for the *oldest* in-flight conflicting entry and waits on exactly that
-entry's completion event (``ReorderBuffer.ready_event``), re-probing the
-scoreboard after each wake, instead of re-scanning the window on every
-completion.  The hot loops are also frame-free on their fast paths: queue
+Issue-side hazard enforcement: a unit asks the ROB for the *oldest*
+in-flight conflicting entry and waits on exactly that entry's completion
+event (``ReorderBuffer.ready_event``), re-probing after each wake,
+instead of being woken by every completion in the window.  The
+fast-fidelity walker (:mod:`repro.arch.fast`) inlines the same latency
+and energy arithmetic as the loops below; ``tests/test_fidelity.py``
+gates the two against each other per energy category, per core and per
+layer, so a change to either must keep that test green.  The hot loops are also frame-free on their fast paths: queue
 pops use the nonblocking ``Fifo.try_get`` (falling into the blocking
 coroutine only when the queue is actually empty), and an MVM on a core
 without shared-ADC arbitration executes as a pair of scheduled callbacks
@@ -41,54 +44,7 @@ from .rob import RobEntry
 if TYPE_CHECKING:  # pragma: no cover
     from .core import CoreModel
 
-__all__ = ["MatrixUnit", "VectorUnit", "TransferUnit", "ScalarUnit",
-           "unit_latency", "run_latency"]
-
-
-def unit_latency(inst, config, groups) -> int:
-    """Pure issue-to-completion latency of one instruction on its unit.
-
-    The closed-form twin of the unit loops below (kept in one place so
-    the fast-fidelity walker, the compiler's per-run metadata and tests
-    agree on the arithmetic).  For transfers this covers only the
-    deterministic local-memory drain/fill cycles — flow-window, mesh and
-    global-memory time is decided by the event kernel at run time.
-    ``groups`` is the core's group table dict (``GroupTable.groups``);
-    only MVMs consult it.
-    """
-    core = config.core
-    read_bw = core.local_memory_read_bytes_per_cycle
-    write_bw = core.local_memory_write_bytes_per_cycle
-    unit = inst.unit
-    if unit == "matrix":
-        count = inst.count
-        in_bytes = count * groups[inst.group].rows * config.compiler.activation_bytes
-        stream = -(-in_bytes // read_bw) + -(-inst.dst_bytes // write_bw)
-        return max(count * config.crossbar.mvm_cycles(), stream)
-    if unit == "vector":
-        length = inst.length
-        if inst.n_sources == 2:
-            read_bytes = inst.src_bytes + (inst.src2_bytes or inst.src_bytes)
-        else:
-            read_bytes = inst.src_bytes
-        if inst.op in VECTOR_SPECIAL_OPS:
-            alu = -(-length * core.vector_special_cycles_per_element
-                    // core.vector_lanes)
-        else:  # plain element-wise ops and VMATMUL both retire lanes/cycle
-            alu = -(-length // core.vector_lanes)
-        stream = max(-(-read_bytes // read_bw), -(-inst.dst_bytes // write_bw))
-        return core.vector_issue_cycles + max(alu, stream)
-    if unit == "transfer":
-        if inst.op in ("SEND", "STORE"):
-            return math.ceil(inst.bytes / read_bw)
-        return math.ceil(inst.bytes / write_bw)  # RECV / LOAD fill
-    return max(1, core.scalar_cycles)  # scalar
-
-
-def run_latency(instructions, config, groups) -> int:
-    """Summed :func:`unit_latency` over one straight-line run — the
-    serialized lower bound the compiler records per run segment."""
-    return sum(unit_latency(inst, config, groups) for inst in instructions)
+__all__ = ["MatrixUnit", "VectorUnit", "TransferUnit", "ScalarUnit"]
 
 
 class _UnitBase:

@@ -50,7 +50,6 @@ from ..isa import (
     TransferInst,
     VectorInst,
 )
-from ..arch.units import run_latency
 from .allocator import AllocatorSet, Region
 from .frontend import CompileError, Pipeline, Stage, shard_tile_ranges
 from .placement import Placement, StagePlan, assign_shard_groups
@@ -541,22 +540,6 @@ class _CodeGenerator:
             "shard_groups": {name: list(cores)
                              for name, cores in self.shard_groups.items()},
             **self.placement.meta,
-            # Per-core analytic run shape (ROADMAP 3a): how many maximal
-            # straight-line compute runs the fast-fidelity walker will
-            # advance in one step each, and their serialized unit
-            # latency — the workload profile the speedup comes from.
-            "run_counts": {
-                core: len(program.run_segments())
-                for core, program in chip.programs.items()
-            },
-            "run_serial_cycles": {
-                core: sum(
-                    run_latency(program.instructions[a:b], self.config,
-                                program.groups.groups
-                                if program.groups is not None else {})
-                    for a, b in program.run_segments())
-                for core, program in chip.programs.items()
-            },
         }
         if self.pipeline.extent is not None:
             chip.meta["kv_extent"] = self.pipeline.extent

@@ -220,12 +220,10 @@ class Engine:
 
         Returns the :class:`~repro.compiler.CompilationResult` together
         with the fully resolved configuration (spec overrides applied in
-        the same precedence as :meth:`run`), without simulating.  This is
-        the per-candidate compile metadata the ``repro.tune`` cost model
-        scores from: crossbar loads, flow tables, per-core run shapes —
-        everything the compiler records — at compile-cache cost, so a
-        design-space search can rank thousands of candidates before the
-        first simulation.
+        the same precedence as :meth:`run`), without simulating, at
+        compile-cache cost.  ``repro.tune`` uses it to inspect a
+        candidate's pipeline and to diff the winner's configuration
+        against the base; ``CostModel.estimate`` takes its result.
         """
         graph = self.resolve_network(spec.network, imagenet=spec.imagenet)
         config = self._job_config(spec)

@@ -73,36 +73,6 @@ class Program:
             counts[inst.unit] += 1
         return counts
 
-    def run_segments(self) -> tuple[tuple[int, int], ...]:
-        """Maximal straight-line compute runs as ``(start, stop)`` index
-        pairs (``stop`` exclusive), split at transfer and control
-        instructions.
-
-        These are the spans the fast-fidelity executor (ROADMAP 3a)
-        advances in one analytic step each; the compiler records their
-        count and serialized latency per core so run shape is inspectable
-        without simulating.  Cached after the first call (programs are
-        sealed before anything consumes this).
-        """
-        cached = getattr(self, "_run_segments", None)
-        if cached is not None:
-            return cached
-        segments: list[tuple[int, int]] = []
-        start: int | None = None
-        for index, inst in enumerate(self.instructions):
-            boundary = inst.unit == "transfer" or (
-                isinstance(inst, ScalarInst) and inst.is_control)
-            if boundary:
-                if start is not None:
-                    segments.append((start, index))
-                    start = None
-            elif start is None:
-                start = index
-        if start is not None:
-            segments.append((start, len(self.instructions)))
-        self._run_segments = out = tuple(segments)
-        return out
-
     def static_blockers(self, window: int) -> tuple | None:
         """Per-instruction static hazard predecessors under a ``window``-entry
         ROB, or ``None`` when the program branches.
@@ -119,10 +89,9 @@ class Program:
         consumes this), with no per-issue window scan.
 
         Computed by one program-order sweep over footprint-indexed
-        last-access maps (the static twin of the ROB's runtime scoreboard)
-        and cached per ``window``, so repeated simulations of one compiled
-        program — ROB sweeps, batched runs, benchmark repetitions — pay
-        the dependence analysis once.
+        last-access maps and cached per ``window``, so repeated
+        simulations of one compiled program — ROB sweeps, batched runs,
+        benchmark repetitions — pay the dependence analysis once.
         """
         cache = getattr(self, "_blocker_cache", None)
         if cache is None:
@@ -241,7 +210,7 @@ def _build_static_blockers(instructions: list[Instruction],
     in order; each instruction's conflicting predecessors are read
     straight out of the buckets its own footprint names.  Returns ``None``
     on the first branch (allocation order is no longer program order) —
-    the runtime scoreboard handles those programs.
+    the ROB's window scan handles those programs.
     """
     group_users: dict[int, list[int]] = {}
     reg_readers: dict[int, list[int]] = {}
@@ -252,7 +221,7 @@ def _build_static_blockers(instructions: list[Instruction],
     for i, inst in enumerate(instructions):
         if isinstance(inst, ScalarInst) and inst.is_control:
             if inst.op != "HALT":
-                return None  # branchy: fall back to the runtime scoreboard
+                return None  # branchy: fall back to the ROB's window scan
             out.append(())  # HALT is handled at dispatch, never allocated
             continue
         try:

@@ -13,7 +13,7 @@ experiments::
     pimsim serve --store jobs.store.jsonl      # durable HTTP job service
     pimsim decode --model gpt_tiny --steps 32  # compile-once decode
     pimsim decode --mix mix.json --workers 4   # continuous-batching mix
-    pimsim tune vit_tiny --budget 8            # cost-model-guided autotune
+    pimsim tune vit_tiny --objective energy    # exhaustive fast-tier autotune
     pimsim models
 """
 
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser(
         "tune",
-        help="cost-model-guided autotune over mapping / ROB / shard knobs")
+        help="autotune over mapping / ROB / shard knobs: every candidate "
+             "measured at fast fidelity, leaders re-verified at cycle")
     tune.add_argument("network",
                       help=f"network name ({', '.join(sorted(MODELS))})")
     tune.add_argument("--preset", default="paper",
@@ -233,14 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--config", default=None,
                       help="base architecture configuration JSON file "
                            "(overrides --preset)")
-    tune.add_argument("--budget", type=int, default=8, metavar="N",
-                      help="candidates measured at fast fidelity after "
-                           "cost-model pruning (default 8)")
     tune.add_argument("--objective", choices=["latency", "energy", "edp"],
                       default="latency",
                       help="what the tuner minimizes (default latency)")
     tune.add_argument("--top-k", type=int, default=2, metavar="K",
-                      help="measured leaders re-verified at cycle "
+                      help="fast-fidelity leaders re-verified at cycle "
                            "fidelity (default 2)")
     tune.add_argument("--workers", type=int, default=1,
                       help="measure candidates on N worker processes")
@@ -606,8 +604,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     try:
         with Engine(config) as engine:
             tuner = Tuner(args.network, config, objective=args.objective,
-                          budget=args.budget, top_k=args.top_k,
-                          engine=engine, workers=args.workers)
+                          top_k=args.top_k, engine=engine,
+                          workers=args.workers)
             report = tuner.tune(journal=args.output, resume=args.resume)
     except PoolUnavailable as exc:
         print(f"tune: worker pool unrecoverable: {exc}", file=sys.stderr)

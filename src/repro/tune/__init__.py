@@ -1,11 +1,14 @@
-"""Design-space autotuning: cost model, candidate search, tune reports.
+"""Design-space autotuning: candidate search, scoring, tune reports.
 
 ``repro.tune`` turns the simulator from a measurement instrument into an
-optimizer: :class:`CostModel` scores compiled candidates analytically
-(no simulation), :class:`Tuner` searches the mapping / ROB / shard /
-placement knob space under a measurement budget, and :class:`TuneReport`
-records the full cost-vs-measured table with the winning configuration
-delta.  ``pimsim tune`` is the CLI front end.
+optimizer: :class:`Tuner` enumerates the mapping / ROB / shard /
+placement knob space, measures every candidate at ``fidelity="fast"``,
+re-verifies the leaders at ``fidelity="cycle"`` and baselines against
+both built-in mappings; :class:`TuneReport` records the full measured
+table with the winning configuration delta.  :class:`CostModel` scores
+one compiled candidate the same way (one fast run, no engine), and
+:meth:`CostEstimate.objective` defines the objectives.  ``pimsim tune``
+is the CLI front end.
 """
 
 from .costmodel import OBJECTIVES, CostEstimate, CostModel

@@ -1,39 +1,24 @@
-"""Analytic cost model: score a compiled candidate without simulating.
+"""Candidate scoring: one fast-fidelity run folded into an objective.
 
-The compiler already records everything a first-order performance model
-needs — per-core crossbar loads, the full flow table (message counts,
-bytes, endpoints), per-run closed-form unit latencies and the group
-tables MVM latencies derive from.  :class:`CostModel` turns one
-:class:`~repro.compiler.CompilationResult` plus its resolved
-configuration into a :class:`CostEstimate` in a few milliseconds, so the
-tuner can rank an entire knob grid before paying for a single
-simulation.
-
-The latency term is an ``AnalyticWindow``-style in-order walk per core
-(the ROB-stall closed form of :mod:`repro.sim.analytic`, applied
-statically): instruction ``i`` may allocate no earlier than the in-order
-retirement frontier over instructions ``<= i - rob_size``, each unit
-serializes (crossbar groups stay concurrent, like the matrix unit), and
-completion times come from :func:`repro.arch.units.unit_latency` — the
-same arithmetic the fast-fidelity executor and the compiler's per-run
-metadata use.  The chip estimate is the max over cores; a per-flow
-``bytes x XY-hops`` pressure term is reported alongside (and is what the
-energy estimate charges the NoC with).
-
-The contract is *rank* fidelity, not absolute accuracy: estimates ignore
-inter-core blocking so they undershoot measured cycles, but they order
-candidates correctly — pinned by rank-correlation and monotonicity tests
-in ``tests/test_tune.py``.
+The repo has two timing models — the event-driven ``cycle`` oracle and
+the ``fast`` analytic tier gated against it (``tools/check_fidelity.py``,
+``tests/test_fidelity.py``).  A candidate's score is simply what the
+fast tier measures: :class:`CostModel` runs the compiled program once at
+``fidelity="fast"`` and reports total cycles, total energy (leakage
+included — it is the dominant term, so a dynamic-only tally ranks
+energy backwards) and per-core halt times as a :class:`CostEstimate`.
+:meth:`CostEstimate.objective` is the one place the tuning objectives
+are defined; :class:`~repro.tune.search.Tuner` ranks its own
+measurements through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..arch.units import unit_latency
+from ..arch import run_program
 from ..compiler import CompilationResult
 from ..config import ArchConfig
-from ..isa import VECTOR_SPECIAL_OPS
 
 __all__ = ["CostEstimate", "CostModel", "OBJECTIVES"]
 
@@ -44,17 +29,14 @@ OBJECTIVES = ("latency", "energy", "edp")
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Analytic score of one candidate (see :class:`CostModel`)."""
+    """Cycles and energy of one candidate, and the scalar ranked by."""
 
-    #: critical-core cycle estimate (max of the per-core window walks).
+    #: total cycles (the makespan over cores).
     cycles: int
-    #: analytic dynamic-energy estimate in picojoules.
+    #: total energy in picojoules, leakage included.
     energy_pj: float
-    #: per-core walk results (diagnostic; the max is :attr:`cycles`).
+    #: per-core halt times (diagnostic; the max is :attr:`cycles`).
     per_core_cycles: dict[int, int] = field(default_factory=dict)
-    #: serialized NoC pressure: sum over flows of messages x (hop delay
-    #: + link serialization) in cycles.
-    flow_cycles: int = 0
 
     def objective(self, objective: str) -> float:
         """The scalar the tuner minimizes."""
@@ -67,126 +49,14 @@ class CostEstimate:
         raise ValueError(
             f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
-    def to_dict(self) -> dict:
-        return {"cycles": self.cycles, "energy_pj": self.energy_pj,
-                "flow_cycles": self.flow_cycles}
-
 
 class CostModel:
-    """Scores compiled candidates from compile-time records only."""
+    """Scores a compiled candidate with one engine-less fast-tier run."""
 
     def estimate(self, compiled: CompilationResult,
                  config: ArchConfig) -> CostEstimate:
-        chip = compiled.program
-        per_core = {
-            core: self._core_walk(program, config)
-            for core, program in chip.programs.items()
-        }
-        flow_cycles = self._flow_pressure(chip, config)
-        cycles = max(per_core.values(), default=0)
-        energy = self._energy(chip, config)
-        return CostEstimate(cycles=cycles, energy_pj=energy,
-                            per_core_cycles=per_core,
-                            flow_cycles=flow_cycles)
-
-    # -- latency -------------------------------------------------------------
-
-    def _core_walk(self, program, config: ArchConfig) -> int:
-        """In-order window walk over one core's straight-line program.
-
-        Mirrors :class:`~repro.sim.analytic.AnalyticWindow`'s retirement
-        frontier: with a ROB of ``R`` entries, instruction ``i`` cannot
-        allocate before every instruction through ``i - R`` has retired,
-        and retirement is in order (the prefix max of completion times).
-        Units execute serially except the matrix unit, whose crossbar
-        groups each have their own converters.
-        """
-        groups = program.groups.groups if program.groups is not None else {}
-        core = config.core
-        chip = config.chip
-        front_lat = core.decode_cycles + core.dispatch_cycles
-        rob = core.rob_size
-        gmem_bw = chip.global_memory_bytes_per_cycle
-        gmem_lat = chip.global_memory_latency_cycles
-        prefix_max: list[int] = []  # retirement frontier through index i
-        unit_free: dict = {}
-        t_fetch = 0
-        last = 0
-        for i, inst in enumerate(program.instructions):
-            t_fetch += 1  # fetch_width=1: one allocation per cycle
-            if i >= rob:
-                t_fetch = max(t_fetch, prefix_max[i - rob])
-            unit = inst.unit
-            key = (unit, inst.group) if unit == "matrix" else unit
-            start = max(t_fetch + front_lat, unit_free.get(key, 0))
-            lat = unit_latency(inst, config, groups)
-            if unit == "transfer" and inst.op in ("LOAD", "STORE"):
-                # unit_latency covers only the local-memory fill/drain;
-                # the global-memory round trip is deterministic too.
-                lat += gmem_lat + -(-inst.bytes // gmem_bw)
-            done = start + lat
-            unit_free[key] = done
-            prefix_max.append(max(prefix_max[-1], done) if prefix_max
-                              else done)
-            if done > last:
-                last = done
-        return last
-
-    def _flow_pressure(self, chip, config: ArchConfig) -> int:
-        """Serialized flow cycles: messages x (XY hop delay + link time)."""
-        noc = config.noc
-        total = 0
-        for flow in chip.flows.values():
-            sx, sy = config.core_xy(flow.src_core)
-            dx, dy = config.core_xy(flow.dst_core)
-            hops = abs(sx - dx) + abs(sy - dy)
-            per_message = hops * noc.hop_cycles + -(
-                -flow.bytes_per_message // noc.link_bytes_per_cycle)
-            total += flow.n_messages * per_message
-        return total
-
-    # -- energy --------------------------------------------------------------
-
-    def _energy(self, chip, config: ArchConfig) -> float:
-        """First-order dynamic energy: crossbar reads + converters, vector
-        elements (MACs / transcendentals priced separately), local/global
-        memory bytes, and flow bytes x hops on the mesh."""
-        xbar = config.crossbar
-        energy = config.energy
-        total = 0.0
-        mvm_dac = xbar.rows * xbar.dac_phases * energy.dac_pj_per_conversion
-        mvm_adc = (xbar.samples_per_phase * xbar.dac_phases
-                   * energy.adc_pj_per_sample)
-        for program in chip.programs.values():
-            groups = program.groups.groups \
-                if program.groups is not None else {}
-            for inst in program.instructions:
-                unit = inst.unit
-                if unit == "matrix":
-                    group = groups[inst.group]
-                    cells = group.rows * group.cols
-                    total += inst.count * (
-                        cells * energy.xbar_read_pj_per_cell
-                        + mvm_dac + mvm_adc)
-                elif unit == "vector":
-                    if inst.op == "VMATMUL":
-                        total += inst.length * energy.vector_mac_pj
-                    elif inst.op in VECTOR_SPECIAL_OPS:
-                        total += (inst.length
-                                  * energy.vector_special_pj_per_element)
-                    else:
-                        total += inst.length * energy.vector_pj_per_element
-                elif unit == "transfer":
-                    if inst.op in ("LOAD", "STORE"):
-                        total += inst.bytes * energy.global_mem_pj_per_byte
-                    else:
-                        total += inst.bytes * energy.local_mem_pj_per_byte
-                else:
-                    total += energy.scalar_pj_per_op
-        for flow in chip.flows.values():
-            sx, sy = config.core_xy(flow.src_core)
-            dx, dy = config.core_xy(flow.dst_core)
-            hops = abs(sx - dx) + abs(sy - dy)
-            total += (flow.n_messages * flow.bytes_per_message * hops
-                      * energy.noc_pj_per_byte_hop)
-        return total
+        raw = run_program(compiled.program, config.with_fidelity("fast"))
+        return CostEstimate(
+            cycles=raw.cycles, energy_pj=raw.total_energy_pj,
+            per_core_cycles={core: stats["halt_time"]
+                             for core, stats in raw.per_core.items()})

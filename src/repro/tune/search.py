@@ -1,19 +1,21 @@
-"""Cost-model-guided design-space search over the compiler/core knobs.
+"""Exhaustive fast-tier design-space search over the compiler/core knobs.
 
 :class:`Tuner` explores the cross product of the knobs a deployment can
 actually turn — mapping policy, ROB capacity, attention shard count and
-shard-group placement — without simulating the whole grid:
+shard-group placement — in three stages:
 
 1. **Enumerate** every distinct candidate (shard knobs collapse for
    networks with no shardable stage, placements collapse at one shard,
    shard counts are capped at the chip's core count).
-2. **Score** each candidate with the analytic
-   :class:`~repro.tune.costmodel.CostModel`.  Scoring compiles (through
-   the engine's compile cache — ROB size and fidelity share one entry
-   per structure) but never simulates.
-3. **Prune** to the ``budget`` best-estimated candidates and measure the
-   survivors at ``fidelity="fast"``.
-4. **Re-verify** the ``top_k`` measured leaders at ``fidelity="cycle"``
+2. **Measure** every candidate at ``fidelity="fast"`` through
+   :meth:`Engine.as_completed <repro.engine.Engine.as_completed>` —
+   pool-parallel with ``workers > 1``, and compiled through the
+   engine's compile cache (ROB size and fidelity share one entry per
+   structure).  A fast run costs about what any cheaper scorer would,
+   and is the only approximation gated against the cycle model, so
+   nothing is pruned unmeasured; bound a search by narrowing
+   ``rob_sizes`` / ``shard_counts`` / ``placements``.
+3. **Re-verify** the ``top_k`` measured leaders at ``fidelity="cycle"``
    and measure both built-in mapping baselines at the base
    configuration, also at cycle fidelity.
 
@@ -21,7 +23,7 @@ Every measurement streams to a JSONL *journal* as it lands (same
 crash-safe discipline as ``pimsim batch``): ``tune(journal=...,
 resume=True)`` replays only the measurements the journal does not
 already cover.  The result is a JSON-round-trippable
-:class:`TuneReport`: the full cost-vs-measured table, the winning
+:class:`TuneReport`: the full measured table, the winning
 :class:`~repro.config.ArchConfig` delta and the speedup against both
 built-in mappings.
 """
@@ -35,7 +37,7 @@ from typing import Iterable
 
 from ..config import SHARD_PLACEMENTS, ArchConfig
 from ..engine import Engine, JobFailed, JobSpec, resolve_engine
-from .costmodel import OBJECTIVES, CostModel
+from .costmodel import OBJECTIVES, CostEstimate
 
 __all__ = ["Candidate", "Tuner", "TuneEntry", "TuneReport", "evaluate_jobs"]
 
@@ -103,15 +105,9 @@ class Candidate:
 
 @dataclass
 class TuneEntry:
-    """One candidate's row of the cost-vs-measured table."""
+    """One candidate's row of the measured table."""
 
     candidate: Candidate
-    #: :meth:`CostEstimate.to_dict` of the analytic score.
-    estimate: dict | None = None
-    #: the scalar the tuner ranked by (cost-model units).
-    estimated_objective: float | None = None
-    #: cut by the cost model before any simulation.
-    pruned: bool = False
     #: fast-fidelity measurement ``{"cycles", "energy_pj", "fidelity"}``.
     fast: dict | None = None
     #: cycle-fidelity re-verification (top-k only).
@@ -125,21 +121,17 @@ class TuneEntry:
 
     def to_dict(self) -> dict:
         out: dict = {"candidate": self.candidate.to_dict()}
-        for key in ("estimate", "estimated_objective", "fast", "cycle",
-                    "error"):
+        for key in ("fast", "cycle", "error"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
-        if self.pruned:
-            out["pruned"] = True
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuneEntry":
+        # Files written before the search measured every candidate also
+        # carry estimate / estimated_objective / pruned keys; ignored.
         return cls(candidate=Candidate.from_dict(data["candidate"]),
-                   estimate=data.get("estimate"),
-                   estimated_objective=data.get("estimated_objective"),
-                   pruned=data.get("pruned", False),
                    fast=data.get("fast"), cycle=data.get("cycle"),
                    error=data.get("error"))
 
@@ -150,7 +142,6 @@ class TuneReport:
 
     network: str
     objective: str
-    budget: int
     entries: list[TuneEntry] = field(default_factory=list)
     #: mapping -> cycle-fidelity measurement at the base configuration.
     baselines: dict[str, dict] = field(default_factory=dict)
@@ -171,18 +162,13 @@ class TuneReport:
         return len(self.entries)
 
     @property
-    def pruned(self) -> int:
-        return sum(1 for e in self.entries if e.pruned)
-
-    @property
     def evaluated(self) -> int:
         return sum(1 for e in self.entries
                    if e.fast is not None or e.error is not None)
 
     def summary(self) -> str:
         lines = [f"tune {self.network} (objective={self.objective}): "
-                 f"{self.considered} candidates, {self.pruned} pruned by "
-                 f"cost model, {self.evaluated} measured"
+                 f"{self.considered} candidates, {self.evaluated} measured"
                  + (f", {self.resumed} resumed" if self.resumed else "")]
         width = max((len(e.candidate.key()) for e in self.entries),
                     default=10)
@@ -193,14 +179,12 @@ class TuneReport:
             meas = entry.measured
             if entry.error is not None:
                 shown = f"FAILED: {entry.error}"
-            elif meas is None:
-                shown = "pruned"
+            elif meas is None:  # a pruned row of a pre-exhaustive report
+                shown = "not measured"
             else:
                 shown = (f"{meas['cycles']:>12,} cycles "
                          f"[{meas['fidelity']}]")
-            est = entry.estimate["cycles"] if entry.estimate else 0
-            lines.append(f"  {entry.candidate.key():<{width}} "
-                         f"est={est:>10,}  {shown}")
+            lines.append(f"  {entry.candidate.key():<{width}}  {shown}")
         for mapping, meas in self.baselines.items():
             lines.append(f"  baseline {mapping:<{width - 9}} "
                          f"{meas['cycles']:>12,} cycles "
@@ -221,7 +205,6 @@ class TuneReport:
         return {
             "network": self.network,
             "objective": self.objective,
-            "budget": self.budget,
             "entries": [e.to_dict() for e in self.entries],
             "baselines": self.baselines,
             "winner": self.winner.to_dict() if self.winner else None,
@@ -243,7 +226,6 @@ class TuneReport:
         return cls(
             network=data["network"],
             objective=data["objective"],
-            budget=data["budget"],
             entries=[TuneEntry.from_dict(e) for e in data.get("entries", [])],
             baselines=data.get("baselines", {}),
             winner=Candidate.from_dict(winner) if winner else None,
@@ -318,7 +300,7 @@ class _Journal:
 
 
 class Tuner:
-    """Load-aware, cost-model-guided autotuner (see module docstring).
+    """Load-aware exhaustive autotuner (see module docstring).
 
     Parameters
     ----------
@@ -330,22 +312,19 @@ class Tuner:
         against it.
     objective:
         ``"latency"``, ``"energy"`` or ``"edp"``.
-    budget:
-        How many candidates survive cost-model pruning and get a
-        fast-fidelity measurement.
     top_k:
         How many measured leaders are re-verified at cycle fidelity.
     rob_sizes / shard_counts / placements:
-        The knob grid.  Shard counts are capped at the chip's core
-        count; shard knobs collapse to 1/"distance" for networks
-        without shardable stages.
+        The knob grid — every point of it is measured, so these bound
+        the search.  Shard counts are capped at the chip's core count;
+        shard knobs collapse to 1/"distance" for networks without
+        shardable stages.
     engine / workers:
         Where and how wide measurements run.
     """
 
     def __init__(self, network, config: ArchConfig | None = None, *,
-                 objective: str = "latency", budget: int = 8,
-                 top_k: int = 2,
+                 objective: str = "latency", top_k: int = 2,
                  rob_sizes: tuple = (1, 4, 8, 16, 32),
                  shard_counts: tuple = (1, 2, 4, 8),
                  placements: tuple = SHARD_PLACEMENTS,
@@ -353,8 +332,6 @@ class Tuner:
         if objective not in OBJECTIVES:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {objective!r}")
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         for placement in placements:
@@ -365,14 +342,12 @@ class Tuner:
         self.network = network
         self.config = config
         self.objective = objective
-        self.budget = budget
         self.top_k = top_k
         self.rob_sizes = tuple(rob_sizes)
         self.shard_counts = tuple(shard_counts)
         self.placements = tuple(placements)
         self.engine = engine
         self.workers = workers
-        self.cost_model = CostModel()
 
     # -- candidate generation ------------------------------------------------
 
@@ -397,12 +372,10 @@ class Tuner:
 
     # -- measurement helpers -------------------------------------------------
 
-    def _measured_objective(self, measured: dict) -> float:
-        if self.objective == "latency":
-            return float(measured["cycles"])
-        if self.objective == "energy":
-            return measured["energy_pj"]
-        return measured["cycles"] * measured["energy_pj"]
+    def _objective(self, measured: dict) -> float:
+        """A measurement record's scalar under this tuner's objective."""
+        return CostEstimate(measured["cycles"], measured["energy_pj"]
+                            ).objective(self.objective)
 
     @staticmethod
     def _measurement(report) -> dict:
@@ -464,29 +437,17 @@ class Tuner:
         shardable = any(stage.kind == "aux" and stage.shardable
                         for stage in base_compiled.pipeline)
 
-        # 1-2. enumerate + score analytically (compile-only, cached).
-        entries = []
-        for cand in self.candidates(base, shardable):
-            compiled, cfg = engine.compile_for(cand.spec(self.network, base))
-            estimate = self.cost_model.estimate(compiled, cfg)
-            entries.append(TuneEntry(
-                candidate=cand, estimate=estimate.to_dict(),
-                estimated_objective=estimate.objective(self.objective)))
-
-        # 3. prune to budget, measure survivors at fast fidelity.
-        entries.sort(key=lambda e: (e.estimated_objective, e.candidate.key()))
-        survivors = entries[:self.budget]
-        for entry in entries[self.budget:]:
-            entry.pruned = True
-
+        # 1-2. enumerate, measure every candidate at fast fidelity.
+        entries = [TuneEntry(candidate=cand)
+                   for cand in self.candidates(base, shardable)]
         seen = _read_tune_journal(journal) if (resume and journal) else {}
         sink = _Journal(journal)
-        resumed = self._measure(survivors, base, "fast", engine, sink, seen)
+        resumed = self._measure(entries, base, "fast", engine, sink, seen)
 
-        # 4. cycle-verify the measured leaders.
-        measured = [e for e in survivors if e.fast is not None
+        # 3. cycle-verify the measured leaders.
+        measured = [e for e in entries if e.fast is not None
                     and e.error is None]
-        measured.sort(key=lambda e: (self._measured_objective(e.fast),
+        measured.sort(key=lambda e: (self._objective(e.fast),
                                      e.candidate.key()))
         top = measured[:self.top_k]
         resumed += self._measure(top, base, "cycle", engine, sink, seen)
@@ -509,19 +470,19 @@ class Tuner:
             sink.write({"baseline": mapping, "report": baselines[mapping]})
 
         report = TuneReport(network=network_name, objective=self.objective,
-                            budget=self.budget, entries=entries,
-                            baselines=baselines, resumed=resumed)
+                            entries=entries, baselines=baselines,
+                            resumed=resumed)
 
         verified = [e for e in top if e.cycle is not None and e.error is None]
         if verified:
             winner = min(verified,
-                         key=lambda e: (self._measured_objective(e.cycle),
+                         key=lambda e: (self._objective(e.cycle),
                                         e.candidate.key()))
             report.winner = winner.candidate
             report.winner_measured = winner.cycle
-            win_obj = self._measured_objective(winner.cycle)
+            win_obj = self._objective(winner.cycle)
             for mapping, meas in baselines.items():
-                base_obj = self._measured_objective(meas)
+                base_obj = self._objective(meas)
                 if win_obj > 0:
                     report.speedups[mapping] = base_obj / win_obj
             _, winner_cfg = engine.compile_for(
@@ -530,8 +491,8 @@ class Tuner:
 
         sink.write({"summary": {
             "network": report.network, "objective": report.objective,
-            "considered": report.considered, "pruned": report.pruned,
-            "evaluated": report.evaluated, "resumed": report.resumed,
+            "considered": report.considered, "evaluated": report.evaluated,
+            "resumed": report.resumed,
             "winner": report.winner.key() if report.winner else None,
         }})
         return report

@@ -6,19 +6,40 @@ processes with one analytic walker (``repro.arch.fast``).  Its contract:
 * total cycles within 2% of cycle-accurate on every zoo model (the CI
   gate ``tools/check_fidelity.py`` sweeps the full zoo; here a
   representative cross-section runs under pytest);
-* energy within float-reassociation distance (the charges are the same
-  formulas, summed in a different order);
+* below the totals the two tiers agree *exactly*: the walker inlines
+  the unit loops' latency/energy arithmetic, and this file is the gate
+  that keeps the two copies equal — every energy category (float
+  reassociation only), per-core unit busy/ops/ROB-stall cycles and
+  per-layer busy cycles, via ``tools/check_fidelity.py``'s
+  ``breakdown_mismatches`` (the CI gate prints the same comparison);
 * the same report shape, fault-tolerance behaviour and API surface —
   a fast job is just a job.
 """
 
-import math
+import functools
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Engine, JobSpec, simulate
+from repro.arch import run_program
+from repro.compiler import compile_step_template
 from repro.config import ConfigError, small_chip, tiny_chip, validate
 from repro.engine import JobPoisoned
+from repro.models import build_model
+
+
+def _load_check_fidelity():
+    path = Path(__file__).parent.parent / "tools" / "check_fidelity.py"
+    spec = importlib.util.spec_from_file_location("check_fidelity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+breakdown_mismatches = _load_check_fidelity().breakdown_mismatches
 
 #: relative cycle tolerance of the fast executor (same bound as the CI
 #: gate).  The walker is exact on the current zoo; the slack only covers
@@ -39,8 +60,9 @@ POINTS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def _pair(model, config_factory, shards):
-    """(cycle report, fast report) for one zoo point."""
+    """(cycle report, fast report) for one zoo point (simulated once)."""
     config = config_factory()
     cycle = simulate(model, config, attention_shards=shards)
     fast = simulate(model, config, attention_shards=shards,
@@ -71,9 +93,42 @@ class TestBoundedError:
 
     def test_energy_close(self):
         cycle, fast = _pair("vgg8", small_chip, None)
-        for key, pj in cycle.energy_pj.items():
-            assert math.isclose(fast.energy_pj[key], pj,
-                                rel_tol=1e-9, abs_tol=1e-6), key
+        assert not [line for line in breakdown_mismatches(cycle, fast)
+                    if line.startswith("energy_pj")]
+
+
+class TestBreakdownEqual:
+    """fast == cycle below the totals (see the module docstring)."""
+
+    @pytest.mark.parametrize("model,config_factory,shards", POINTS,
+                             ids=[f"{m}-sh{s or 1}" for m, _c, s in POINTS])
+    def test_zoo_point(self, model, config_factory, shards):
+        cycle, fast = _pair(model, config_factory, shards)
+        assert breakdown_mismatches(cycle, fast) == []
+
+    def test_decode_step(self):
+        config = validate(small_chip())
+        step = compile_step_template(build_model("gpt_tiny"),
+                                     config).resolve(8)
+        assert breakdown_mismatches(
+            run_program(step, config),
+            run_program(step, config.with_fidelity("fast"))) == []
+
+    def test_mismatches_are_reported(self):
+        """The comparison itself: a perturbed copy must be flagged in
+        every section, so an empty list really means equal."""
+        cycle, fast = _pair("mlp", tiny_chip, None)
+        core = next(iter(fast.per_core))
+        layer = next(iter(fast.layer_busy))
+        bent = SimpleNamespace(
+            energy_pj={**fast.energy_pj,
+                       "vector": fast.energy_pj["vector"] * 1.001},
+            per_core={**fast.per_core, core: {
+                **fast.per_core[core], "rob_stall_cycles": -1}},
+            layer_busy={**fast.layer_busy, layer: {}})
+        found = breakdown_mismatches(cycle, bent)
+        assert [line.split("[")[0] for line in found] \
+            == ["energy_pj", "per_core", "layer_busy"]
 
 
 class TestReportPlumbing:

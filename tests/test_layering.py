@@ -1,0 +1,46 @@
+"""Import-direction check: the front half of the stack stays below the model.
+
+``graph`` -> ``isa`` -> ``compiler`` produce programs; ``arch`` / ``engine``
+/ ``tune`` / ``serve`` / ``runner`` consume them.  A lower layer importing
+an upper one (as codegen once did to precompute run latencies through
+``repro.arch.units``) couples program generation to one timing model and
+drags the simulator into every compile.  Pure AST walk: nothing is
+imported or simulated.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src"
+LOWER = ("graph", "isa", "compiler")
+UPPER = ("arch", "engine", "tune", "serve", "runner")
+
+
+def _imported_modules(path: Path):
+    """Absolute dotted names of every module ``path`` imports (relative
+    imports resolved against its package), function-level ones included."""
+    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            for alias in node.names:  # ``from .. import arch``
+                yield f"{module}.{alias.name}"
+
+
+@pytest.mark.parametrize("layer", LOWER)
+def test_lower_layers_do_not_import_the_model(layer):
+    banned = tuple(f"repro.{upper}" for upper in UPPER)
+    offenders = sorted(
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in (SRC / "repro" / layer).rglob("*.py")
+        for module in _imported_modules(path)
+        if any(module == b or module.startswith(b + ".") for b in banned))
+    assert offenders == []

@@ -1,12 +1,12 @@
 """Randomized oracle tests for the ROB hazard engines.
 
-The seed answered hazard queries with a linear ``conflicts_with`` scan of
-the window; the ROB now answers them with an incremental scoreboard
-(footprint-indexed buckets + flat memory maps) or, for straight-line
-programs, a precomputed static blocker table.  These tests drive both
-engines through randomized instruction mixes — all four unit types,
-deliberately colliding register/memory/group footprints, branches for the
-``has_conflict`` path — against the brute-force oracle, across random
+The ROB answers hazard queries from a precomputed static blocker table
+for sealed straight-line programs, and with a program-order
+``conflicts_with`` scan of the window for everything else.  These tests
+drive both modes through randomized instruction mixes — all four unit
+types, deliberately colliding register/memory/group footprints, branches
+for the ``has_conflict`` path — against the brute-force oracle below
+(kept independent of ``repro.arch.rob`` on purpose), across random
 allocate/complete interleavings.
 """
 
@@ -69,15 +69,34 @@ def oracle_oldest(rob, entry):
     return None
 
 
+def oracle_oldest_inst(rob, inst):
+    return next((e for e in rob.entries
+                 if not e.done and inst.conflicts_with(e.inst)), None)
+
+
 def oracle_has_conflict(rob, inst):
-    return any(not e.done and inst.conflicts_with(e.inst)
-               for e in rob.entries)
+    return oracle_oldest_inst(rob, inst) is not None
+
+
+def assert_matches_oracle(rob, live, *probes):
+    """Every answer the ROB gives right now — boolean and oldest-entry
+    for each in-flight entry, ``has_conflict`` for each not-yet-allocated
+    probe instruction — must match the oracle's."""
+    for entry in live:
+        assert rob.conflicts_before(entry) == \
+            oracle_conflicts_before(rob, entry)
+        assert rob.oldest_conflict(entry) is oracle_oldest(rob, entry)
+    for inst in probes:
+        assert rob.has_conflict(inst) == oracle_has_conflict(rob, inst)
+        assert rob.oldest_conflict_inst(inst) \
+            is oracle_oldest_inst(rob, inst)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_scoreboard_matches_linear_scan(seed):
-    """Random allocate/complete interleavings: every scoreboard answer
-    (boolean and oldest-entry) must match the seed's linear scan."""
+    """No table (branchy / unsealed programs): arbitrary instructions in
+    random allocate/complete interleavings, every answer against the
+    oracle."""
     rng = random.Random(seed)
     rob = ReorderBuffer(Simulator(), rng.choice((2, 3, 4, 8, 16)))
     live = []
@@ -89,23 +108,18 @@ def test_scoreboard_matches_linear_scan(seed):
             continue
         entry = rob.allocate(random_inst(rng))
         live.append(entry)
-        # probe every in-flight entry plus a fresh branch-style inst
-        for probe in live:
-            assert rob.conflicts_before(probe) == \
-                oracle_conflicts_before(rob, probe)
-            assert rob.oldest_conflict(probe) is oracle_oldest(rob, probe)
+        # probe every in-flight entry plus a fresh branch and a fresh
+        # arbitrary instruction
         branch = ScalarInst(op="SBEQ", rs1=rng.randrange(6),
                             rs2=rng.randrange(6), target=0)
-        assert rob.has_conflict(branch) == oracle_has_conflict(rob, branch)
-        scalar = random_inst(rng)
-        assert rob.has_conflict(scalar) == oracle_has_conflict(rob, scalar)
+        assert_matches_oracle(rob, live, branch, random_inst(rng))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_static_table_matches_linear_scan(seed):
     """Table mode (straight-line sealed program): drive an in-order
     allocate / out-of-order complete walk and compare every answer with
-    the oracle, plus the branch-path linear fallback."""
+    the oracle, plus the not-yet-allocated (branch) probe."""
     rng = random.Random(1000 + seed)
     window = rng.choice((2, 3, 4, 8))
     program = Program(core=0)
@@ -133,13 +147,9 @@ def test_static_table_matches_linear_scan(seed):
             rob.mark_done(victim)
         else:
             break
-        for probe in live:
-            assert rob.conflicts_before(probe) == \
-                oracle_conflicts_before(rob, probe)
-            assert rob.oldest_conflict(probe) is oracle_oldest(rob, probe)
         branch = ScalarInst(op="SBNE", rs1=rng.randrange(6),
                             rs2=rng.randrange(6), target=0)
-        assert rob.has_conflict(branch) == oracle_has_conflict(rob, branch)
+        assert_matches_oracle(rob, live, branch)
 
 
 def test_static_blockers_none_for_branchy_programs():

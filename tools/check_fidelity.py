@@ -8,6 +8,14 @@ model — CNNs, transformers (unsharded and token-sharded), and the
 autoregressive decode path — in both modes and fails if fast-mode total
 cycles deviate from cycle-accurate by more than ``TOLERANCE`` anywhere.
 
+Below the totals the two tiers inline the same latency/energy
+arithmetic (``repro.arch.units`` loops vs the ``repro.arch.fast``
+walker), so the breakdown must agree *exactly*:
+:func:`breakdown_mismatches` compares every energy category (float
+reassociation only), per-core unit busy cycles / op counts / ROB stall
+cycles and per-layer busy cycles, and any difference fails the gate.
+``tests/test_fidelity.py`` asserts the same function returns nothing.
+
 It also reports the wall-clock speedup on the acceptance point
 (simulate-only vgg8 on the small chip), measured A/B-interleaved so a
 noisy shared machine biases both sides equally.
@@ -17,6 +25,7 @@ noisy shared machine biases both sides equally.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,6 +53,38 @@ TOLERANCE = 0.02
 _TINY_OK = frozenset({"lenet5", "mlp"})
 
 
+#: per-core statistics both tiers must report identically.
+_PER_CORE_KEYS = ("unit_busy", "unit_ops", "rob_stall_cycles")
+
+
+def breakdown_mismatches(cycle, fast) -> list[str]:
+    """Where a fast run's breakdown differs from the cycle run's.
+
+    Takes two ``RawResult`` / ``SimReport`` objects of one program;
+    returns one line per differing energy category (``rel_tol=1e-9``:
+    the charges are the same terms summed in a different order), per-core
+    ``unit_busy`` / ``unit_ops`` / ``rob_stall_cycles`` entry and
+    ``layer_busy`` row.  Empty means the tiers agree below the totals.
+    """
+    out = []
+    for key in sorted(set(cycle.energy_pj) | set(fast.energy_pj)):
+        c, f = cycle.energy_pj.get(key), fast.energy_pj.get(key)
+        if c is None or f is None \
+                or not math.isclose(f, c, rel_tol=1e-9, abs_tol=1e-6):
+            out.append(f"energy_pj[{key}]: cycle={c} fast={f}")
+    for core in sorted(set(cycle.per_core) | set(fast.per_core)):
+        c, f = cycle.per_core.get(core, {}), fast.per_core.get(core, {})
+        for key in _PER_CORE_KEYS:
+            if c.get(key) != f.get(key):
+                out.append(f"per_core[{core}].{key}: "
+                           f"cycle={c.get(key)} fast={f.get(key)}")
+    for layer in sorted(set(cycle.layer_busy) | set(fast.layer_busy)):
+        c, f = cycle.layer_busy.get(layer), fast.layer_busy.get(layer)
+        if c != f:
+            out.append(f"layer_busy[{layer}]: cycle={c} fast={f}")
+    return out
+
+
 def _configs(name: str):
     base = tiny_chip() if name in _TINY_OK else small_chip()
     cycle = validate(base)
@@ -55,10 +96,15 @@ def _check(label: str, program, cycle_cfg, fast_cfg, failures: list) -> None:
     raw_f = run_program(program, fast_cfg)
     base = max(raw_c.cycles, 1)
     err = abs(raw_f.cycles - raw_c.cycles) / base
-    status = "ok  " if err <= TOLERANCE else "FAIL"
-    print(f"{status} {label:22s} cycle={raw_c.cycles:>10,} "
-          f"fast={raw_f.cycles:>10,} err={err:.4%}")
-    if err > TOLERANCE:
+    mismatches = breakdown_mismatches(raw_c, raw_f)
+    ok = err <= TOLERANCE and not mismatches
+    breakdown = f"{len(mismatches)} differ" if mismatches else "equal"
+    print(f"{'ok  ' if ok else 'FAIL'} {label:22s} "
+          f"cycle={raw_c.cycles:>10,} fast={raw_f.cycles:>10,} "
+          f"err={err:.4%} breakdown={breakdown}")
+    for line in mismatches[:8]:
+        print(f"       {line}")
+    if not ok:
         failures.append(label)
     assert raw_f.meta.get("fidelity") == "fast"
     assert "fidelity" not in raw_c.meta  # cycle-mode reports stay unmarked
@@ -108,10 +154,11 @@ def main(argv: list[str]) -> int:
     print(f"\nsimulate-only vgg8/small speedup (A/B interleaved, 5 "
           f"rounds): {speedup:.1f}x")
     if failures:
-        print(f"\nfidelity check failed (> {TOLERANCE:.0%} deviation): "
-              f"{', '.join(failures)}")
+        print(f"\nfidelity check failed (> {TOLERANCE:.0%} deviation or "
+              f"unequal breakdown): {', '.join(failures)}")
         return 1
-    print(f"fidelity check ok (every model within {TOLERANCE:.0%})")
+    print(f"fidelity check ok (every model within {TOLERANCE:.0%}, "
+          f"breakdowns equal)")
     return 0
 
 
