@@ -24,7 +24,7 @@ so long sequences stop serializing on one core's vector unit.
 import argparse
 import dataclasses
 
-from repro import paper_chip, small_chip
+from repro import JobSpec, default_engine, paper_chip, small_chip
 from repro.analysis import (
     ascii_bars,
     attention_shard_balance,
@@ -32,7 +32,6 @@ from repro.analysis import (
     op_class_breakdown,
 )
 from repro.models import vit_tiny
-from repro.runner import SweepJob, run_sweep
 
 
 def _with_shards(config, shards: int):
@@ -66,9 +65,9 @@ def main() -> None:
         net = vit_tiny((3, size, size), dim=args.dim, depth=args.depth,
                        heads=args.heads, patch=patch)
         for shards in shard_counts:
-            jobs.append(SweepJob(net, _with_shards(config, shards),
-                                 tag=(size, patch, shards)))
-    reports = run_sweep(jobs, workers=args.workers)
+            jobs.append(JobSpec(net, _with_shards(config, shards),
+                                tag=(size, patch, shards)))
+    reports = default_engine().map(jobs, workers=args.workers)
 
     latencies = {}
     baselines: dict[int, int] = {}

@@ -63,10 +63,9 @@ def main() -> None:
         print()
         print(mix.summary())
 
-        # Serve the same mix again: every per-step program is already
-        # compiled (the mix expands decode requests into per-extent unit
-        # jobs behind the engine's compile cache), so the warm round
-        # recompiles nothing.
+        # Serve the same mix again: the prefill programs sit in the
+        # engine's compile cache and every decode step replays the one
+        # step template, so the warm round recompiles nothing.
         cold = engine.compile_stats()
         engine.serve_mix(jobs, workers=args.workers)
         warm = engine.compile_stats()

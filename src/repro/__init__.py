@@ -53,13 +53,10 @@ from .engine import Engine, JobSpec, default_engine
 from .models import MODELS, build_model
 from .runner import (
     SimReport,
-    SweepJob,
     compare_mappings,
     compare_with_baseline,
     compile_model,
-    run_sweep,
     simulate,
-    sweep,
     sweep_rob,
 )
 
@@ -72,9 +69,6 @@ __all__ = [
     "simulate",
     "compile_model",
     "SimReport",
-    "SweepJob",
-    "run_sweep",
-    "sweep",
     "compare_mappings",
     "sweep_rob",
     "compare_with_baseline",

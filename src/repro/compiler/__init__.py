@@ -2,7 +2,7 @@
 
 from .allocator import AllocatorSet, CoreAllocator, Region
 from .batching import repeat_chip_program
-from .cache import CompileCache, compile_cache, config_fingerprint
+from .cache import CompileCache, config_fingerprint
 from .codegen import ACC_BYTES, generate_code
 from .frontend import (
     CompileError,
@@ -33,7 +33,6 @@ __all__ = [
     "repeat_chip_program",
     "CompilationResult",
     "CompileCache",
-    "compile_cache",
     "config_fingerprint",
     "build_pipeline",
     "Pipeline",

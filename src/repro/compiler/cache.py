@@ -18,16 +18,14 @@ Two normalizations make the key:
 * the cosmetic ``name`` field is dropped.
 
 Graphs are keyed by object identity (the entry pins the graph so the id
-cannot be recycled); :func:`repro.runner.api.resolve_network` memoizes zoo
-models so repeated ``simulate("vgg8", ...)`` calls share one graph object
-and therefore hit this cache.
+cannot be recycled); :meth:`repro.engine.Engine.resolve_network` memoizes
+zoo models so repeated ``simulate("vgg8", ...)`` calls share one graph
+object and therefore hit this cache.
 
-Ownership note: each :class:`repro.engine.Engine` holds its *own*
-``CompileCache`` (plus a private model cache), so sessions with different
-configurations cannot poison each other.  The module-level
-:data:`compile_cache` below is kept for the legacy one-shot surface — it
-is the cache of :func:`repro.engine.default_engine`, and its process-wide
-counters still feed ``report.meta["compile_cache_*"]`` for those calls.
+Ownership: every cache instance belongs to one
+:class:`repro.engine.Engine` (which also holds a private model cache),
+so sessions with different configurations cannot poison each other;
+this module defines the class and no instance.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from ..config import ArchConfig
 from ..graph import Graph
 from .pipeline import CompilationResult, compile_network
 
-__all__ = ["CompileCache", "compile_cache", "config_fingerprint"]
+__all__ = ["CompileCache", "config_fingerprint"]
 
 
 def config_fingerprint(config: ArchConfig) -> str:
@@ -58,8 +56,8 @@ class CompileCache:
     """LRU cache of :class:`CompilationResult` keyed on (graph, config).
 
     Thread-safe; every worker process of a parallel sweep holds its own
-    instance (the module-level :data:`compile_cache`), so repeated points
-    within one worker skip recompilation without any cross-process traffic.
+    instance (inside its private engine), so repeated points within one
+    worker skip recompilation without any cross-process traffic.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -104,6 +102,3 @@ class CompileCache:
             self.hits = 0
             self.misses = 0
 
-
-#: process-global cache used by :func:`repro.runner.api.simulate`.
-compile_cache = CompileCache()

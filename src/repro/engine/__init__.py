@@ -3,8 +3,7 @@
 :class:`Engine` holds warm artifacts (model cache, compile cache, worker
 pool) across requests; :class:`JobSpec` is the unit of work and is JSON
 round-trippable, so an experiment is a file (``pimsim batch``).  The
-legacy one-shot functions in :mod:`repro.runner` are shims over
-:func:`default_engine`.
+one-call functions in :mod:`repro.runner` run on :func:`default_engine`.
 
 Fault tolerance
 ---------------
@@ -29,9 +28,11 @@ outlive the crash.  The semantics, end to end:
 * **Warm growth.**  Asking for more workers than the live pool has
   spawns only the delta (:meth:`WorkerPool.grow`) — no cold restart.
 * **Batch resume.**  ``pimsim batch --output run.jsonl`` journals each
-  completion as it lands; ``--resume`` replays only the indices the
-  journal does not cover, so a crashed 1000-job sweep recomputes just
-  what is missing.
+  completion as it lands under its :meth:`JobSpec.job_id`; ``--resume``
+  skips the jobs whose id the journal already settled, so a crashed
+  1000-job sweep recomputes just what is missing and an edited spec is
+  rerun, not masked by its position in the file.  (Batch, tune and the
+  serve store share :class:`repro.engine.journal.Journal`.)
 
 Retries, timeouts and chaos directives (:mod:`repro.engine.faults`, the
 deterministic fault-injection harness that pins all of the above in
@@ -56,7 +57,8 @@ identical to a from-scratch compile at that extent.  Three entry points:
 * :meth:`Engine.decode_session` — a :class:`DecodeSession` cursor for
   step-at-a-time driving (``session.step()`` / ``session.run(n)``).
 * :meth:`Engine.serve_mix` — a continuous-batching serving mix: decode
-  specs expand into per-step unit jobs, interleaved round-robin with
+  specs expand into one-step decode jobs (each replaying its engine's
+  template), interleaved round-robin with
   prefill requests over the warm pool, returning a
   :class:`~repro.runner.results.MixReport` with p50/p99 per-step
   latency and TPOT.
@@ -140,26 +142,15 @@ _default: Engine | None = None
 
 
 def default_engine() -> Engine:
-    """The process-wide engine behind the legacy one-shot functions.
-
-    Wired to the historical global caches
-    (:data:`repro.compiler.compile_cache` and
-    ``repro.runner.api._model_cache``), so the pre-engine surface —
-    including its process-global cache counters — behaves bit-identically.
-    """
+    """The process-wide engine behind the one-call functions
+    (``simulate``, ``compile_model``, the Fig. 3/4/5 helpers): a plain
+    ``Engine()`` with its own caches, built on first use."""
     global _default
     if _default is None:
-        from ..compiler import compile_cache
-        from ..runner import api
-        _default = Engine(compile_cache=compile_cache,
-                          model_cache=api._model_cache)
+        _default = Engine()
     return _default
 
 
 def resolve_engine(engine: Engine | None = None) -> Engine:
-    """``engine`` if given, else the process-wide default engine.
-
-    The one fallback idiom shared by every legacy shim that grew an
-    ``engine=`` parameter (``run_sweep``, the figure sweeps, ``explore``).
-    """
+    """``engine`` if given, else the process-wide default engine."""
     return engine if engine is not None else default_engine()

@@ -1,7 +1,7 @@
 """The Engine: a persistent, job-oriented service layer over the simulator.
 
-One :class:`Engine` owns everything that used to live in process-global
-mutable state — the zoo-model cache, the compilation cache and (new) a
+One :class:`Engine` owns all the mutable state of a session — the
+zoo-model cache, the compilation cache, the decode-template cache and a
 persistent pool of simulation workers — so warm artifacts survive across
 requests and two engines with different configurations can never poison
 each other's caches.
@@ -12,10 +12,10 @@ each other's caches.
     ...     reports = engine.map([JobSpec("vgg8", rob_size=r)  # warm sweep
     ...                           for r in (1, 4, 8)], workers=2)
 
-The legacy one-shot functions (:func:`repro.runner.api.simulate`,
-``run_sweep`` and the figure sweeps built on it) are thin shims over a
-process-wide :func:`~repro.engine.default_engine` wired to the historical
-global caches — bit-identical to the pre-engine surface.
+The one-call functions (:func:`repro.runner.api.simulate`,
+``compile_model`` and the Fig. 3/4/5 helpers in
+:mod:`repro.runner.sweep`) run on a lazily built process-wide
+:func:`~repro.engine.default_engine`, an ordinary ``Engine()``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import weakref
 from concurrent.futures import Future
 from concurrent.futures import as_completed as _futures_as_completed
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from threading import Lock
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -36,13 +37,14 @@ from ..compiler import (
     compile_network,
     compile_step_template,
     config_fingerprint,
+    repeat_chip_program,
 )
 from ..config import FIDELITIES, ArchConfig, ConfigError, paper_chip, validate
-from ..graph import Graph, kv_extent, with_kv_extent
+from ..graph import Graph, with_kv_extent
 from ..graph.serialize import graph_digest
 from ..models import build_model
 from ..runner.results import MixReport, SimReport
-from .decode import DecodeSession, aggregate_step_reports
+from .decode import DecodeSession, aggregate_step_reports, first_extent
 from .pool import (
     JobFailed,
     PoolUnavailable,
@@ -66,8 +68,7 @@ class Engine:
     ----------
     config:
         Default architecture configuration for jobs that do not carry
-        their own (``None``: the paper chip, matching the legacy
-        functions).
+        their own (``None``: the paper chip).
     workers:
         Default parallelism for :meth:`submit` / :meth:`map` /
         :meth:`as_completed` when the call does not pass its own
@@ -90,10 +91,6 @@ class Engine:
         (``"cycle"`` or ``"fast"``).  ``JobSpec.fidelity`` overrides it
         per job, exactly like ``timeout``; ``None`` (default) defers to
         the configuration's ``sim.fidelity``.
-    compile_cache / model_cache:
-        Share existing caches (the process-wide default engine is wired
-        to the historical globals this way).  Omit both to give the
-        engine private caches.
     """
 
     def __init__(self, config: ArchConfig | None = None, *,
@@ -101,9 +98,7 @@ class Engine:
                  max_retries: int = 1,
                  job_timeout: float | None = None,
                  retry_backoff: float = 0.05,
-                 fidelity: str | None = None,
-                 compile_cache: CompileCache | None = None,
-                 model_cache: dict[tuple[str, bool], Graph] | None = None):
+                 fidelity: str | None = None):
         if fidelity is not None and fidelity not in FIDELITIES:
             raise ConfigError(
                 f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
@@ -113,9 +108,9 @@ class Engine:
         self._max_retries = max_retries
         self._job_timeout = job_timeout
         self._retry_backoff = retry_backoff
-        self._compile_cache = compile_cache if compile_cache is not None \
-            else CompileCache()
-        self._model_cache = model_cache if model_cache is not None else {}
+        self._compile_cache = CompileCache()
+        #: memoized zoo builds: (name, imagenet) -> Graph.
+        self._models: dict[tuple[str, bool], Graph] = {}
         #: content digest -> first graph seen with it (see
         #: :meth:`resolve_network`); insertion-ordered, FIFO-bounded.
         self._graph_memo: dict[str, Graph] = {}
@@ -165,13 +160,17 @@ class Engine:
                     self._graph_memo.pop(next(iter(self._graph_memo)))
             return canonical
         key = (network, imagenet)
-        graph = self._model_cache.get(key)
+        graph = self._models.get(key)
         if graph is None:
-            graph = self._model_cache[key] = build_model(network,
+            graph = self._models[key] = build_model(network,
                                                          imagenet=imagenet)
         return graph
 
-    def _job_config(self, spec: JobSpec) -> ArchConfig:
+    def _resolve(self, spec: JobSpec) -> tuple[Graph, ArchConfig]:
+        """The one place a spec becomes ``(canonical graph, configuration)``:
+        the spec's configuration (else the engine's, else the paper chip)
+        with the spec's overrides applied, fidelity last (spec beats
+        engine beats ``sim.fidelity``)."""
         config = spec.config or self.config or paper_chip()
         if spec.mapping is not None:
             config = config.with_mapping(spec.mapping)
@@ -180,11 +179,11 @@ class Engine:
         if spec.attention_shards is not None:
             config = validate(
                 config.with_attention_shards(spec.attention_shards))
-        fidelity = spec.fidelity if spec.fidelity is not None \
-            else self._fidelity
+        fidelity = spec.fidelity or self._fidelity
         if fidelity is not None and fidelity != config.sim.fidelity:
             config = validate(config.with_fidelity(fidelity))
-        return config
+        return (self.resolve_network(spec.network, imagenet=spec.imagenet),
+                config)
 
     def _stamp_fidelity(self, spec: JobSpec) -> JobSpec:
         """Materialize the engine-level fidelity default into a spec.
@@ -196,8 +195,7 @@ class Engine:
         """
         if self._fidelity is None or spec.fidelity is not None:
             return spec
-        from dataclasses import replace as _replace
-        return _replace(spec, fidelity=self._fidelity)
+        return replace(spec, fidelity=self._fidelity)
 
     # -- one job -------------------------------------------------------------
 
@@ -208,11 +206,7 @@ class Engine:
         """Compile a network against this engine's caches."""
         spec = JobSpec(network, config, mapping=mapping, imagenet=imagenet,
                        attention_shards=attention_shards)
-        graph = self.resolve_network(network, imagenet=imagenet)
-        job_config = self._job_config(spec)
-        if cache:
-            return self._compile_cache.get_or_compile(graph, job_config)
-        return compile_network(graph, job_config)
+        return self.compile_for(spec, cache=cache)[0]
 
     def compile_for(self, spec: JobSpec, *, cache: bool = True,
                     ) -> tuple[CompilationResult, ArchConfig]:
@@ -225,8 +219,7 @@ class Engine:
         candidate's pipeline and to diff the winner's configuration
         against the base; ``CostModel.estimate`` takes its result.
         """
-        graph = self.resolve_network(spec.network, imagenet=spec.imagenet)
-        config = self._job_config(spec)
+        graph, config = self._resolve(spec)
         if cache:
             return self._compile_cache.get_or_compile(graph, config), config
         return compile_network(graph, config), config
@@ -245,18 +238,19 @@ class Engine:
         :meth:`compile_stats` pin the compile-once property: a decode of
         N steps moves them by exactly one miss, never N.
         """
-        graph = self.resolve_network(network, imagenet=imagenet)
-        spec = JobSpec(network, config, mapping=mapping, imagenet=imagenet,
-                       attention_shards=attention_shards)
-        job_config = self._job_config(spec)
+        return self._template(*self._resolve(
+            JobSpec(network, config, mapping=mapping, imagenet=imagenet,
+                    attention_shards=attention_shards)))
+
+    def _template(self, graph: Graph, config: ArchConfig) -> StepTemplate:
         key = (graph_digest(with_kv_extent(graph, 1)),
-               config_fingerprint(job_config))
+               config_fingerprint(config))
         template = self._template_cache.get(key)
         if template is not None:
             self._template_hits += 1
             return template
         self._template_misses += 1
-        template = compile_step_template(graph, job_config)
+        template = compile_step_template(graph, config)
         self._template_cache[key] = template
         return template
 
@@ -268,62 +262,32 @@ class Engine:
                        imagenet: bool = False,
                        attention_shards: int | None = None) -> DecodeSession:
         """Open a :class:`~repro.engine.DecodeSession` on this engine."""
-        return DecodeSession(self, network, config, kv_tokens=kv_tokens,
-                             mapping=mapping, rob_size=rob_size,
-                             imagenet=imagenet,
-                             attention_shards=attention_shards)
-
-    def _run_decode(self, spec: JobSpec, graph: Graph,
-                    config: ArchConfig) -> SimReport:
-        """Decode-step driver behind :meth:`run` for decode specs."""
-        if spec.batch > 1:
-            raise ValueError("decode specs cannot also set batch > 1")
-        ext = kv_extent(graph)
-        if ext is None:
-            raise ValueError(
-                f"spec sets decode_steps but network {spec.network!r} "
-                "has no kv_cache nodes")
-        template = self.step_template(
-            graph, spec.config or self.config, mapping=spec.mapping,
-            imagenet=spec.imagenet, attention_shards=spec.attention_shards)
-        start = spec.kv_tokens if spec.kv_tokens is not None else ext[0]
-        reports = []
-        for i in range(spec.decode_steps):
-            chip = template.resolve(start + i)
-            raw = run_program(chip, config, max_cycles=spec.max_cycles)
-            reports.append(SimReport.from_raw(raw, config,
-                                              chip.total_instructions))
-        return aggregate_step_reports(reports, kv_tokens=start)
+        return DecodeSession(self, JobSpec(
+            network, config, mapping=mapping, rob_size=rob_size,
+            imagenet=imagenet, attention_shards=attention_shards,
+            kv_tokens=kv_tokens))
 
     def run(self, spec: JobSpec, *, compile_cache: bool = True) -> SimReport:
         """Execute one spec in-process and return its report.
 
         The report's metadata carries this engine's compile-cache counters
         (``compile_cache_hits`` / ``compile_cache_misses``) and the spec's
-        ``tag`` (as ``sweep_tag``), exactly like the legacy surface.
-        Decode specs (``decode_steps`` set) run the compile-once decode
-        driver and return one aggregated report (``meta["decode"]``).
+        ``tag`` (as ``sweep_tag``).  Decode specs (``decode_steps`` set)
+        drive a compile-once :class:`DecodeSession` and return one
+        aggregated report (``meta["decode"]``).
         """
-        graph = self.resolve_network(spec.network, imagenet=spec.imagenet)
-        config = self._job_config(spec)
         if spec.decode_steps is not None:
-            report = self._run_decode(spec, graph, config)
-            if compile_cache:
-                report.meta["compile_cache_hits"] = self._compile_cache.hits
-                report.meta["compile_cache_misses"] = self._compile_cache.misses
-            if spec.tag is not None:
-                report.meta["sweep_tag"] = spec.tag
-            return report
-        if compile_cache:
-            compiled = self._compile_cache.get_or_compile(graph, config)
+            if spec.batch > 1:
+                raise ValueError("decode specs cannot also set batch > 1")
+            report = DecodeSession(self, spec).run(spec.decode_steps)
         else:
-            compiled = compile_network(graph, config)
-        program = compiled.program
-        if spec.batch > 1:
-            from ..compiler.batching import repeat_chip_program
-            program = repeat_chip_program(program, spec.batch)
-        raw = run_program(program, config, max_cycles=spec.max_cycles)
-        report = SimReport.from_raw(raw, config, program.total_instructions)
+            compiled, config = self.compile_for(spec, cache=compile_cache)
+            program = compiled.program
+            if spec.batch > 1:
+                program = repeat_chip_program(program, spec.batch)
+            raw = run_program(program, config, max_cycles=spec.max_cycles)
+            report = SimReport.from_raw(raw, config,
+                                        program.total_instructions)
         if compile_cache:
             report.meta["compile_cache_hits"] = self._compile_cache.hits
             report.meta["compile_cache_misses"] = self._compile_cache.misses
@@ -578,8 +542,10 @@ class Engine:
                   errors: str = "raise") -> "MixReport":
         """Continuous-batching serving mix: prefill and decode together.
 
-        Each decode spec (``decode_steps`` set) expands into one unit job
-        per step at its growing KV extent; prefill specs stay whole.  The
+        Each decode spec (``decode_steps`` set) expands into one one-step
+        decode spec per step at its growing KV extent — each replays the
+        step template of the engine it lands on, so a mix compiles its
+        decode network once per worker — and prefill specs stay whole.  The
         units are interleaved round-robin across requests — every
         scheduling round advances each live request by one step, the
         continuous-batching order — and dealt over the engine
@@ -589,50 +555,29 @@ class Engine:
         :class:`~repro.runner.results.MixReport` carries the per-step
         latency samples and their p50/p99/TPOT distribution.
         """
-        from dataclasses import replace as _replace
         specs = list(specs)
         units_per_request: list[list[JobSpec]] = []
-        is_decode: list[bool] = []
-        starts: list[int] = []
         for spec in specs:
             if spec.decode_steps is None:
                 units_per_request.append([spec])
-                is_decode.append(False)
-                starts.append(0)
                 continue
-            graph = self.resolve_network(spec.network,
-                                         imagenet=spec.imagenet)
-            ext = kv_extent(graph)
-            if ext is None:
-                raise ValueError(
-                    f"spec sets decode_steps but network {spec.network!r} "
-                    "has no kv_cache nodes")
-            start = spec.kv_tokens if spec.kv_tokens is not None else ext[0]
+            start = first_extent(
+                self.resolve_network(spec.network, imagenet=spec.imagenet),
+                spec.kv_tokens)
             units_per_request.append([
-                _replace(spec, network=with_kv_extent(graph, start + i),
-                         decode_steps=None, kv_tokens=None)
+                replace(spec, decode_steps=1, kv_tokens=start + i)
                 for i in range(spec.decode_steps)])
-            is_decode.append(True)
-            starts.append(start)
 
         # Round-robin over requests: the continuous-batching schedule.
-        schedule: list[tuple[int, int]] = []  # (request, unit index)
-        cursor = [0] * len(specs)
-        live = True
-        while live:
-            live = False
-            for r, units in enumerate(units_per_request):
-                if cursor[r] < len(units):
-                    schedule.append((r, cursor[r]))
-                    cursor[r] += 1
-                    live = True
-        flat = [units_per_request[r][u] for r, u in schedule]
-        outcomes = self.map(flat, workers=workers, errors=errors)
-
-        per_request: list[list[SimReport | JobFailed]] = [
-            [None] * len(units) for units in units_per_request]
-        for (r, u), outcome in zip(schedule, outcomes):
-            per_request[r][u] = outcome
+        rounds = max(map(len, units_per_request), default=0)
+        schedule = [(r, units[u]) for u in range(rounds)
+                    for r, units in enumerate(units_per_request)
+                    if u < len(units)]
+        outcomes = self.map([unit for _r, unit in schedule],
+                            workers=workers, errors=errors)
+        per_request: list[list[SimReport | JobFailed]] = [[] for _ in specs]
+        for (r, _unit), outcome in zip(schedule, outcomes):
+            per_request[r].append(outcome)
 
         reports: list[SimReport | JobFailed] = []
         step_seconds: list[float] = []
@@ -643,10 +588,10 @@ class Engine:
             if failed is not None:
                 reports.append(failed)
                 continue
-            if is_decode[r]:
+            if specs[r].decode_steps is not None:
                 step_seconds.extend(rep.seconds for rep in outcomes_r)
                 reports.append(aggregate_step_reports(
-                    list(outcomes_r), kv_tokens=starts[r]))
+                    outcomes_r, kv_tokens=units_per_request[r][0].kv_tokens))
             else:
                 prefill_seconds.append(outcomes_r[0].seconds)
                 reports.append(outcomes_r[0])
@@ -696,7 +641,7 @@ class Engine:
     def clear_caches(self) -> None:
         """Drop compiled programs, decode templates and memoized graphs."""
         self._compile_cache.clear()
-        self._model_cache.clear()
+        self._models.clear()
         self._graph_memo.clear()
         self._template_cache.clear()
         self._template_hits = 0

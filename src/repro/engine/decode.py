@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..arch import run_program
-from ..config import ArchConfig
 from ..graph import Graph, kv_extent
 from ..runner.results import SimReport
 from .spec import JobSpec
@@ -28,7 +27,21 @@ from .spec import JobSpec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Engine
 
-__all__ = ["DecodeSession", "aggregate_step_reports"]
+__all__ = ["DecodeSession", "aggregate_step_reports", "first_extent"]
+
+
+def first_extent(graph: Graph, kv_tokens: int | None) -> int:
+    """KV extent of a decode request's first step on ``graph``.
+
+    ``kv_tokens`` if given, else the token count the network was built
+    with; the one check that the network can decode at all.
+    """
+    ext = kv_extent(graph)
+    if ext is None:
+        raise ValueError(
+            f"network {graph.name!r} has no kv_cache nodes; decode needs "
+            "one of repro.models.DECODE_MODELS")
+    return kv_tokens if kv_tokens is not None else ext[0]
 
 
 def aggregate_step_reports(reports: list[SimReport], *,
@@ -96,38 +109,25 @@ class DecodeSession:
         ...     first = session.step()          # extent = built-in tokens
         ...     more = session.run(31)          # 31 further steps, 1 report
 
-    The session owns only cursor state (the next step's extent and the
-    step history); the compiled template lives in — and is shared
-    through — the engine's template cache, so two sessions over the same
-    network and configuration compile nothing twice.
+    Opened from a :class:`~repro.engine.JobSpec` (network, overrides and
+    the starting ``kv_tokens``; :meth:`Engine.decode_session` builds one
+    from keywords).  The session owns only cursor state (the next step's
+    extent and the step history); the compiled template lives in — and
+    is shared through — the engine's template cache, so two sessions
+    over the same network and configuration compile nothing twice.
     """
 
-    def __init__(self, engine: "Engine", network: str | Graph,
-                 config: ArchConfig | None = None, *,
-                 kv_tokens: int | None = None,
-                 mapping: str | None = None,
-                 rob_size: int | None = None,
-                 imagenet: bool = False,
-                 attention_shards: int | None = None) -> None:
+    def __init__(self, engine: "Engine", spec: JobSpec) -> None:
         self.engine = engine
-        self.graph = engine.resolve_network(network, imagenet=imagenet)
-        ext = kv_extent(self.graph)
-        if ext is None:
-            raise ValueError(
-                "DecodeSession needs a network with kv_cache nodes "
-                "(see repro.models.DECODE_MODELS)")
-        spec = JobSpec(network, config, mapping=mapping, rob_size=rob_size,
-                       imagenet=imagenet, attention_shards=attention_shards)
-        self.config = engine._job_config(spec)
-        self.template = engine.step_template(
-            self.graph, config, mapping=mapping, imagenet=imagenet,
-            attention_shards=attention_shards)
+        self.graph, self.config = engine._resolve(spec)
         #: KV extent the *next* step runs at.
-        self.extent = kv_tokens if kv_tokens is not None else ext[0]
+        self.extent = first_extent(self.graph, spec.kv_tokens)
+        self.template = engine._template(self.graph, self.config)
         if not 1 <= self.extent <= self.template.capacity:
             raise ValueError(
                 f"kv_tokens {self.extent} outside [1, "
                 f"{self.template.capacity}]")
+        self._max_cycles = spec.max_cycles
         self.steps_run = 0
         #: per-step (extent, cycles) history.
         self.history: list[tuple[int, int]] = []
@@ -140,10 +140,9 @@ class DecodeSession:
     def step(self) -> SimReport:
         """Simulate one decode step at the current extent, then grow."""
         chip = self.template.resolve(self.extent)
-        raw = run_program(chip, self.config)
+        raw = run_program(chip, self.config, max_cycles=self._max_cycles)
         report = SimReport.from_raw(raw, self.config,
                                     chip.total_instructions)
-        report.meta["kv_extent"] = self.extent
         self.history.append((self.extent, report.cycles))
         self.extent += 1
         self.steps_run += 1

@@ -1,11 +1,10 @@
 """Self-healing simulation worker pool with deterministic job dealing.
 
-The legacy sweep executor spun up a throwaway ``ProcessPoolExecutor``
-inside every call, so back-to-back sweeps paid pool start-up *and* lost
-every worker's compile cache.  :class:`WorkerPool` keeps its worker
-processes alive across calls: each worker owns a private
-:class:`~repro.engine.Engine` (model cache + compile cache) that survives
-between jobs, so the second sweep over the same points recompiles nothing.
+:class:`WorkerPool` keeps its worker processes alive across calls: each
+worker owns a private :class:`~repro.engine.Engine` (model cache +
+compile cache) that survives between jobs, so back-to-back sweeps pay
+pool start-up once and the second sweep over the same points recompiles
+nothing.
 
 Jobs are dealt deterministically — :meth:`Engine._dispatch
 <repro.engine.Engine>` assigns job ``i`` of a batch to worker ``i %
@@ -475,7 +474,7 @@ class WorkerPool:
         Existing workers — and their warm compile caches — are untouched;
         only the delta is spawned.  This is what lets an
         :class:`~repro.engine.Engine` honor a wider ``workers=`` request
-        without the historical cold restart.
+        without a cold restart.
         """
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")

@@ -32,9 +32,8 @@ __all__ = ["JobSpec", "load_specs", "save_specs"]
 class JobSpec:
     """One simulation job: a network plus per-job overrides.
 
-    Subsumes the legacy ``SweepJob`` (same leading fields, so positional
-    construction is unchanged) and the keyword surface of
-    :func:`repro.runner.api.simulate`.  ``tag`` is carried through to
+    Carries the keyword surface of :func:`repro.runner.api.simulate`
+    (same leading fields, in the same order).  ``tag`` is carried through to
     ``report.meta["sweep_tag"]`` untouched so callers can label points.
     """
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..config import ArchConfig, scaled, validate
-from ..engine import Engine, JobFailed, JobSpec
+from ..engine import Engine, JobFailed, JobSpec, resolve_engine
 from ..runner import SimReport
-from ..tune.search import evaluate_jobs
 
 __all__ = ["ExplorationPoint", "Exploration", "explore", "with_param",
            "pareto_front"]
@@ -180,7 +179,8 @@ def explore(network: str, base_config: ArchConfig,
 
     jobs = [JobSpec(network, config, mapping=mapping)
             for _, config in grid]
-    outcomes = evaluate_jobs(jobs, engine=engine, workers=workers)
+    outcomes = resolve_engine(engine).map(jobs, workers=workers,
+                                          errors="capture")
     for (params, _), outcome in zip(grid, outcomes):
         if isinstance(outcome, JobFailed):
             exploration.failures.append((params, outcome.message))

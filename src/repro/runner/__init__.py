@@ -1,28 +1,21 @@
-"""Top-level runner: simulate(), sweeps, reports, CLI."""
+"""Top-level runner: simulate(), the Fig. 3/4/5 sweeps, reports, CLI."""
 
-from .api import compile_model, resolve_network, simulate
+from .api import compile_model, simulate
 from .results import MixReport, SimReport
 from .sweep import (
     BaselineComparison,
     MappingComparison,
     RobSweep,
-    SweepJob,
     compare_mappings,
     compare_with_baseline,
-    run_sweep,
-    sweep,
     sweep_rob,
 )
 
 __all__ = [
     "simulate",
     "compile_model",
-    "resolve_network",
     "SimReport",
     "MixReport",
-    "SweepJob",
-    "run_sweep",
-    "sweep",
     "compare_mappings",
     "sweep_rob",
     "compare_with_baseline",

@@ -5,10 +5,9 @@
 >>> report.cycles > 0
 True
 
-Every function here is a thin shim over the process-wide
-:func:`repro.engine.default_engine` — persistent sessions, job files and
-parallel streaming live on :class:`repro.engine.Engine`; this module keeps
-the historical one-shot surface (and its global caches) bit-identical.
+Both functions run on the process-wide
+:func:`repro.engine.default_engine`; persistent sessions, job files and
+parallel streaming live on :class:`repro.engine.Engine`.
 """
 
 from __future__ import annotations
@@ -18,29 +17,13 @@ from ..config import ArchConfig
 from ..graph import Graph
 from .results import SimReport
 
-__all__ = ["simulate", "compile_model", "resolve_network"]
-
-#: memoized zoo builds: (name, imagenet) -> Graph.  Deprecated as a public
-#: touchpoint: this dict is now owned by ``repro.engine.default_engine()``
-#: (it stays importable so existing callers keep the exact same cache).
-_model_cache: dict[tuple[str, bool], Graph] = {}
+__all__ = ["simulate", "compile_model"]
 
 
-def _engine():
+def _engine(engine=None):
+    """``engine``, else the process-wide default engine."""
     from ..engine import resolve_engine  # lazy: circular-import safe
-    return resolve_engine()
-
-
-def resolve_network(network: str | Graph, *, imagenet: bool = False) -> Graph:
-    """Accept either a zoo model name or an already-built graph.
-
-    Zoo builds are memoized per ``(name, imagenet)`` so repeated calls
-    share one graph object (zoo builds are deterministic and the compiler
-    never mutates its input graph).  Delegates to the default engine's
-    resolver; prefer :meth:`repro.engine.Engine.resolve_network` for
-    session-scoped caching.
-    """
-    return _engine().resolve_network(network, imagenet=imagenet)
+    return resolve_engine(engine)
 
 
 def compile_model(network: str | Graph, config: ArchConfig | None = None, *,
@@ -80,8 +63,8 @@ def simulate(network: str | Graph, config: ArchConfig | None = None, *,
     whole stream and its metadata records the batch for throughput math.
 
     ``compile_cache`` (default on) reuses compilations for repeated
-    ``(network, architecture, mapping)`` points; the process-wide hit/miss
-    counters are exposed as ``report.compile_cache_hits`` /
+    ``(network, architecture, mapping)`` points; the default engine's
+    hit/miss counters are exposed as ``report.compile_cache_hits`` /
     ``report.compile_cache_misses`` (``meta["compile_cache_*"]``) so sweeps
     can assert they are not recompiling.
 

@@ -24,11 +24,13 @@ import json
 import signal
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 from ..analysis import ascii_bars, comm_ratios, step_latency_stats
 from ..config import FIDELITIES, PRESETS, ArchConfig, get_preset, validate
 from ..engine import Engine, JobFailed, JobSpec, PoolUnavailable, load_specs
+from ..engine.journal import Journal
 from ..models import DECODE_MODELS, MODELS
 from .api import compile_model, simulate
 from .sweep import compare_mappings, compare_with_baseline, sweep_rob
@@ -129,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write JSONL here instead of stdout (doubles "
                             "as the --resume journal)")
     batch.add_argument("--resume", action="store_true",
-                       help="append to --output, skipping every index it "
-                            "already covers (requires --output)")
+                       help="append to --output, skipping every job whose "
+                            "id it already settled (requires --output)")
     batch.add_argument("--max-retries", type=int, default=1, metavar="N",
                        help="resubmissions allowed per job after a worker "
                             "crash before it is quarantined as poisoned "
@@ -342,94 +344,101 @@ BATCH_EXIT_JOB_FAILURES = 1
 BATCH_EXIT_FATAL = 2
 
 
-def _read_journal(path: str) -> tuple[set, int]:
-    """Indices already settled in a batch journal, and how many errored.
-
-    Torn trailing lines (a previous run died mid-write) and foreign lines
-    are skipped — only well-formed ``{"index", "report"|"error"}`` records
-    count as completed.  The per-run ``{"summary": ...}`` trailer lines a
-    journaling run appends carry no index and are skipped the same way.
-    """
-    done: set = set()
-    errors = 0
+def _journaled_id(record: dict) -> str | None:
+    """The job id of a settled batch-journal record: its ``"id"``, else
+    (journals written before ids) derived from its ``"spec"``, else None."""
+    if "id" in record:
+        return record["id"]
     try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        return done, errors
-    for line in text.splitlines():
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(record, dict) or "index" not in record:
-            continue
-        if ("report" in record or "error" in record) \
-                and record["index"] not in done:
-            done.add(record["index"])
-            if "error" in record:
-                errors += 1
-    return done, errors
+        return JobSpec.from_dict(record["spec"]).job_id()
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Run a job-spec file; emit one JSON record per job (JSONL).
 
-    Each line is ``{"index": i, "spec": {...}, "report": {...}}`` (or
-    ``"error"`` instead of ``"report"``), so a single line fully describes
-    and reproduces its experiment — specs that relied on the engine's
-    ``--preset`` default are emitted with that preset made explicit.
-    Lines stream in completion order; ``index`` maps each back to its
-    position in the spec file.
+    Each line is ``{"index": i, "id": ..., "spec": {...}, "report":
+    {...}}`` (or ``"error"`` instead of ``"report"``), so a single line
+    fully describes and reproduces its experiment — specs that relied on
+    the engine's ``--preset`` / ``--fidelity`` defaults are emitted with
+    them made explicit, and ``id`` is :meth:`JobSpec.job_id` of that
+    emitted spec.  Lines stream in completion order; ``index`` maps each
+    back to its position in the spec file.
 
     The output file doubles as a journal: every completion is flushed as
-    it lands, so ``--resume`` after a crash (or a Ctrl-C) replays only
-    the indices the journal does not already cover and appends to it —
-    the union of runs is equivalent to one uninterrupted run.
+    it lands, so ``--resume`` after a crash (or a Ctrl-C) skips each job
+    whose id the journal already settled (once per journaled copy of a
+    duplicated spec) and appends the rest — the union of runs equals one
+    uninterrupted run, however the spec file was reordered in between.
+    Settled records matching no job of the current spec file (an edited
+    or removed spec, another ``--preset``) are counted on stderr, not
+    honoured.
 
     A run that executed at least one job appends a final ``{"summary":
     ...}`` line (ok/failed/resumed counts plus the pool's retry /
-    poisoned / timeout telemetry); it carries no ``index``, so
-    ``--resume`` never mistakes it for a completed job.
+    poisoned / timeout telemetry); it settles nothing, so ``--resume``
+    never mistakes it for a completed job.
     """
     specs = load_specs(args.specfile)
-    done: set = set()
-    failures = 0
+    if args.resume and not args.output:
+        print("batch: --resume requires --output (the journal file)",
+              file=sys.stderr)
+        return BATCH_EXIT_FATAL
+    preset = get_preset(args.preset)
+    ids = [replace(spec, config=spec.config or preset,
+                   fidelity=spec.fidelity or args.fidelity).job_id()
+           for spec in specs]
+    #: job id -> one "it failed" flag per settled journal record
+    settled: dict[str, list[bool]] = {job_id: [] for job_id in ids}
+    n_settled = 0
     if args.resume:
-        if not args.output:
-            print("batch: --resume requires --output (the journal file)",
-                  file=sys.stderr)
-            return BATCH_EXIT_FATAL
-        done, failures = _read_journal(args.output)
-        done &= set(range(len(specs)))
-        # A run that died mid-write leaves a torn final line with no
-        # newline; terminate it so the first appended record does not
-        # concatenate onto it (losing both lines).
-        journal = Path(args.output)
-        if journal.exists():
-            tail = journal.read_bytes()[-1:]
-            if tail and tail != b"\n":
-                with journal.open("ab") as fh:
-                    fh.write(b"\n")
-    pending = [(index, spec) for index, spec in enumerate(specs)
-               if index not in done]
-    out = open(args.output, "a" if args.resume else "w") \
-        if args.output else sys.stdout
-    pool_stats: dict = {}
+        for record in Journal.replay(args.output):
+            if "report" not in record and "error" not in record:
+                continue  # a summary trailer: settles nothing
+            n_settled += 1
+            flags = settled.get(_journaled_id(record))
+            if flags is not None:
+                flags.append("error" in record)
+    failures = 0
+    pending = []
+    for index, job_id in enumerate(ids):
+        if settled[job_id]:
+            failures += settled[job_id].pop(0)
+        else:
+            pending.append(index)
+    resumed = len(specs) - len(pending)
+    unmatched = n_settled - resumed  # each resumed job claimed one record
+    if unmatched:
+        print(f"batch: {unmatched} journal record(s) match no job in "
+              f"{args.specfile} (spec edited or removed, or a different "
+              "--preset/--fidelity) and were not resumed", file=sys.stderr)
+
+    journal = None
+    if args.output:
+        if not args.resume:
+            open(args.output, "w").close()  # a fresh run starts empty
+        journal = Journal(args.output, fsync=False)
+        emit = journal.append
+    else:
+        def emit(record: dict) -> None:
+            print(json.dumps(record), flush=True)
     try:
-        with Engine(get_preset(args.preset), max_retries=args.max_retries,
+        with Engine(preset, max_retries=args.max_retries,
                     job_timeout=args.timeout,
                     fidelity=args.fidelity) as engine:
             for position, outcome in engine.as_completed(
-                    [spec for _index, spec in pending],
+                    [specs[index] for index in pending],
                     workers=args.workers, errors="capture"):
-                index = pending[position][0]
+                index = pending[position]
                 spec_dict = specs[index].to_dict()
                 spec_dict.setdefault("config", args.preset)
                 if args.fidelity is not None:
                     # like the preset: make the engine-level default
                     # explicit so the JSONL line reproduces standalone
                     spec_dict.setdefault("fidelity", args.fidelity)
-                record: dict = {"index": index, "spec": spec_dict}
+                record: dict = {"index": index, "id": ids[index],
+                                "spec": spec_dict}
                 if isinstance(outcome, JobFailed):
                     failures += 1
                     record["error"] = {"kind": outcome.kind,
@@ -438,7 +447,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                         record["error"]["details"] = outcome.details
                 else:
                     record["report"] = outcome.to_dict()
-                print(json.dumps(record), file=out, flush=True)
+                emit(record)
                 if args.progress:
                     label = (f"failed: {outcome.message}"
                              if isinstance(outcome, JobFailed)
@@ -448,20 +457,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             # pool down (a closed engine reports zeros).
             pool_stats = engine.pool_stats()
         if pending or not args.resume:
-            summary = {"jobs": len(specs), "ok": len(specs) - failures,
-                       "failed": failures, "resumed": len(done),
-                       "retried": pool_stats.get("retries", 0),
-                       "poisoned": pool_stats.get("poisoned", 0),
-                       "timeouts": pool_stats.get("timeouts", 0)}
-            print(json.dumps({"summary": summary}), file=out, flush=True)
+            emit({"summary": {
+                "jobs": len(specs), "ok": len(specs) - failures,
+                "failed": failures, "resumed": resumed,
+                "retried": pool_stats["retries"],
+                "poisoned": pool_stats["poisoned"],
+                "timeouts": pool_stats["timeouts"]}})
     except PoolUnavailable as exc:
         print(f"batch: worker pool unrecoverable: {exc}", file=sys.stderr)
         return BATCH_EXIT_FATAL
     finally:
-        if out is not sys.stdout:
-            out.close()
-    resumed = f" ({len(done)} resumed from the journal)" if args.resume else ""
-    print(f"{len(specs)} jobs{resumed}, {failures} failed", file=sys.stderr)
+        if journal is not None:
+            journal.close()
+    note = f" ({resumed} resumed from the journal)" if args.resume else ""
+    print(f"{len(specs)} jobs{note}, {failures} failed", file=sys.stderr)
     return BATCH_EXIT_JOB_FAILURES if failures else BATCH_EXIT_OK
 
 

@@ -1,35 +1,30 @@
-"""Parameter sweeps: the evaluation loops behind Figs. 3, 4 and 5.
+"""The evaluation loops behind Figs. 3, 4 and 5.
 
-All sweeps run through one executor, :func:`run_sweep`, which takes a list
-of :class:`SweepJob` points and hands them to an
-:class:`~repro.engine.Engine` — either the process-wide default engine or
-one passed by the caller.  Results are returned in job order and are
-identical whether they run serially or on the engine's persistent worker
-pool (each simulation is a deterministic pure function of its job).
-Every worker carries its own compile cache that survives *across* sweeps,
-so repeated-configuration points — e.g. the ROB sweep, whose compiled
-program is independent of ROB capacity — skip recompilation even between
-back-to-back calls.
-
-:class:`SweepJob` is a deprecation-era alias of
-:class:`repro.engine.JobSpec`; new code should build specs directly.
+Each helper builds a list of :class:`~repro.engine.JobSpec` points and
+hands it to :meth:`Engine.map <repro.engine.Engine.map>` — on the
+process-wide default engine, or on one passed as ``engine=``.  Results
+come back in job order and are identical whether they run serially or on
+the engine's persistent worker pool (each simulation is a deterministic
+pure function of its job).  Every worker carries its own compile cache
+that survives *across* calls, so repeated-configuration points — e.g.
+the ROB sweep, whose compiled program is independent of ROB capacity —
+skip recompilation even between back-to-back sweeps.  The pool persists
+after a call; ``repro.engine.default_engine().close()`` releases the
+default engine's workers early (otherwise they go at interpreter exit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
 
 from ..baseline import run_baseline
 from ..config import ArchConfig, mnsim_like_chip, paper_chip
 from ..engine.spec import JobSpec
 from ..graph import Graph
+from .api import _engine
 from .results import SimReport
 
 __all__ = [
-    "SweepJob",
-    "run_sweep",
-    "sweep",
     "MappingComparison",
     "RobSweep",
     "BaselineComparison",
@@ -37,62 +32,6 @@ __all__ = [
     "sweep_rob",
     "compare_with_baseline",
 ]
-
-
-class SweepJob(JobSpec):
-    """One point of a sweep: a network plus per-point overrides.
-
-    Deprecated alias of :class:`repro.engine.JobSpec` (same fields, same
-    construction); kept so existing sweep code and pickled jobs keep
-    working unchanged.
-    """
-
-
-def _engine(engine=None):
-    from ..engine import resolve_engine  # lazy: circular-import safe
-    return resolve_engine(engine)
-
-
-def run_sweep(jobs: Sequence[JobSpec] | Iterable[JobSpec], *,
-              workers: int | None = 1,
-              chunksize: int = 1,
-              engine=None) -> list[SimReport]:
-    """Simulate every job, returning reports in job order.
-
-    ``workers > 1`` fans the points out over the engine's persistent
-    worker pool (``workers=None`` uses the engine's default width — all
-    CPUs for the default engine); results are bit-identical to the serial
-    path.  Graph-object networks are shipped to workers by pickling.
-    ``chunksize`` is accepted for backward compatibility and ignored —
-    the pool deals jobs individually and deterministically.
-
-    Unlike the pre-engine executor, the worker pool *persists* after the
-    call (that is what makes back-to-back sweeps skip pool spin-up and
-    recompilation); call ``repro.engine.default_engine().close()`` to
-    release the default engine's workers early — otherwise they are torn
-    down at interpreter exit.
-    """
-    del chunksize
-    return _engine(engine).map(list(jobs), workers=workers)
-
-
-def sweep(configs: ArchConfig | Sequence[ArchConfig],
-          networks: str | Graph | Sequence[str | Graph], *,
-          workers: int | None = 1, engine=None,
-          **overrides: Any) -> list[SimReport]:
-    """Cross-product sweep: every configuration on every network.
-
-    Returns reports ordered configuration-major (``configs[0]`` over all
-    networks first).  Extra keyword arguments become per-job overrides
-    (``mapping=``, ``rob_size=``, ``batch=``, ``attention_shards=`` ...).
-    """
-    if isinstance(configs, ArchConfig):
-        configs = [configs]
-    if isinstance(networks, (str, Graph)):
-        networks = [networks]
-    jobs = [JobSpec(network, config, **overrides)
-            for config in configs for network in networks]
-    return run_sweep(jobs, workers=workers, engine=engine)
 
 
 @dataclass
@@ -126,12 +65,12 @@ def compare_mappings(network: str | Graph, config: ArchConfig | None = None, *,
     default) — the comparison itself is mapping-to-mapping either way.
     """
     config = (config or paper_chip()).with_rob_size(rob_size)
-    utilization, performance = run_sweep(
+    utilization, performance = _engine(engine).map(
         [JobSpec(network, config, mapping="utilization_first",
                  fidelity=fidelity),
          JobSpec(network, config, mapping="performance_first",
                  fidelity=fidelity)],
-        workers=workers, engine=engine)
+        workers=workers)
     return MappingComparison(
         network=network if isinstance(network, str) else network.name,
         utilization=utilization,
@@ -165,14 +104,12 @@ def sweep_rob(network: str | Graph, config: ArchConfig | None = None, *,
     fidelity of every point (``None``: engine/config default).
     """
     config = config or paper_chip()
-    result = RobSweep(network if isinstance(network, str) else network.name)
-    reports = run_sweep(
+    reports = _engine(engine).map(
         [JobSpec(network, config, rob_size=size, fidelity=fidelity)
          for size in sizes],
-        workers=workers, engine=engine)
-    for size, report in zip(sizes, reports):
-        result.reports[size] = report
-    return result
+        workers=workers)
+    return RobSweep(network if isinstance(network, str) else network.name,
+                    dict(zip(sizes, reports)))
 
 
 @dataclass
@@ -196,9 +133,9 @@ def compare_with_baseline(network: str | Graph,
                           engine=None) -> BaselineComparison:
     """Run our simulator and the behaviour-level baseline on one network."""
     config = config or mnsim_like_chip()
-    graph = _engine(engine).resolve_network(network)
-    ours = run_sweep([JobSpec(graph, config)], workers=workers,
-                     engine=engine)[0]
+    engine = _engine(engine)
+    graph = engine.resolve_network(network)
+    ours = engine.map([JobSpec(graph, config)], workers=workers)[0]
     base = run_baseline(graph, config)
     return BaselineComparison(
         network=graph.name,

@@ -19,21 +19,23 @@ Restart semantics (the contract ``tests/test_serve.py`` pins):
   ``poisoned`` instead of being replayed forever — the process-level
   mirror of the worker pool's poison-job accounting.
 
-The journal is append-only, so it grows with every transition;
+The journal is a :class:`repro.engine.journal.Journal` — the same
+primitive under ``pimsim batch --resume`` and ``pimsim tune --resume``,
+opened with ``fsync=True``: torn trailing lines (a crash mid-write) are
+terminated on open and skipped on replay, foreign lines are skipped.  It
+is append-only, so it grows with every transition;
 :meth:`JobStore.compact` rewrites it as one snapshot record per job
-(atomic rename), and :meth:`JobStore.open` compacts automatically when
-the event count dwarfs the live job count.  Torn trailing lines (a
-crash mid-write) and foreign lines are skipped on replay, exactly like
-``pimsim batch --resume``'s journal.
+(atomic rename), and opening a store compacts automatically when the
+event count dwarfs the live job count.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from pathlib import Path
+
+from ..engine.journal import Journal
 
 __all__ = ["JobStore", "JobRecord", "STATES", "TERMINAL_STATES",
            "UnknownJob"]
@@ -107,47 +109,20 @@ class JobStore:
                  fsync: bool = True, compact_floor: int = 256):
         self.path = Path(path)
         self.max_restarts = max_restarts
-        self._fsync = fsync
-        self._compact_floor = compact_floor
         self._lock = threading.RLock()
         self._records: dict[str, JobRecord] = {}
-        self._fh = None
         self._closed = False
-        events = self._replay()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
+        events = 0  # well-formed events: the compaction trigger input
+        for entry in Journal.replay(self.path):
+            if "event" in entry:
+                events += 1
+                self._apply(entry)
+        self._journal = Journal(self.path, fsync=fsync)
         self._recover_running()
-        if events > max(self._compact_floor, 4 * len(self._records)):
+        if events > max(compact_floor, 4 * len(self._records)):
             self.compact()
 
-    # -- journal plumbing ------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        """Write one journal line; durable before this returns."""
-        line = json.dumps(record, default=str)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
-
-    def _replay(self) -> int:
-        """Rebuild the in-memory table from the journal; returns the
-        number of well-formed events (the compaction trigger input)."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return 0
-        events = 0
-        for line in text.splitlines():
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn trailing line from a crash mid-write
-            if not isinstance(entry, dict) or "event" not in entry:
-                continue
-            events += 1
-            self._apply(entry)
-        return events
+    # -- journal grammar ---------------------------------------------------
 
     def _apply(self, entry: dict) -> None:
         event = entry["event"]
@@ -210,7 +185,7 @@ class JobStore:
         if error is not None:
             record.error = error
             entry["error"] = error
-        self._append(entry)
+        self._journal.append(entry)
 
     def submit(self, spec: dict, job_id: str) -> tuple[JobRecord, bool]:
         """Record a submission; idempotent by job id.
@@ -229,8 +204,8 @@ class JobStore:
             record = JobRecord(job_id, spec, submitted_at=now,
                                updated_at=now)
             self._records[job_id] = record
-            self._append({"event": "submit", "id": job_id, "spec": spec,
-                          "t": now})
+            self._journal.append({"event": "submit", "id": job_id,
+                                  "spec": spec, "t": now})
             return record, True
 
     def mark_running(self, job_id: str) -> bool:
@@ -325,24 +300,15 @@ class JobStore:
         """Rewrite the journal as one snapshot line per job (atomic)."""
         with self._lock:
             self._check_open()
-            tmp = self.path.with_suffix(self.path.suffix + ".compact")
-            with tmp.open("w", encoding="utf-8") as fh:
-                for record in self._records.values():
-                    fh.write(json.dumps(record.snapshot(), default=str)
-                             + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._journal.rewrite(record.snapshot()
+                                  for record in self._records.values())
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if self._fh is not None:
-                self._fh.close()
+            self._journal.close()
 
     def __enter__(self) -> "JobStore":
         return self

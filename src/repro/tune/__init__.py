@@ -12,7 +12,7 @@ is the CLI front end.
 """
 
 from .costmodel import OBJECTIVES, CostEstimate, CostModel
-from .search import Candidate, Tuner, TuneEntry, TuneReport, evaluate_jobs
+from .search import Candidate, Tuner, TuneEntry, TuneReport
 
 __all__ = [
     "CostModel",
@@ -22,5 +22,4 @@ __all__ = [
     "Tuner",
     "TuneEntry",
     "TuneReport",
-    "evaluate_jobs",
 ]

@@ -33,33 +33,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from ..config import SHARD_PLACEMENTS, ArchConfig
 from ..engine import Engine, JobFailed, JobSpec, resolve_engine
+from ..engine.journal import Journal
 from .costmodel import OBJECTIVES, CostEstimate
 
-__all__ = ["Candidate", "Tuner", "TuneEntry", "TuneReport", "evaluate_jobs"]
+__all__ = ["Candidate", "Tuner", "TuneEntry", "TuneReport"]
 
 #: both built-in mapping policies — the tuner always covers (and
 #: baselines against) the full set.
 MAPPINGS = ("utilization_first", "performance_first")
-
-
-def evaluate_jobs(specs: Iterable[JobSpec], *, engine: Engine | None = None,
-                  workers: int | None = 1) -> list:
-    """Run specs through an engine, capturing failures as results.
-
-    The one evaluation path shared by the tuner and
-    :func:`repro.explore.explore`: results come back in spec order, with
-    :class:`~repro.engine.JobFailed` entries in place of reports for jobs
-    that raised (``errors="capture"``).
-    """
-    specs = list(specs)
-    if not specs:
-        return []
-    return resolve_engine(engine).map(specs, workers=workers,
-                                      errors="capture")
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,7 @@ class Candidate:
 
         ``shard_placement`` travels in the configuration (it has no
         per-job override field); the other knobs use the spec's override
-        fields so the engine's ``_job_config`` precedence applies.
+        fields so the engine's ``_resolve`` precedence applies.
         """
         cfg = config
         if cfg.compiler.shard_placement != self.shard_placement:
@@ -250,50 +234,20 @@ class TuneReport:
 def _read_tune_journal(path) -> dict:
     """Measurements already settled in a tune journal.
 
-    Returns ``{(candidate_key, fidelity): record}`` for candidate
-    measurements and ``{("baseline", mapping): record}`` for baselines.
-    Torn trailing lines and foreign lines are skipped, exactly like the
-    ``pimsim batch`` journal reader.
+    The tune record grammar: ``{"key", "candidate", "fidelity",
+    "report"|"error"}`` per candidate measurement, ``{"baseline",
+    "report"}`` per baseline, ``{"summary": ...}`` trailers.  Returns
+    ``{(candidate_key, fidelity): record}`` and ``{("baseline",
+    mapping): record}``; everything else settles nothing.
     """
     done: dict = {}
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        return done
-    for line in text.splitlines():
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(record, dict):
-            continue
+    for record in Journal.replay(path):
         if "baseline" in record and "report" in record:
             done[("baseline", record["baseline"])] = record
         elif "key" in record and "fidelity" in record \
                 and ("report" in record or "error" in record):
             done[(record["key"], record["fidelity"])] = record
     return done
-
-
-class _Journal:
-    """Append-only JSONL sink, flushed per record (``None`` path: no-op)."""
-
-    def __init__(self, path):
-        self._path = Path(path) if path is not None else None
-        if self._path is not None and self._path.exists():
-            # Terminate a torn final line from a crashed predecessor so
-            # our first record starts on a fresh line (batch idiom).
-            tail = self._path.read_bytes()[-1:]
-            if tail and tail != b"\n":
-                with self._path.open("ab") as fh:
-                    fh.write(b"\n")
-
-    def write(self, record: dict) -> None:
-        if self._path is None:
-            return
-        with self._path.open("a") as fh:
-            fh.write(json.dumps(record) + "\n")
-            fh.flush()
 
 
 # -- the tuner ---------------------------------------------------------------
@@ -384,8 +338,7 @@ class Tuner:
                 "fidelity": report.fidelity}
 
     def _measure(self, entries: list[TuneEntry], base: ArchConfig,
-                 fidelity: str, engine: Engine, journal: _Journal,
-                 seen: dict) -> int:
+                 fidelity: str, engine: Engine, write, seen: dict) -> int:
         """Fill ``entry.fast`` or ``entry.cycle`` for every entry,
         replaying journaled measurements and streaming fresh ones.
         Returns how many came from the journal."""
@@ -417,7 +370,7 @@ class Tuner:
                 else:
                     setattr(entry, slot, self._measurement(outcome))
                     record["report"] = getattr(entry, slot)
-                journal.write(record)
+                write(record)
         return resumed
 
     # -- the run -------------------------------------------------------------
@@ -428,6 +381,18 @@ class Tuner:
         ``journal``: JSONL path streamed as measurements land.
         ``resume=True`` replays measurements already in the journal.
         """
+        seen = _read_tune_journal(journal) if (resume and journal) else {}
+        if journal is None:
+            return self._search(seen, lambda record: None)
+        sink = Journal(journal, fsync=False)
+        try:
+            return self._search(seen, sink.append)
+        finally:
+            sink.close()
+
+    def _search(self, seen: dict, write) -> TuneReport:
+        """:meth:`tune` proper: ``seen`` are the journaled measurements
+        to replay, ``write(record)`` journals a fresh one."""
         engine = resolve_engine(self.engine)
         base_compiled, base = engine.compile_for(
             JobSpec(self.network, config=self.config))
@@ -440,9 +405,7 @@ class Tuner:
         # 1-2. enumerate, measure every candidate at fast fidelity.
         entries = [TuneEntry(candidate=cand)
                    for cand in self.candidates(base, shardable)]
-        seen = _read_tune_journal(journal) if (resume and journal) else {}
-        sink = _Journal(journal)
-        resumed = self._measure(entries, base, "fast", engine, sink, seen)
+        resumed = self._measure(entries, base, "fast", engine, write, seen)
 
         # 3. cycle-verify the measured leaders.
         measured = [e for e in entries if e.fast is not None
@@ -450,7 +413,7 @@ class Tuner:
         measured.sort(key=lambda e: (self._objective(e.fast),
                                      e.candidate.key()))
         top = measured[:self.top_k]
-        resumed += self._measure(top, base, "cycle", engine, sink, seen)
+        resumed += self._measure(top, base, "cycle", engine, write, seen)
 
         # Baselines: both built-in mappings at the base configuration.
         baselines: dict[str, dict] = {}
@@ -460,14 +423,14 @@ class Tuner:
                 baselines[mapping] = record["report"]
                 resumed += 1
                 continue
-            outcome = evaluate_jobs(
+            outcome = engine.map(
                 [JobSpec(self.network, config=base, mapping=mapping,
                          fidelity="cycle", tag=f"baseline:{mapping}")],
-                engine=engine, workers=1)[0]
+                workers=1, errors="capture")[0]
             if isinstance(outcome, JobFailed):  # pragma: no cover - defensive
                 continue
             baselines[mapping] = self._measurement(outcome)
-            sink.write({"baseline": mapping, "report": baselines[mapping]})
+            write({"baseline": mapping, "report": baselines[mapping]})
 
         report = TuneReport(network=network_name, objective=self.objective,
                             entries=entries, baselines=baselines,
@@ -489,7 +452,7 @@ class Tuner:
                 winner.candidate.spec(self.network, base))
             report.config_delta = _config_delta(base, winner_cfg)
 
-        sink.write({"summary": {
+        write({"summary": {
             "network": report.network, "objective": report.objective,
             "considered": report.considered, "evaluated": report.evaluated,
             "resumed": report.resumed,

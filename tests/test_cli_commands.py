@@ -334,6 +334,111 @@ class TestBatchResume:
                       if "report" in r and r["report"]) == [0, 1]
 
 
+    # -- resume is keyed by job id, not by position in the spec file --------
+
+    @staticmethod
+    def _write_specs(tmp_path, dicts):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(dicts))
+        return path
+
+    def test_editing_one_spec_reruns_exactly_that_job(self, tmp_path,
+                                                      capsys):
+        dicts = [{"network": "mlp", "config": "tiny", "rob_size": size}
+                 for size in (1, 2)]
+        specfile = self._write_specs(tmp_path, dicts)
+        journal = tmp_path / "run.jsonl"
+        assert main(["batch", str(specfile), "--output", str(journal)]) == 0
+        capsys.readouterr()
+        dicts[0]["network"] = "lenet5"
+        self._write_specs(tmp_path, dicts)
+        assert main(["batch", str(specfile), "--output", str(journal),
+                     "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "(1 resumed from the journal)" in err
+        assert "1 journal record(s) match no job" in err
+        records = self._records(journal)
+        assert [(r["index"], r["spec"]["network"]) for r in records] == [
+            (0, "mlp"), (1, "mlp"), (0, "lenet5")]
+        assert records[-1]["report"]["network"] == "lenet5"
+        assert records[-1]["id"] == JobSpec.from_dict(dicts[0]).job_id()
+        assert self._summary(journal)["resumed"] == 1
+
+    def test_reordering_the_spec_file_reruns_nothing(self, tmp_path,
+                                                     capsys):
+        dicts = [{"network": "mlp", "config": "tiny", "rob_size": size}
+                 for size in (1, 2, 4)]
+        specfile = self._write_specs(tmp_path, dicts)
+        journal = tmp_path / "run.jsonl"
+        assert main(["batch", str(specfile), "--output", str(journal)]) == 0
+        before = journal.read_text()
+        self._write_specs(tmp_path, dicts[::-1])
+        assert main(["batch", str(specfile), "--output", str(journal),
+                     "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "(3 resumed from the journal)" in err
+        assert "match no job" not in err
+        assert journal.read_text() == before
+
+    def test_duplicated_spec_is_skipped_once_per_journaled_copy(
+            self, tmp_path, capsys):
+        spec = {"network": "mlp", "config": "tiny"}
+        specfile = self._write_specs(tmp_path, [spec])
+        journal = tmp_path / "run.jsonl"
+        assert main(["batch", str(specfile), "--output", str(journal)]) == 0
+        self._write_specs(tmp_path, [spec, spec, spec])
+        assert main(["batch", str(specfile), "--output", str(journal),
+                     "--resume"]) == 0
+        assert "(1 resumed from the journal)" in capsys.readouterr().err
+        assert [r["index"] for r in self._records(journal)] == [0, 1, 2]
+        # ...and every copy is journaled now: a third run has nothing to do
+        before = journal.read_text()
+        assert main(["batch", str(specfile), "--output", str(journal),
+                     "--resume"]) == 0
+        assert "(3 resumed from the journal)" in capsys.readouterr().err
+        assert journal.read_text() == before
+
+    def test_resume_under_another_preset_reruns_configless_specs(
+            self, tmp_path, capsys):
+        """The emitted spec makes the preset explicit, so the id does
+        too: a result computed on one chip never stands in for another."""
+        specfile = self._write_specs(tmp_path, [
+            {"network": "mlp"}, {"network": "mlp", "rob_size": 2}])
+        journal = tmp_path / "run.jsonl"
+        assert main(["batch", str(specfile), "--preset", "tiny",
+                     "--output", str(journal)]) == 0
+        capsys.readouterr()
+        assert main(["batch", str(specfile), "--preset", "small",
+                     "--output", str(journal), "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "(0 resumed from the journal)" in err
+        assert "2 journal record(s) match no job" in err
+        records = self._records(journal)
+        assert [(r["index"], r["spec"]["config"]) for r in records] == [
+            (0, "tiny"), (1, "tiny"), (0, "small"), (1, "small")]
+        assert records[2]["report"]["cycles"] != records[0]["report"]["cycles"]
+
+    def test_resumes_a_record_written_before_ids_existed(self, tmp_path,
+                                                         capsys):
+        """A literal line of the previous journal format: no ``id``, so
+        the job identity is derived from the record's ``spec``."""
+        specfile = self._write_specs(tmp_path, [
+            {"network": "mlp", "rob_size": 2}, {"network": "mlp"}])
+        journal = tmp_path / "run.jsonl"
+        journal.write_text(
+            '{"index": 0, "spec": {"network": "mlp", "rob_size": 2, '
+            '"config": "tiny"}, "report": {"cycles": 1}}\n'
+            '{"summary": {"jobs": 1, "ok": 1, "failed": 0, "resumed": 0, '
+            '"retried": 0, "poisoned": 0, "timeouts": 0}}\n')
+        assert main(["batch", str(specfile), "--preset", "tiny",
+                     "--output", str(journal), "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "(1 resumed from the journal)" in err
+        assert "match no job" not in err
+        assert [r["index"] for r in self._records(journal)] == [0, 1]
+        assert self._records(journal)[0]["report"] == {"cycles": 1}
+
+
 class TestBatchSummary:
     """The trailing ``{"summary": ...}`` line: batch-level accounting."""
 

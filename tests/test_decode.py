@@ -405,6 +405,23 @@ class TestServeMix:
         assert mix.reports[0].meta["decode"]["step_cycles"] == \
             alone.meta["decode"]["step_cycles"]
 
+    def test_mix_steps_replay_the_template(self, engine):
+        """Decode units are one-step decode specs, so a mix compiles its
+        network once — not one full program per KV extent."""
+        mix = engine.serve_mix([JobSpec("gpt_tiny", decode_steps=16)],
+                               workers=1)
+        assert mix.total_steps == 16
+        stats = engine.compile_stats()
+        assert stats["misses"] == 0 and stats["entries"] == 0
+        assert stats["template_misses"] == 1
+        assert stats["template_hits"] == 15
+        alone = engine.run(JobSpec("gpt_tiny", decode_steps=16))
+        ours = mix.reports[0]
+        assert ours.cycles == alone.cycles
+        assert ours.energy_pj == alone.energy_pj
+        assert ours.instructions == alone.instructions
+        assert ours.meta["decode"]["kv_tokens"] == 8
+
     def test_to_dict_has_the_distribution(self, engine):
         mix = engine.serve_mix([JobSpec("gpt_tiny", decode_steps=2)])
         data = json.loads(mix.to_json())

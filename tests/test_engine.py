@@ -10,12 +10,11 @@ between engines.
 import pytest
 
 from repro import Engine, JobSpec, simulate
-from repro.compiler import compile_cache
 from repro.config import ConfigError, small_chip, tiny_chip
 from repro.engine import JobFailed, default_engine
 from repro.explore import explore
 from repro.models import bert_tiny
-from repro.runner import api, compare_mappings, compare_with_baseline, sweep_rob
+from repro.runner import compare_mappings, compare_with_baseline, sweep_rob
 from tests.conftest import build_chain_net
 
 
@@ -94,21 +93,31 @@ class TestAttentionShards:
 class TestEngineIsolation:
     def test_engines_have_private_caches(self):
         net = build_chain_net()
-        before = compile_cache.stats()
+        before = default_engine().compile_stats()
         with Engine() as a, Engine() as b:
             ra = a.simulate(net, tiny_chip())
             rb = b.simulate(net, tiny_chip())
             assert a.compile_stats()["misses"] == 1
             assert b.compile_stats()["misses"] == 1
         assert ra.cycles == rb.cycles
-        after = compile_cache.stats()
-        assert after["hits"] == before["hits"]
-        assert after["misses"] == before["misses"]
+        assert default_engine().compile_stats() == before
 
-    def test_default_engine_wraps_legacy_globals(self):
+    def test_default_engine_owns_private_caches(self):
+        """The one-call surface runs on a plain Engine: its caches are
+        its own, and a repeated point is a compile-cache hit on them."""
         eng = default_engine()
-        assert eng._compile_cache is compile_cache
-        assert eng._model_cache is api._model_cache
+        assert eng is default_engine()
+        with Engine() as other:
+            assert eng._compile_cache is not other._compile_cache
+            assert eng._models is not other._models
+        net = build_chain_net(channels=12)
+        first = simulate(net, tiny_chip())
+        stats = eng.compile_stats()
+        assert first.compile_cache_misses == stats["misses"]
+        second = simulate(net, tiny_chip())
+        assert second.compile_cache_hits == stats["hits"] + 1
+        assert second.compile_cache_misses == stats["misses"]
+        assert eng.compile_stats()["hits"] == stats["hits"] + 1
 
     def test_clear_caches(self, engine):
         engine.simulate("mlp")

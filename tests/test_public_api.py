@@ -16,7 +16,6 @@ ROOT_ALL = [
     "JobSpec",
     "MODELS",
     "SimReport",
-    "SweepJob",
     "__version__",
     "build_model",
     "compare_mappings",
@@ -26,10 +25,8 @@ ROOT_ALL = [
     "get_preset",
     "mnsim_like_chip",
     "paper_chip",
-    "run_sweep",
     "simulate",
     "small_chip",
-    "sweep",
     "sweep_rob",
     "tiny_chip",
 ]
@@ -55,14 +52,10 @@ RUNNER_ALL = [
     "MixReport",
     "RobSweep",
     "SimReport",
-    "SweepJob",
     "compare_mappings",
     "compare_with_baseline",
     "compile_model",
-    "resolve_network",
-    "run_sweep",
     "simulate",
-    "sweep",
     "sweep_rob",
 ]
 
@@ -74,7 +67,6 @@ TUNE_ALL = [
     "TuneEntry",
     "TuneReport",
     "Tuner",
-    "evaluate_jobs",
 ]
 
 SERVE_ALL = [
@@ -111,6 +103,17 @@ ENGINE_METHODS = [
     "step_template",
     "submit",
     "terminate",
+]
+
+#: every ``Engine(...)`` parameter, in declaration order — each one is
+#: an independently settable value of every session.
+ENGINE_INIT_PARAMS = [
+    "config",
+    "workers",
+    "max_retries",
+    "job_timeout",
+    "retry_backoff",
+    "fidelity",
 ]
 
 #: every JobSpec field, in declaration order — the JSON schema of
@@ -202,8 +205,10 @@ def test_pool_stats_keys_pinned():
         engine.close()
 
 
-def test_sweepjob_is_a_jobspec():
-    assert issubclass(repro.SweepJob, repro.JobSpec)
+def test_engine_init_parameters_pinned():
+    import inspect
+    params = list(inspect.signature(repro.Engine.__init__).parameters)
+    assert params == ["self"] + ENGINE_INIT_PARAMS
 
 
 def test_jobspec_fields_pinned():

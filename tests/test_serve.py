@@ -132,6 +132,71 @@ class TestJobStore:
         with self._store(tmp_path) as store:
             assert store.get("j1").state == "done"
 
+    def test_submit_after_a_torn_tail_survives_the_next_restart(
+            self, tmp_path):
+        """A crash mid-write leaves a newline-less fragment.  The first
+        transition journaled after the restart must start on its own
+        line — glued onto the fragment, an acknowledged job is lost."""
+        with self._store(tmp_path) as store:
+            store.submit({"network": "mlp"}, "jA")
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(path.read_bytes()
+                         + b'{"event": "submit", "id": "jB", "sp')
+        with self._store(tmp_path) as store:
+            assert [r.id for r in store.jobs()] == ["jA"]
+            _record, created = store.submit({"network": "mlp"}, "jC")
+            assert created  # what POST /jobs answers 201 on
+        with self._store(tmp_path) as store:
+            assert [r.id for r in store.jobs()] == ["jA", "jC"]
+
+    def test_recovery_transition_after_a_torn_tail_survives(self, tmp_path):
+        """Same for the running -> queued blame record the store itself
+        journals while opening."""
+        with self._store(tmp_path) as store:
+            store.submit({"network": "mlp"}, "jA")
+            store.mark_running("jA")
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(path.read_bytes()
+                         + b'{"event": "state", "id": "jA", "sta')
+        with self._store(tmp_path):  # "crashed": requeued with blame 1
+            pass
+        last = [json.loads(line) for line in path.read_text().splitlines()
+                if line.endswith("}")][-1]
+        assert (last["id"], last["state"], last["attempts"]) == \
+            ("jA", "queued", 1), "the blame record must be its own line"
+        with self._store(tmp_path) as store:
+            replayed = store.get("jA")
+            assert replayed.state == "queued"
+            assert replayed.attempts == 1
+
+    def test_replays_a_store_written_before_the_shared_journal(
+            self, tmp_path):
+        """Literal journal lines as the previous store wrote them: event
+        records, a compaction snapshot, a foreign line."""
+        path = tmp_path / "store.jsonl"
+        path.write_text("\n".join([
+            '{"id": "j1", "state": "done", "attempts": 0, "spec": '
+            '{"network": "mlp"}, "submitted_at": 1.0, "updated_at": 3.0, '
+            '"report": {"cycles": 7}, "event": "job"}',
+            '{"event": "submit", "id": "j2", "spec": {"network": "mlp", '
+            '"rob_size": 2}, "t": 4.0}',
+            '{"event": "state", "id": "j2", "state": "running", '
+            '"attempts": 0, "t": 5.0}',
+            'not a journal line',
+            '{"event": "state", "id": "j2", "state": "failed", '
+            '"attempts": 0, "t": 6.0, "error": {"kind": "X", '
+            '"message": "m"}}',
+            '{"event": "submit", "id": "j3", "spec": {"network": "mlp", '
+            '"rob_size": 3}, "t": 7.0}',
+        ]) + "\n")
+        with self._store(tmp_path) as store:
+            assert {r.id: r.state for r in store.jobs()} == {
+                "j1": "done", "j2": "failed", "j3": "queued"}
+            assert store.get("j1").report == {"cycles": 7}
+            assert store.get("j1").submitted_at == 1.0
+            assert store.get("j2").error == {"kind": "X", "message": "m"}
+            assert store.get("j3").spec == {"network": "mlp", "rob_size": 3}
+
     def test_cancel_withdraws_only_queued_jobs(self, tmp_path):
         with self._store(tmp_path) as store:
             store.submit({"network": "mlp"}, "j1")

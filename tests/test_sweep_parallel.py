@@ -1,8 +1,8 @@
-"""Tests for the sweep executor and the compilation cache."""
+"""Tests for sweeps over ``Engine.map`` and the compilation cache."""
 
 
-from repro import SweepJob, run_sweep, simulate, sweep
-from repro.compiler import CompileCache, compile_cache, config_fingerprint
+from repro import JobSpec, default_engine, simulate
+from repro.compiler import CompileCache, config_fingerprint
 from repro.config import small_chip, tiny_chip
 from repro.runner import compare_mappings, compare_with_baseline, sweep_rob
 from tests.conftest import build_chain_net
@@ -15,41 +15,46 @@ def _fingerprint_reports(reports):
 class TestRunSweep:
     def test_serial_order_and_tags(self):
         config = tiny_chip()
-        jobs = [SweepJob(build_chain_net(), config, rob_size=size, tag=size)
+        jobs = [JobSpec(build_chain_net(), config, rob_size=size, tag=size)
                 for size in (1, 4)]
-        reports = run_sweep(jobs, workers=1)
+        reports = default_engine().map(jobs, workers=1)
         assert [r.meta["sweep_tag"] for r in reports] == [1, 4]
         assert reports[0].cycles >= reports[1].cycles
 
     def test_parallel_matches_serial(self):
         config = tiny_chip()
-        jobs = [SweepJob(build_chain_net(), config, rob_size=size)
+        jobs = [JobSpec(build_chain_net(), config, rob_size=size)
                 for size in (1, 2, 4)]
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=2)
+        serial = default_engine().map(jobs, workers=1)
+        parallel = default_engine().map(jobs, workers=2)
         assert _fingerprint_reports(serial) == _fingerprint_reports(parallel)
 
     def test_parallel_accepts_graph_and_name(self):
         config = small_chip()
-        jobs = [SweepJob(build_chain_net(), config), SweepJob("vgg8", config)]
-        reports = run_sweep(jobs, workers=2)
+        jobs = [JobSpec(build_chain_net(), config), JobSpec("vgg8", config)]
+        reports = default_engine().map(jobs, workers=2)
         assert [r.network for r in reports] == ["chain", "vgg8"]
 
     def test_workers_none_uses_cpu_count(self):
         config = tiny_chip()
-        reports = run_sweep([SweepJob(build_chain_net(), config)], workers=None)
+        reports = default_engine().map([JobSpec(build_chain_net(), config)],
+                                       workers=None)
         assert len(reports) == 1
 
 
 class TestSweepCrossProduct:
     def test_config_major_order(self):
         small, tiny = small_chip(), tiny_chip()
-        reports = sweep([tiny, small], build_chain_net())
+        networks = [build_chain_net()]
+        reports = default_engine().map(
+            [JobSpec(network, config)
+             for config in (tiny, small) for network in networks], workers=1)
         assert [r.config_name for r in reports] == [tiny.name, small.name]
 
     def test_overrides_forwarded(self):
-        reports = sweep(tiny_chip(), build_chain_net(),
-                        mapping="utilization_first")
+        reports = default_engine().map(
+            [JobSpec(build_chain_net(), tiny_chip(),
+                     mapping="utilization_first")], workers=1)
         assert reports[0].mapping == "utilization_first"
 
 
@@ -78,7 +83,6 @@ class TestFigureSweepsParallel:
 
 class TestCompileCache:
     def test_repeated_simulate_hits(self):
-        cache = compile_cache
         config = tiny_chip()
         net = build_chain_net()
         first = simulate(net, config)
@@ -87,7 +91,7 @@ class TestCompileCache:
         assert second.compile_cache_hits == hits0 + 1
         assert second.compile_cache_misses == misses0
         assert second.cycles == first.cycles
-        assert len(cache) >= 1
+        assert default_engine().compile_stats()["entries"] >= 1
 
     def test_rob_size_shares_compilation(self):
         config = tiny_chip()

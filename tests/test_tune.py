@@ -386,16 +386,19 @@ class TestJournal:
 
     def test_resumes_a_journal_written_before_exhaustive_search(
             self, engine, tmp_path):
-        """Lines copied from a budgeted (cost-model era) run: measurement
+        """Lines copied from a budgeted (cost-model era) run — every
+        record kind the journal grammar has: measurement and baseline
         records are unchanged, the summary's ``pruned`` count is noise."""
         key = "performance_first/rob32/shards4/load_aware"
         old = {"cycles": 42296, "energy_pj": 7428631.740800008,
                "fidelity": "fast"}
+        baseline = {"cycles": 98765, "energy_pj": 1.5, "fidelity": "cycle"}
         journal = tmp_path / "old.jsonl"
         journal.write_text("\n".join(json.dumps(r) for r in [
             {"key": key, "fidelity": "fast", "report": old,
              "candidate": Candidate("performance_first", 32, 4,
                                     "load_aware").to_dict()},
+            {"baseline": "utilization_first", "report": baseline},
             {"summary": {"network": "vit_tiny", "objective": "latency",
                          "considered": 70, "pruned": 66, "evaluated": 4,
                          "resumed": 0, "winner": key}},
@@ -403,10 +406,11 @@ class TestJournal:
         report = Tuner("vit_tiny", small_chip(), top_k=1, rob_sizes=(32,),
                        shard_counts=(4,), placements=("load_aware",),
                        engine=engine).tune(journal=journal, resume=True)
-        assert report.resumed == 1
+        assert report.resumed == 2
         replayed = next(e for e in report.entries
                         if e.candidate.key() == key)
         assert replayed.fast == old
+        assert report.baselines["utilization_first"] == baseline
 
 
 class TestTuneReport:
