@@ -65,10 +65,12 @@ class ChipModel:
             window = info.window or config.noc.sync_window
             self._flows[flow_id] = FlowChannel(self.sim, info, self.noc, window)
         #: completion trace (cycle, core, unit, instruction repr) when
-        #: ``sim.trace`` is enabled; bounded by ``trace_limit``.
+        #: ``sim.trace`` is enabled; bounded by ``_trace_limit``, and a
+        #: run that dropped events reports ``meta["trace_truncated"]``.
         self.trace: list[tuple[int, int, str, str]] | None = (
             [] if config.sim.trace else None)
         self._trace_limit = 200_000
+        self._trace_truncated = False
         self.cores = {
             core_id: self._make_core(core_program)
             for core_id, core_program in sorted(program.programs.items())
@@ -98,8 +100,12 @@ class ChipModel:
         return merged
 
     def trace_event(self, core: int, unit: str, inst) -> None:
-        if self.trace is not None and len(self.trace) < self._trace_limit:
+        if self.trace is None:
+            return
+        if len(self.trace) < self._trace_limit:
             self.trace.append((self.sim.now, core, unit, repr(inst)))
+        else:
+            self._trace_truncated = True
 
     # -- running ------------------------------------------------------------------
 
@@ -147,6 +153,9 @@ class ChipModel:
         # ratios so closely).
         self.energy.add_leakage(self.config.energy, self.config.chip.n_cores,
                                 seconds)
+        meta = {"network": self.program.network, **self.program.meta}
+        if self._trace_truncated:
+            meta["trace_truncated"] = True
         return RawResult(
             cycles=cycles,
             energy_pj=self.energy.to_dict(),
@@ -166,7 +175,7 @@ class ChipModel:
                 "hottest_links": self.noc.hottest_links(),
             },
             flow_stalls=sum(f.stall_cycles for f in self._flows.values()),
-            meta={"network": self.program.network, **self.program.meta},
+            meta=meta,
             trace=self.trace,
         )
 

@@ -8,10 +8,11 @@ issue loop and four execution units) collapse into ONE walker generator:
 
 * compute instructions (matrix / vector / scalar) advance through pure
   integer recurrences: the front-end pacing, the ROB's in-order
-  retirement frontier, the static-blocker waits (PR 2's per-program
-  tables) and per-unit serialization that decide a start cycle are all
-  arithmetic over known completion times, so a whole straight-line
-  compute run costs zero kernel events;
+  retirement frontier, the static-blocker waits (the per-program lag
+  tables of :meth:`~repro.isa.Program.static_blockers`, read at ring
+  slot ``index - lag``) and per-unit serialization that decide a start
+  cycle are all arithmetic over known completion times, so a whole
+  straight-line compute run costs zero kernel events;
 * transfer instructions (SEND / RECV / LOAD / STORE) execute against the
   real flow channels and global memory at their computed start cycle:
   the walker advances simulated time there and runs the same coroutines
@@ -252,13 +253,14 @@ class FastCore:
             # by blocker; the start cycle it lands on is the completion
             # max over the static predecessor set.
             bmax = 0
-            for j in blockers_tab[index]:
-                done = ring[j & mask]
+            for lag in blockers_tab[index]:
+                slot = (index - lag) & mask
+                done = ring[slot]
                 if type(done) is not int:
                     if done.done_at is None:
                         yield done.event()  # real wait on an in-flight SEND
                     done = done.done_at
-                    ring[j & mask] = done
+                    ring[slot] = done
                 if done > bmax:
                     bmax = done
 

@@ -13,10 +13,11 @@ can wait on exactly the entry that blocks it (via :meth:`ready_event`)
 and re-probe only when that entry completes, rather than being woken by
 every completion in the window.  Sealed straight-line programs — every
 compiled program — answer them from the precomputed table of
-:meth:`repro.isa.Program.static_blockers`; branchy or unsealed
-hand-assembled programs fall back to a program-order
-:meth:`Instruction.conflicts_with` scan of the window.  Both answer
-identically (pinned by the randomized oracle in
+:meth:`repro.isa.Program.static_blockers` (per instruction, the relative
+lags of its blockers, oldest first: instruction ``i``'s blockers sit in
+ring slots ``i - lag``); branchy or unsealed hand-assembled programs fall
+back to a program-order :meth:`Instruction.conflicts_with` scan of the
+window.  Both answer identically (pinned by the randomized oracle in
 ``tests/test_rob_scoreboard.py`` and the ``tests/golden/`` traces).
 
 This module is on the per-instruction hot path of every simulation, so
@@ -128,14 +129,17 @@ class ReorderBuffer:
 
         In table mode the static blocker set is fixed at allocation and
         only done-flags change, so the oldest *undone* static blocker is
-        exactly what the window scan would return.
+        exactly what the window scan would return.  The table holds lags
+        in descending order, i.e. oldest blocker first; every ``index -
+        lag`` is within the ``2*size - 1`` indices the ring covers.
         """
         table = self._static
         if table is not None:
             ring = self._ring
             mask = self._ring_mask
-            for j in table[entry.inst.index]:
-                blocker = ring[j & mask]
+            index = entry.inst.index
+            for lag in table[index]:  # descending: oldest blocker first
+                blocker = ring[(index - lag) & mask]
                 if not blocker.done:
                     return blocker
             return None

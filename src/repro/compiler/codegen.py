@@ -95,7 +95,9 @@ class _CodeGenerator:
         self.receivers: dict[str, list[int]] = {}
         self.allocs = AllocatorSet(config.core.local_memory_bytes)
         self.group_tables: dict[int, GroupTable] = {}
-        self.group_refs: dict[tuple[str, int, int, int], _GroupRef] = {}
+        #: (stage, core, copy) -> [(row block, group)], ascending row block.
+        self.copy_groups: dict[tuple[str, int, int],
+                               list[tuple[int, _GroupRef]]] = {}
         self.in_regions: dict[tuple[str, int, int], Region] = {}
         self.out_regions: dict[str, Region] = {}
         self.acc_regions: dict[tuple[str, int], Region] = {}
@@ -286,6 +288,7 @@ class _CodeGenerator:
                         for r in range(sl.row_lo, sl.row_hi):
                             rows_cols.setdefault(r, []).extend(
                                 range(sl.col_lo, sl.col_hi))
+                    refs = self.copy_groups[(stage.name, core, copy)] = []
                     for r, col_blocks in sorted(rows_cols.items()):
                         col_blocks = sorted(set(col_blocks))
                         cols_cells = sum(tiling.block_cols(cb) for cb in col_blocks)
@@ -294,12 +297,12 @@ class _CodeGenerator:
                             n_crossbars=len(col_blocks),
                             rows=tiling.block_rows(r), cols=cols_cells,
                         )
-                        self.group_refs[(stage.name, core, copy, r)] = _GroupRef(
+                        refs.append((r, _GroupRef(
                             group_id=group.group_id,
                             cols_cells=cols_cells,
                             cell_offset=offsets[col_blocks[0]],
                             rows=tiling.block_rows(r),
-                        )
+                        )))
 
     @staticmethod
     def _global_cell_offsets(plan: StagePlan) -> dict[int, int]:
@@ -361,12 +364,10 @@ class _CodeGenerator:
                         f"acc:{stage.name}", px * cpp * cells * ACC_BYTES, 1)
                     copy_px = -(-px // plan.copies)  # ceil
                     for copy in plan.copies_on(core):
-                        refs = [ref for key, ref in self.group_refs.items()
-                                if key[0] == stage.name and key[1] == core
-                                and key[2] == copy]
+                        refs = self.copy_groups[(stage.name, core, copy)]
                         if not refs:
                             continue
-                        max_gcols = max(ref.cols_cells for ref in refs)
+                        max_gcols = max(ref.cols_cells for _r, ref in refs)
                         # One partial slot per row block (capped): MVMs of a
                         # tile land in distinct slots and can all be in
                         # flight at once — the ROB, not the buffer, bounds
@@ -632,11 +633,7 @@ class _CodeGenerator:
                 count = (phi - plo) * cpp
                 px_off = (plo - lo) * cpp
                 part = self.part_regions[(stage.name, core, copy)]
-                row_blocks = sorted(
-                    r for (name, c, k, r) in self.group_refs
-                    if name == stage.name and c == core and k == copy)
-                for r in row_blocks:
-                    ref = self.group_refs[(stage.name, core, copy, r)]
+                for r, ref in self.copy_groups[(stage.name, core, copy)]:
                     nbytes = count * ref.cols_cells * ACC_BYTES
                     part_lo, _ = part.range_of(r)
                     program.append(MvmInst(

@@ -21,7 +21,8 @@ to a from-scratch compile at that extent (pinned by tests).
 Cores whose programs have no varying field share the probe-1 ``Program``
 object across every extent, so the simulator's cached static-blocker
 tables (:meth:`~repro.isa.Program.static_blockers`) are reused across the
-whole decode, not rebuilt per step.
+whole decode, not rebuilt per step; a patched core gets a fresh sealed
+``Program``, hence one table build per extent.
 """
 
 from __future__ import annotations

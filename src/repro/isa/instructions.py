@@ -89,7 +89,11 @@ class Instruction:
         Instructions are immutable once a program is sealed and each one is
         conflict-checked against many in-flight entries over a simulation,
         so the sets/ranges are materialized once per instruction instead of
-        on every :meth:`conflicts_with` call.
+        on every :meth:`conflicts_with` call.  Only :meth:`conflicts_with`
+        — the ROB's window scan for branchy or unsealed programs — builds
+        this cache; the static blocker tables that every compiled program
+        runs from read the instruction fields directly, so compiled
+        instructions never carry one.
         """
         fp = (frozenset(self.groups_used()),
               frozenset(self.reads_regs()),

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .groups import GroupTable
-from .instructions import Instruction, ScalarInst, TransferInst
+from .instructions import (
+    Instruction,
+    MvmInst,
+    ScalarInst,
+    TransferInst,
+    VectorInst,
+)
 
 __all__ = ["Program", "ChipProgram", "FlowInfo", "ProgramError"]
 
@@ -82,16 +88,22 @@ class Program:
         when instruction ``i`` dispatches is always a subset of the
         ``window - 1`` instructions before it in program order, so which
         older instructions can ever block ``i`` is a *static* property:
-        ``result[i]`` is the ascending tuple of indices ``j`` with
-        ``i - j < window`` whose dependence footprint conflicts with
-        ``i``'s.  The simulator's hazard checks then reduce to done-flag
-        tests on those entries (:class:`~repro.arch.rob.ReorderBuffer`
-        consumes this), with no per-issue window scan.
+        ``result[i]`` is the tuple of *relative lags* ``d`` (``0 < d <
+        window``, descending — oldest blocker first) such that instruction
+        ``i - d``'s dependence footprint conflicts with ``i``'s; ``()``
+        for a ``HALT`` or an instruction nothing blocks.  Equal patterns
+        are one shared tuple (a compiled program has a few dozen), so the
+        table costs one pointer per instruction.  The simulator's hazard
+        checks then reduce to done-flag tests on those entries
+        (:class:`~repro.arch.rob.ReorderBuffer` and the fast walker index
+        their rings with ``i - d``), with no per-issue window scan.  See
+        DESIGN.md "Static blocker tables".
 
-        Computed by one program-order sweep over footprint-indexed
-        last-access maps and cached per ``window``, so repeated
+        Cached per ``window`` once the program is sealed, so repeated
         simulations of one compiled program — ROB sweeps, batched runs,
-        benchmark repetitions — pay the dependence analysis once.
+        benchmark repetitions — pay the dependence analysis once; an
+        unsealed program can still grow, so its table is computed and not
+        kept.
         """
         cache = getattr(self, "_blocker_cache", None)
         if cache is None:
@@ -101,7 +113,8 @@ class Program:
         except KeyError:
             pass
         table = _build_static_blockers(self.instructions, window)
-        cache[window] = table
+        if self._sealed:
+            cache[window] = table
         return table
 
     def listing(self, limit: int | None = None) -> str:
@@ -201,93 +214,97 @@ class ChipProgram:
         return "\n".join(lines)
 
 
+#: a memory range no range overlaps (ranges are half-open ``(lo, hi)``).
+_NO_RANGE = (float("inf"), float("-inf"))
+
+
 def _build_static_blockers(instructions: list[Instruction],
                            window: int) -> tuple | None:
     """One-sweep static dependence analysis for ``Program.static_blockers``.
 
-    Maintains footprint-indexed maps of the last ``window - 1``
-    instructions' register/group/memory accesses while walking the program
-    in order; each instruction's conflicting predecessors are read
-    straight out of the buckets its own footprint names.  Returns ``None``
-    on the first branch (allocation order is no longer program order) —
-    the ROB's window scan handles those programs.
+    Walks the program in order reading each instruction's memory ranges,
+    crossbar group and registers straight from its fields (no
+    ``Instruction._footprint`` cache is built), and accumulates its
+    conflicts with the ``window - 1`` instructions before it as an int
+    bit mask over lags: bit ``d`` set <=> instruction ``i - d`` blocks
+    ``i``.  Memory ranges are compared against a lag-ordered window of
+    the recent instructions' ranges; groups and registers keep, per key,
+    the lag mask of their recent users and when it was taken, and age it
+    by shifting.  Each distinct mask maps to one shared tuple of
+    descending lags, so nothing is retained per instruction but a
+    pointer.  The conflict rules are :meth:`Instruction.conflicts_with`'s
+    (``tests/test_rob_scoreboard.py`` holds the pairwise oracle).
+    Returns ``None`` on the first branch (allocation order is no longer
+    program order) — the ROB's window scan handles those programs.
     """
-    group_users: dict[int, list[int]] = {}
-    reg_readers: dict[int, list[int]] = {}
-    reg_writers: dict[int, list[int]] = {}
-    mem_readers: deque = deque()  # (lo, hi, index), ascending index
-    mem_writers: deque = deque()
+    keep = (1 << window) - 2  # lag bits 1 .. window - 1
+    bits = tuple(1 << lag for lag in range(1, window))
+    # Newest first, one entry per instruction: write, read, second read.
+    recent: deque = deque(maxlen=window - 1)
+    group_users: dict[int, tuple[int, int]] = {}  # key -> (index, mask then)
+    reg_readers: dict[int, tuple[int, int]] = {}
+    reg_writers: dict[int, tuple[int, int]] = {}
+    lags_of: dict[int, tuple[int, ...]] = {0: ()}
     out: list[tuple[int, ...]] = []
+
+    def users(table: dict, key: int, i: int, add: bool = False) -> int:
+        """Lag mask, as seen from ``i``, of the in-window instructions
+        recorded under ``key``; ``add`` records ``i`` itself."""
+        index, mask = table.get(key, (i, 0))
+        mask = (mask << (i - index)) & keep if i - index < window else 0
+        if add:
+            table[key] = (i, mask | 1)
+        return mask
+
     for i, inst in enumerate(instructions):
-        if isinstance(inst, ScalarInst) and inst.is_control:
+        cls = type(inst)
+        conf = 0
+        wlo, whi = alo, ahi = blo, bhi = _NO_RANGE  # write, read, read
+        if cls is MvmInst:
+            alo = inst.src
+            ahi = alo + inst.src_bytes
+            wlo = inst.dst
+            whi = wlo + inst.dst_bytes
+            conf = users(group_users, inst.group, i, add=True)
+        elif cls is VectorInst:
+            alo = inst.src1
+            ahi = alo + inst.src_bytes
+            wlo = inst.dst
+            whi = wlo + inst.dst_bytes
+            if inst.n_sources == 2:
+                blo = inst.src2
+                bhi = blo + (inst.src2_bytes or inst.src_bytes)
+        elif cls is TransferInst:
+            if inst.op in ("SEND", "STORE"):
+                alo = inst.addr
+                ahi = alo + inst.bytes
+            else:
+                wlo = inst.addr
+                whi = wlo + inst.bytes
+        elif inst.is_control:
             if inst.op != "HALT":
                 return None  # branchy: fall back to the ROB's window scan
-            out.append(())  # HALT is handled at dispatch, never allocated
-            continue
-        try:
-            fp = inst._fp
-        except AttributeError:
-            fp = inst._footprint()
-        groups, reads_r, writes_r, reads_m, writes_m = fp
-        bound = i - window + 1
-        conf: set[int] = set()
-        for g in groups:
-            for j in group_users.get(g, ()):
-                if j >= bound:
-                    conf.add(j)
-        for r in reads_r:
-            for j in reg_writers.get(r, ()):
-                if j >= bound:
-                    conf.add(j)
-        for r in writes_r:
-            for j in reg_writers.get(r, ()):
-                if j >= bound:
-                    conf.add(j)
-            for j in reg_readers.get(r, ()):
-                if j >= bound:
-                    conf.add(j)
-        if reads_m or writes_m:
-            while mem_writers and mem_writers[0][2] < bound:
-                mem_writers.popleft()
-            for olo, ohi, j in mem_writers:
-                for lo, hi in reads_m:
-                    if lo < ohi and olo < hi:
-                        conf.add(j)
-                        break
-                else:
-                    for lo, hi in writes_m:
-                        if lo < ohi and olo < hi:
-                            conf.add(j)
-                            break
-        if writes_m:
-            while mem_readers and mem_readers[0][2] < bound:
-                mem_readers.popleft()
-            for olo, ohi, j in mem_readers:
-                for lo, hi in writes_m:
-                    if lo < ohi and olo < hi:
-                        conf.add(j)
-                        break
-        # Record this instruction's own accesses (prune lazily: the
-        # per-element lists stay short because older indices age out of
-        # the window and are dropped on the next touch).
-        for g in groups:
-            users = group_users.setdefault(g, [])
-            if users and users[0] < bound:
-                users[:] = [j for j in users if j >= bound]
-            users.append(i)
-        for r in reads_r:
-            readers = reg_readers.setdefault(r, [])
-            if readers and readers[0] < bound:
-                readers[:] = [j for j in readers if j >= bound]
-            readers.append(i)
-        for r in writes_r:
-            writers = reg_writers.setdefault(r, [])
-            if writers and writers[0] < bound:
-                writers[:] = [j for j in writers if j >= bound]
-            writers.append(i)
-        for lo, hi in reads_m:
-            mem_readers.append((lo, hi, i))
-        for lo, hi in writes_m:
-            mem_writers.append((lo, hi, i))
-        out.append(tuple(sorted(conf)))
+            # HALT is handled at dispatch, never allocated: no footprint.
+        else:
+            reads, writes = inst.reads_regs(), inst.writes_regs()
+            for r in reads:
+                conf |= users(reg_writers, r, i)
+            for r in writes:
+                conf |= users(reg_writers, r, i) | users(reg_readers, r, i)
+            for r in reads:
+                users(reg_readers, r, i, add=True)
+            for r in writes:
+                users(reg_writers, r, i, add=True)
+        for bit, (olo, ohi, plo, phi, qlo, qhi) in zip(bits, recent):
+            if (alo < ohi and olo < ahi) or (blo < ohi and olo < bhi) \
+                    or (wlo < ohi and olo < whi) \
+                    or (wlo < phi and plo < whi) or (wlo < qhi and qlo < whi):
+                conf |= bit
+        recent.appendleft((wlo, whi, alo, ahi, blo, bhi))
+        lags = lags_of.get(conf)
+        if lags is None:
+            lags = lags_of[conf] = tuple(
+                lag for lag in range(conf.bit_length() - 1, 0, -1)
+                if conf >> lag & 1)
+        out.append(lags)
     return tuple(out)

@@ -1,0 +1,94 @@
+"""Compile points and digests behind ``tests/golden/compile_digests.json``.
+
+The golden pins what the compiler *emits* and what the dependence
+analysis *derives* on the 17 ``dse_cold_fast`` compile points of the
+small chip plus ``gpt_tiny``'s step template resolved at extent 5: one
+sha256 over every core's instruction stream (class and every field —
+index and layer included, so a superset of ``repr``) and the flow table,
+and one over the static blocker tables at windows 1 / 2 / 8 / 32 in
+**absolute-index form** (``Program.static_blockers`` stores relative
+lags; ``i - lag`` maps them back), so the record survives a change of
+the table's representation.  It was recorded at commit ``fd6cced`` — the
+parent of the PR that indexed codegen's group table and rewrote the
+blocker sweep — where the tables already were absolute indices.
+
+Re-record (ONLY from a commit known to emit the same programs) with
+``cd tests && PYTHONPATH=../src python _compile_digests.py``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+from typing import Iterator
+
+from repro.config import small_chip
+from repro.engine import Engine, JobSpec
+from repro.isa import ChipProgram
+
+__all__ = ["GOLDEN", "WINDOWS", "compile_points", "digests"]
+
+GOLDEN = Path(__file__).parent / "golden" / "compile_digests.json"
+WINDOWS = (1, 2, 8, 32)
+_MAPPINGS = ("utilization_first", "performance_first")
+
+
+def compile_points() -> Iterator[tuple[str, ChipProgram]]:
+    """``(key, chip program)`` per compile point, each compiled cold."""
+    engine = Engine(small_chip())
+    for net in ("vgg8", "vit_tiny", "squeezenet", "bert_tiny", "alexnet",
+                "lenet5"):
+        for mapping in _MAPPINGS:
+            yield f"{net}/{mapping}", engine.compile_for(
+                JobSpec(net, mapping=mapping))[0].program
+    for net in ("vit_tiny", "bert_tiny"):
+        for shards in (2, 4):
+            yield f"{net}/shards{shards}", engine.compile_for(
+                JobSpec(net, attention_shards=shards))[0].program
+    yield "resnet18/performance_first", engine.compile_for(
+        JobSpec("resnet18", mapping="performance_first"))[0].program
+    yield "gpt_tiny/extent5", engine.step_template("gpt_tiny").resolve(5)
+
+
+def _stream_digest(chip: ChipProgram) -> str:
+    sha = hashlib.sha256()
+    names: dict[type, tuple[str, ...]] = {}
+    for core in sorted(chip.programs):
+        for inst in chip.programs[core].instructions:
+            cls = type(inst)
+            fields = names.get(cls)
+            if fields is None:
+                fields = names[cls] = tuple(
+                    f.name for f in dataclasses.fields(cls))
+            sha.update(repr((core, cls.__name__)
+                            + tuple(getattr(inst, f) for f in fields)
+                            ).encode())
+    for flow_id in sorted(chip.flows):
+        sha.update(repr(chip.flows[flow_id]).encode())
+    return sha.hexdigest()
+
+
+def _blocker_digest(chip: ChipProgram) -> str:
+    sha = hashlib.sha256()
+    for core in sorted(chip.programs):
+        program = chip.programs[core]
+        for window in WINDOWS:
+            table = program.static_blockers(window)
+            absolute = None if table is None else tuple(
+                tuple(i - lag for lag in lags)
+                for i, lags in enumerate(table))
+            sha.update(repr((core, window, absolute)).encode())
+    return sha.hexdigest()
+
+
+def digests() -> dict[str, dict[str, str]]:
+    return {key: {"stream": _stream_digest(chip),
+                  "blockers": _blocker_digest(chip)}
+            for key, chip in compile_points()}
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -9,6 +9,7 @@ import dataclasses
 import pytest
 
 from repro.arch import ChipModel, run_program
+from repro.arch.fast import FastChipModel
 from repro.config import tiny_chip
 from repro.isa import (
     ChipProgram,
@@ -390,3 +391,33 @@ class TestTransferAndRob:
                                      dst=4096, dst_bytes=1024, length=1024)],
                          config=config)
         assert raw.energy_pj["leakage"] > 0
+
+
+class TestTraceLimit:
+    """The completion trace is bounded; a run that dropped events must
+    say so (``meta["trace_truncated"]``), and only then.  The fast chip
+    falls back to ``CoreModel`` under tracing, so both tiers record (and
+    bound) the same events."""
+
+    INSTS = [ScalarInst(op="LI", rd=r, imm=r) for r in range(6)]
+
+    def _run(self, fidelity, limit):
+        config = tiny_chip()
+        config = dataclasses.replace(config, sim=dataclasses.replace(
+            config.sim, trace=True, fidelity=fidelity))
+        model_cls = FastChipModel if fidelity == "fast" else ChipModel
+        model = model_cls(single_core_chip(self.INSTS), config)
+        model._trace_limit = limit
+        return model.run()
+
+    @pytest.mark.parametrize("fidelity", ["cycle", "fast"])
+    def test_truncation_is_reported(self, fidelity):
+        raw = self._run(fidelity, limit=4)
+        assert len(raw.trace) == 4
+        assert raw.meta["trace_truncated"] is True
+
+    @pytest.mark.parametrize("fidelity", ["cycle", "fast"])
+    def test_complete_trace_carries_no_flag(self, fidelity):
+        raw = self._run(fidelity, limit=len(self.INSTS))  # none dropped
+        assert len(raw.trace) == len(self.INSTS)
+        assert "trace_truncated" not in raw.meta

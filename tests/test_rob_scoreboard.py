@@ -10,11 +10,15 @@ for the ``has_conflict`` path — against the brute-force oracle below
 allocate/complete interleavings.
 """
 
+import gc
 import random
+import sys
 
 import pytest
 
-from repro.arch import ReorderBuffer
+from repro.arch import ReorderBuffer, run_program
+from repro.compiler import compile_network
+from repro.config import small_chip
 from repro.isa import (
     MvmInst,
     Program,
@@ -22,6 +26,7 @@ from repro.isa import (
     TransferInst,
     VectorInst,
 )
+from repro.models import build_model
 from repro.sim import Simulator
 
 
@@ -170,8 +175,9 @@ def test_static_blockers_cached_per_window():
     assert program.static_blockers(4) is t4  # cached
     t2 = program.static_blockers(2)
     assert t2 is not t4
-    # the chain VMOVs conflict with their immediate predecessor (RAW)
-    assert all(i - 1 in t4[i] for i in range(1, 10))
+    # the chain VMOVs conflict with their immediate predecessor (RAW):
+    # entries are relative lags, so that is lag 1
+    assert all(1 in t4[i] for i in range(1, 10))
 
 
 def test_static_blockers_window_bound():
@@ -186,5 +192,89 @@ def test_static_blockers_window_bound():
     program.append(VectorInst(op="VMOV", src1=64, src_bytes=32, dst=1024,
                               dst_bytes=32, length=8))
     program.seal()
-    assert 0 in program.static_blockers(8)[5]
-    assert 0 not in program.static_blockers(4)[5]
+    assert 5 in program.static_blockers(8)[5]  # lag 5 = instruction 0
+    assert program.static_blockers(4)[5] == ()
+
+
+# -- the table itself: brute-force oracle, sharing, allocation budget ---------
+
+TABLE_WINDOWS = (1, 2, 3, 4, 8, 16, 32, 64, 100)
+
+
+def oracle_table(insts, window):
+    """Pairwise ``conflicts_with`` over the ``window - 1`` predecessors,
+    oldest first — no sweep, no shared state with the builder."""
+    return tuple(
+        tuple(d for d in range(min(i, window - 1), 0, -1)
+              if inst.conflicts_with(insts[i - d]))
+        for i, inst in enumerate(insts))
+
+
+@pytest.mark.parametrize("seed, n, early_halt", [
+    (0, 0, False),  # the empty program (seal() adds the HALT)
+    (1, 5, False), (2, 60, False), (3, 150, True),
+    (4, 150, False), (5, 150, False)])
+def test_static_table_matches_pairwise_oracle(seed, n, early_halt):
+    rng = random.Random(2000 + seed)
+    program = Program(core=0)
+    halt_at = rng.randrange(n) if early_halt else None
+    for i in range(n):
+        program.append(ScalarInst(op="HALT") if i == halt_at
+                       else random_inst(rng))
+    program.seal()
+    insts = program.instructions
+    for window in TABLE_WINDOWS:
+        assert program.static_blockers(window) == oracle_table(insts, window)
+
+
+def test_static_table_shares_equal_patterns():
+    rng = random.Random(7)
+    program = Program(core=0)
+    for _ in range(200):
+        program.append(random_inst(rng))
+    table = program.seal().static_blockers(8)
+    shared = {}
+    for lags in table:
+        assert shared.setdefault(lags, lags) is lags
+
+
+def test_static_table_allocation_budget():
+    """The table retains (almost) nothing per instruction: one shared
+    tuple per distinct lag pattern, and no footprint cache on the
+    instructions — on the table path or the fast tier that consumes it."""
+    config = small_chip().with_rob_size(8).with_fidelity("fast")
+    chip = compile_network(build_model("vgg8"), config).program
+    programs = list(chip.programs.values())
+    n = chip.total_instructions
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        tables = [program.static_blockers(8) for program in programs]
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert all(table is not None for table in tables)
+    assert grown <= 0.25 * n, f"{grown} blocks retained for {n} instructions"
+    run_program(chip, config)
+    assert not any(hasattr(inst, "_fp")
+                   for program in programs for inst in program.instructions)
+
+
+def test_static_blockers_not_cached_before_seal():
+    """Regression: a table computed on an unsealed program was cached by
+    window and served, stale and too short, after the program grew —
+    ``oldest_conflict`` then raised IndexError."""
+    program = Program(core=0)
+    for i in range(4):
+        if i == 3:
+            assert len(program.static_blockers(4)) == 3
+        program.append(VectorInst(op="VMOV", src1=64 * i, src_bytes=64,
+                                  dst=64 * (i + 1), dst_bytes=64, length=16))
+    program.seal()
+    table = program.static_blockers(4)
+    assert len(table) == len(program) == 5
+    assert program.static_blockers(4) is table  # sealed: cached
+    rob = ReorderBuffer(Simulator(), 4, static_blockers=table)
+    entries = [rob.allocate(inst) for inst in program.instructions[:4]]
+    assert rob.oldest_conflict(entries[3]) is entries[2]
