@@ -102,8 +102,9 @@ engine into a long-lived HTTP job server: specs are content-addressed
 SIGKILL'd server restarts without losing a settled result or
 re-running a finished job; interrupted jobs re-enqueue with restart
 blame (the process-level mirror of the pool's poison accounting).
-Each distinct configuration gets its own Engine session (keyed by
-content hash), admission is bounded by backlog with ``Retry-After``
+Every job runs on the one Engine (``--workers`` bounds the process
+count whatever configurations are posted; DESIGN.md "Serve process
+model"), admission is bounded by backlog with ``Retry-After``
 derived from :meth:`Engine.pool_stats`'s service-time EWMA and
 occupancy, and SIGTERM drains gracefully: admissions stop, running
 jobs finish to a deadline, the rest is re-journaled as next start's

@@ -162,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0: ephemeral; the resolved port "
                             "is printed to stderr before serving)")
     serve.add_argument("--workers", type=int, default=None,
-                       help="worker processes per engine session "
-                            "(default: all CPUs)")
+                       help="worker processes (default: all CPUs)")
     serve.add_argument("--preset", default="paper",
                        help="default preset for jobs without a config "
                             f"({', '.join(sorted(PRESETS))})")
@@ -178,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission high-water mark: unsettled jobs "
                             "beyond this are refused with 503 + "
                             "Retry-After (default: 8 per worker, min 16)")
-    serve.add_argument("--max-sessions", type=int, default=4, metavar="N",
-                       help="LRU bound on per-configuration engine "
-                            "sessions (default 4)")
     serve.add_argument("--max-restarts", type=int, default=1, metavar="N",
                        help="server crashes a job may be caught running "
                             "through before the store quarantines it as "
@@ -511,8 +507,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            workers=args.workers,
                            max_retries=args.max_retries,
                            job_timeout=args.timeout,
-                           max_backlog=args.max_backlog,
-                           max_sessions=args.max_sessions)
+                           max_backlog=args.max_backlog)
     try:
         server = serve_http(service, args.host, args.port)
     except OSError as exc:

@@ -18,16 +18,16 @@ above it — the Toki ``api/public.py`` -> ``api/http.py`` layering):
 * :class:`ServeService` (:mod:`repro.serve.service`) — admission
   control (a bounded backlog; over the high-water mark submissions are
   refused as :class:`Overloaded` with a ``Retry-After`` derived from
-  the pool's service-time EWMA), per-configuration
-  :class:`~repro.engine.Engine` sessions keyed by content hash (one
-  client's exotic configuration cannot churn another's warm compile
-  caches), and graceful drain (stop admissions, finish running jobs to
-  a deadline, re-journal whatever remains as next start's work).
+  the pool's service-time EWMA), one warm
+  :class:`~repro.engine.Engine` for every job (``--workers`` is the
+  process bound whatever configurations clients post; DESIGN.md "Serve
+  process model"), and graceful drain (stop admissions, finish running
+  jobs to a deadline, re-journal whatever remains as next start's work).
 
 * :func:`serve_http` (:mod:`repro.serve.http`) — the stdlib
   ``ThreadingHTTPServer`` codec: ``POST /jobs``, ``GET /jobs[?state=]``,
   ``GET /jobs/<id>[/result]``, ``DELETE /jobs/<id>``, ``GET /healthz``,
-  ``GET /readyz`` (unready while draining or when a worker pool is
+  ``GET /readyz`` (unready while draining or when the worker pool is
   broken beyond self-healing, so an orchestrator restarts the server).
 
 ``pimsim serve --store jobs.jsonl`` wires the three together; see
@@ -42,7 +42,7 @@ from .store import (
     JobStore,
     UnknownJob,
 )
-from .service import Draining, Overloaded, ServeService, config_key
+from .service import Draining, Overloaded, ServeService
 from .http import ServeHandler, ServeHTTPServer, serve_http
 
 __all__ = [
@@ -56,6 +56,5 @@ __all__ = [
     "ServeService",
     "TERMINAL_STATES",
     "UnknownJob",
-    "config_key",
     "serve_http",
 ]

@@ -18,8 +18,9 @@ Routes (all JSON)::
 
 Status mapping: ``201`` on first admission, ``200`` on idempotent
 re-submission and reads, ``202`` for a result not yet settled, ``400``
-malformed spec/body, ``404`` unknown job or route, ``409`` an impossible
-transition (cancel of a running job), ``503`` + ``Retry-After`` for
+malformed spec/body/``Content-Length``, ``404`` unknown job or route,
+``409`` an impossible transition (cancel of a running job), ``413`` a
+body over :data:`MAX_BODY_BYTES`, ``503`` + ``Retry-After`` for
 admission refused (:class:`~repro.serve.Overloaded` /
 :class:`~repro.serve.Draining`) and for an unready ``/readyz``.
 """
@@ -35,6 +36,14 @@ from .service import Draining, Overloaded, ServeService
 from .store import STATES
 
 __all__ = ["ServeHTTPServer", "ServeHandler", "serve_http"]
+
+#: Longest request body read (a 1,000-spec batch with inline
+#: configurations is ~1.6 MB); a longer one is refused with 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class _BodyTooLarge(ValueError):
+    """The declared body exceeds :data:`MAX_BODY_BYTES` (-> 413)."""
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -81,11 +90,24 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        """The parsed JSON body.  The declared length is checked before
+        the first read: ``read`` of a negative length blocks until the
+        client hangs up, and of a huge one allocates it."""
+        declared = self.headers.get("Content-Length", "")
+        if not declared.isdecimal():
+            raise ValueError("Content-Length must be a non-negative "
+                             f"integer, got {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body")
-        return json.loads(raw)
+        try:
+            return json.loads(raw)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
     # -- routes --------------------------------------------------------------
 
@@ -117,6 +139,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                                     "path": url.path})
         try:
             payload = self._body()
+        except _BodyTooLarge as exc:
+            return self._json(413, {"error": str(exc)})
         except ValueError as exc:
             return self._json(400, {"error": f"bad JSON body: {exc}"})
         batch = isinstance(payload, dict) and "jobs" in payload

@@ -1,4 +1,4 @@
-"""The serving core: durable jobs + Engine sessions + admission control.
+"""The serving core: durable jobs + one warm Engine + admission control.
 
 :class:`ServeService` is the public API under ``pimsim serve`` — the
 HTTP layer (:mod:`repro.serve.http`) is a thin request/response codec
@@ -13,12 +13,12 @@ Responsibilities:
   the journal on restart: settled results are served forever without
   re-execution, interrupted jobs are re-enqueued with restart blame.
 
-* **Engine sessions.**  Jobs are executed on a per-configuration
-  :class:`~repro.engine.Engine`, keyed by a content hash of the spec's
-  configuration: one client's exotic configuration gets its own worker
-  pool and compile cache instead of churning (or poisoning) another
-  client's warm session.  Sessions are LRU-bounded; only idle sessions
-  are evicted.
+* **One engine.**  Every job runs on the service's single
+  :class:`~repro.engine.Engine`, so ``workers`` bounds the process
+  count whatever configurations clients post.  A spec's configuration
+  travels with the job and each worker's compile cache is keyed by the
+  configuration fingerprint, so jobs of different configurations share
+  the pool safely (DESIGN.md "Serve process model").
 
 * **Admission control.**  The backlog (admitted, unsettled jobs) is
   bounded: over the high-water mark :meth:`submit` raises
@@ -36,8 +36,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import threading
@@ -50,7 +48,7 @@ from ..engine import Engine, JobPoisoned, JobSpec, JobTimeout, PoolUnavailable
 from ..engine.pool import job_failure
 from .store import JobRecord, JobStore
 
-__all__ = ["ServeService", "Overloaded", "Draining", "config_key"]
+__all__ = ["ServeService", "Overloaded", "Draining"]
 
 
 class Overloaded(RuntimeError):
@@ -73,21 +71,8 @@ class Draining(RuntimeError):
         super().__init__("server is draining; submit to another instance")
 
 
-def config_key(config: ArchConfig | None) -> str:
-    """Session key for a job configuration: content hash, not identity.
-
-    ``None`` (the service default) maps to ``"default"``; everything
-    else hashes its canonical JSON, so two clients posting the same
-    configuration tree share one warm session.
-    """
-    if config is None:
-        return "default"
-    payload = json.dumps(config.to_dict(), sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
 class ServeService:
-    """Durable job service over per-configuration Engine sessions.
+    """Durable job service over one warm Engine.
 
     Parameters
     ----------
@@ -95,46 +80,38 @@ class ServeService:
         The crash-safe :class:`JobStore` (owned: :meth:`close` closes it).
     config:
         Default architecture configuration for jobs whose spec carries
-        none (the default session's engine config).
+        none (the engine's config).
     workers:
-        Worker processes per engine session (``None``: all CPUs).
+        Worker processes of the one pool (``None``: all CPUs).
     max_retries / job_timeout:
-        Forwarded to every session's :class:`~repro.engine.Engine`.
+        Forwarded to the :class:`~repro.engine.Engine`.
     max_backlog:
         Admission high-water mark: admitted-but-unsettled jobs beyond
         this are refused with :class:`Overloaded`.  ``None`` sizes it
         off pool occupancy (8 jobs per worker, floor 16).
-    max_sessions:
-        LRU bound on live engine sessions; only idle sessions are
-        evicted (their engines closed), busy ones are kept.
     """
 
     def __init__(self, store: JobStore, *, config: ArchConfig | None = None,
                  workers: int | None = None, max_retries: int = 1,
                  job_timeout: float | None = None,
-                 max_backlog: int | None = None, max_sessions: int = 4):
+                 max_backlog: int | None = None):
         self.store = store
-        self._config = config
-        self._workers = workers
-        self._max_retries = max_retries
-        self._job_timeout = job_timeout
+        self._engine = Engine(config, workers=workers,
+                              max_retries=max_retries,
+                              job_timeout=job_timeout)
         effective = workers if workers is not None else (os.cpu_count() or 1)
         self._pool_width = max(1, effective)
         self.max_backlog = max_backlog if max_backlog is not None \
             else max(16, 8 * self._pool_width)
-        self._max_sessions = max(1, max_sessions)
         self._cv = threading.Condition()
         #: job ids admitted (or recovered) and awaiting dispatch.
         self._queue: deque[str] = deque()
         #: job id -> in-engine Future, for drain accounting.
         self._inflight: dict[str, Future] = {}
         #: dispatches between queue pop and in-flight registration —
-        #: engine.submit (a pool spawn on a cold session) runs outside
+        #: engine.submit (a pool spawn on the first job) runs outside
         #: the lock, and the drain must not miss a job in that window.
         self._dispatching = 0
-        #: session key -> warm Engine, LRU (insertion order = recency).
-        self._sessions: dict[str, Engine] = {}
-        self._session_load: dict[str, int] = {}
         self._paused = False
         self._draining = False
         self._terminated = False
@@ -185,8 +162,8 @@ class ServeService:
         """Abort in-flight work past the drain deadline; returns how many
         jobs were re-journaled as ``queued`` for the next start.
 
-        A wedged job must not hold the process past its deadline: every
-        session's pool is aborted, the settled-with-
+        A wedged job must not hold the process past its deadline: the
+        pool is aborted, the settled-with-
         :class:`PoolUnavailable` futures re-queue their jobs in the
         store (restart blame is charged by the *store* on the next
         replay, not here — the job never got to finish, it did not
@@ -196,8 +173,8 @@ class ServeService:
             self._terminated = True
             self._cv.notify_all()
             # Let an in-progress dispatch land (it either registers its
-            # future or sees _terminated inside _session and requeues)
-            # so the engine snapshot below covers it.
+            # future or sees _terminated before submitting and requeues)
+            # so the abort below covers it.
             deadline = time.monotonic() + 5.0
             while self._dispatching:
                 remaining = deadline - time.monotonic()
@@ -205,15 +182,13 @@ class ServeService:
                     break
                 self._cv.wait(remaining)
             pending = len(self._inflight)
-            engines = list(self._sessions.values())
-        for engine in engines:
-            engine.terminate()
+        self._engine.terminate()
         # Pool abort settles every future synchronously, so the requeue
         # callbacks have all run by now.
         return pending
 
     def close(self) -> None:
-        """Stop dispatching, close every session, close the store."""
+        """Stop dispatching, close the engine, close the store."""
         with self._cv:
             if self._closed:
                 return
@@ -222,13 +197,7 @@ class ServeService:
             dispatcher = self._dispatcher
         if dispatcher is not None:
             dispatcher.join(timeout=5)
-        with self._cv:
-            # Snapshot sessions only after the dispatcher stopped: a
-            # dispatch in progress may still be inserting an engine.
-            engines = list(self._sessions.values())
-            self._sessions.clear()
-        for engine in engines:
-            engine.close()
+        self._engine.close()
         self.store.close()
 
     def __enter__(self) -> "ServeService":
@@ -285,21 +254,8 @@ class ServeService:
     # -- introspection -------------------------------------------------------
 
     def pool_stats(self) -> dict:
-        """Aggregated pool telemetry across every live session."""
-        totals = {"size": 0, "respawns": 0, "retries": 0, "timeouts": 0,
-                  "poisoned": 0, "broken": False, "queue_depth": 0,
-                  "in_flight": 0, "ewma_service_s": 0.0}
-        with self._cv:
-            engines = list(self._sessions.values())
-        for engine in engines:
-            stats = engine.pool_stats()
-            for key in ("size", "respawns", "retries", "timeouts",
-                        "poisoned", "queue_depth", "in_flight"):
-                totals[key] += stats[key]
-            totals["broken"] = totals["broken"] or stats["broken"]
-            totals["ewma_service_s"] = max(totals["ewma_service_s"],
-                                           stats["ewma_service_s"])
-        return totals
+        """The one pool's telemetry (``Engine.pool_stats``)."""
+        return self._engine.pool_stats()
 
     def ready(self) -> bool:
         """Serving capacity exists: not draining, no broken pool.
@@ -316,15 +272,13 @@ class ServeService:
         """The ``/readyz`` payload: readiness + occupancy + job counts."""
         with self._cv:
             draining = self._draining
-            sessions = len(self._sessions)
         pool = self.pool_stats()
         return {"ready": not draining and not self._closed
                 and not pool["broken"],
                 "draining": draining, "pool": pool,
                 "counts": self.store.counts(),
                 "backlog": self.store.backlog(),
-                "max_backlog": self.max_backlog,
-                "sessions": sessions}
+                "max_backlog": self.max_backlog}
 
     # -- test / maintenance hooks --------------------------------------------
 
@@ -367,8 +321,12 @@ class ServeService:
         record = self.store.get(job_id)
         try:
             spec = JobSpec.from_dict(record.spec)
-            engine, key = self._session(spec)
-            future = engine.submit(spec)
+            with self._cv:
+                # Under the lock terminate()/close() take: a submit after
+                # Engine.terminate() would respawn a pool nobody aborts.
+                if self._terminated or self._closed:
+                    raise PoolUnavailable("service is shutting down")
+            future = self._engine.submit(spec)
         except PoolUnavailable:
             # The service shut down under this dispatch; the job never
             # reached a worker — next start's work, not a failure.
@@ -380,37 +338,10 @@ class ServeService:
             return
         with self._cv:
             self._inflight[job_id] = future
-            self._session_load[key] = self._session_load.get(key, 0) + 1
         future.add_done_callback(
-            lambda f, jid=job_id, k=key: self._settled(jid, k, f))
+            lambda f, jid=job_id: self._settled(jid, f))
 
-    def _session(self, spec: JobSpec) -> tuple[Engine, str]:
-        """The warm engine for this spec's configuration (LRU-bounded)."""
-        key = config_key(spec.config)
-        evict: list[Engine] = []
-        with self._cv:
-            if self._terminated or self._closed:
-                # Serialized with terminate()/close() under the lock:
-                # either they see this session, or we refuse to build it.
-                raise PoolUnavailable("service is shutting down")
-            engine = self._sessions.pop(key, None)
-            if engine is None:
-                engine = Engine(spec.config or self._config,
-                                workers=self._workers,
-                                max_retries=self._max_retries,
-                                job_timeout=self._job_timeout)
-            self._sessions[key] = engine  # (re)insert = most recent
-            for stale in list(self._sessions):
-                if len(self._sessions) <= self._max_sessions:
-                    break
-                if stale == key or self._session_load.get(stale, 0):
-                    continue  # never evict the busy (or the current)
-                evict.append(self._sessions.pop(stale))
-        for old in evict:  # idle by construction: close() won't block
-            old.close()
-        return engine, key
-
-    def _settled(self, job_id: str, key: str, future: Future) -> None:
+    def _settled(self, job_id: str, future: Future) -> None:
         """Journal one engine outcome (runs on the pool's collector)."""
         try:
             exc = future.exception()
@@ -434,9 +365,6 @@ class ServeService:
         finally:
             with self._cv:
                 self._inflight.pop(job_id, None)
-                load = self._session_load.get(key, 0)
-                if load:
-                    self._session_load[key] = load - 1
                 self._cv.notify_all()
 
 

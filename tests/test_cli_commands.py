@@ -27,6 +27,14 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
         capsys.readouterr()
 
+    def test_serve_has_no_session_bound(self, capsys):
+        """One engine serves every configuration: --workers is the only
+        process bound, and the removed flag is refused, not ignored."""
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--store", "s.jsonl", "--max-sessions", "2"])
+        assert info.value.code == 2
+        assert "--max-sessions" in capsys.readouterr().err
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "--model", "vgg8"])
         assert args.preset == "paper"

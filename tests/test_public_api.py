@@ -80,8 +80,28 @@ SERVE_ALL = [
     "ServeService",
     "TERMINAL_STATES",
     "UnknownJob",
-    "config_key",
     "serve_http",
+]
+
+#: every ``ServeService(...)`` parameter, in declaration order — what an
+#: operator can set on a ``pimsim serve`` process besides its store.
+SERVE_SERVICE_INIT_PARAMS = [
+    "store",
+    "config",
+    "workers",
+    "max_retries",
+    "job_timeout",
+    "max_backlog",
+]
+
+#: the ``GET /readyz`` payload (``ServeService.status()``), sorted.
+READYZ_KEYS = [
+    "backlog",
+    "counts",
+    "draining",
+    "max_backlog",
+    "pool",
+    "ready",
 ]
 
 #: the Engine's service surface; future PRs must not silently drop any.
@@ -209,6 +229,24 @@ def test_engine_init_parameters_pinned():
     import inspect
     params = list(inspect.signature(repro.Engine.__init__).parameters)
     assert params == ["self"] + ENGINE_INIT_PARAMS
+
+
+def test_serve_service_init_parameters_pinned():
+    import inspect
+    from repro.serve import ServeService
+    params = list(inspect.signature(ServeService.__init__).parameters)
+    assert params == ["self"] + SERVE_SERVICE_INIT_PARAMS
+
+
+def test_readyz_keys_pinned(tmp_path):
+    from repro.serve import JobStore, ServeService
+    service = ServeService(JobStore(tmp_path / "store.jsonl", fsync=False))
+    try:
+        status = service.status()
+    finally:
+        service.close()
+    assert sorted(status) == READYZ_KEYS
+    assert sorted(status["pool"]) == POOL_STATS_KEYS
 
 
 def test_jobspec_fields_pinned():

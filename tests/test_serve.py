@@ -1,7 +1,7 @@
 """``pimsim serve``: crash-safe store, service layer, HTTP, chaos.
 
 Layered like the stack under test: :class:`JobStore` journal-contract
-unit tests, :class:`ServeService` admission/drain/session tests, golden
+unit tests, :class:`ServeService` admission/drain/shared-pool tests, golden
 request/response tests over a live socket, and subprocess chaos tests
 (SIGKILL durability, SIGTERM drain, the exit-code contract) against the
 real ``pimsim serve`` CLI.
@@ -9,6 +9,7 @@ real ``pimsim serve`` CLI.
 
 import http.client
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -22,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import small_chip, tiny_chip
-from repro.engine import JobSpec
+from repro.engine import Engine, JobSpec
+from repro.engine.journal import Journal
 from repro.runner.cli import (
     SERVE_EXIT_DRAIN_EXPIRED,
     SERVE_EXIT_FATAL,
@@ -36,9 +38,9 @@ from repro.serve import (
     Overloaded,
     ServeService,
     TERMINAL_STATES,
-    config_key,
     serve_http,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -52,6 +54,11 @@ def wait_until(predicate, timeout=60.0, interval=0.02):
             return value
         time.sleep(interval)
     raise AssertionError(f"condition not met within {timeout:g}s")
+
+
+def spawned_since(before):
+    """Live child processes that were not in the ``before`` snapshot."""
+    return set(multiprocessing.active_children()) - before
 
 
 SPEC = {"network": "mlp", "config": "tiny"}
@@ -318,19 +325,65 @@ class TestServeService:
         assert requeued.attempts == 0, \
             "an aborted drain is the server's fault, not the job's"
 
-    def test_sessions_are_keyed_by_config_content(self, service):
-        assert config_key(None) == "default"
-        assert config_key(tiny_chip()) == config_key(tiny_chip())
-        assert config_key(tiny_chip()) != config_key(small_chip())
+    def test_drain_deadline_aborts_every_configuration(self, tmp_path):
+        """Hung jobs of two configurations share the one pool, so one
+        abort requeues both and leaves no worker process behind."""
+        before = set(multiprocessing.active_children())
+        store = JobStore(tmp_path / "store.jsonl", fsync=False)
+        service = ServeService(store, config=tiny_chip(), workers=2).start()
+        try:
+            hang = {"mode": "hang", "seconds": 3600}
+            ids = [service.submit(spec)[0].id for spec in (
+                JobSpec("mlp", faults=hang),
+                JobSpec("mlp", small_chip(), faults=hang))]
+            wait_until(lambda: service.pool_stats()["in_flight"] == 2)
+            assert len(spawned_since(before)) == 2
+            service.begin_drain()
+            assert service.wait_drained(0.3) is False
+            assert service.terminate() == 2
+            for job_id in ids:
+                requeued = wait_until(
+                    lambda: store.get(job_id).state == "queued"
+                    and store.get(job_id))
+                assert requeued.attempts == 0
+            wait_until(lambda: not spawned_since(before))
+            assert service.pool_stats()["size"] == 0
+        finally:
+            service.terminate()  # a failed assert must not wait out a hang
+            service.close()
 
-    def test_distinct_configs_get_distinct_sessions(self, service):
-        default, _ = service.submit(JobSpec("mlp"))
-        explicit, _ = service.submit(JobSpec("mlp", tiny_chip(),
-                                             rob_size=2))
-        wait_until(lambda: service.store.get(default.id).terminal
-                   and service.store.get(explicit.id).terminal)
-        assert service.status()["sessions"] == 2
-        assert service.pool_stats()["size"] == 2  # one worker each
+    def test_dispatch_after_terminate_requeues_without_a_pool(self, service):
+        """Engine.submit after Engine.terminate() would respawn a pool
+        nobody aborts: a dispatch that loses the race must requeue."""
+        before = set(multiprocessing.active_children())
+        service.pause_dispatch()
+        record, _created = service.submit(spec_with(rob_size=5))
+        assert service.terminate() == 0
+        service.resume_dispatch()
+
+        def transitions():
+            return [event["state"]
+                    for event in Journal.replay(service.store.path)
+                    if event.get("event") == "state"]
+        wait_until(lambda: transitions() == ["running", "queued"])
+        assert service.store.get(record.id).attempts == 0
+        assert service.pool_stats()["size"] == 0
+        assert not spawned_since(before)
+
+    def test_distinct_configs_share_the_one_pool(self, service):
+        specs = [JobSpec("mlp"),               # the service default (tiny)
+                 JobSpec("mlp", tiny_chip()),  # the same, spelled out
+                 JobSpec("mlp", small_chip())]
+        ids = [service.submit(spec)[0].id for spec in specs]
+        assert len(set(ids)) == 3
+        wait_until(lambda: all(service.store.get(i).terminal for i in ids))
+        assert [service.store.get(i).state for i in ids] == ["done"] * 3
+        assert service.pool_stats()["size"] == 1, \
+            "workers=1 is the process bound, whatever is posted"
+        assert "sessions" not in service.status()
+        with Engine(tiny_chip()) as engine:
+            assert [service.store.get(i).report["cycles"] for i in ids] == \
+                [engine.run(spec).cycles for spec in specs]
 
 
 @pytest.fixture
@@ -487,6 +540,40 @@ class TestServeHTTP:
         status, data, _headers = request(server, "POST", "/jobs",
                                          {"no_network": True})
         assert status == 400 and "bad job spec" in data["error"]
+
+    @pytest.mark.parametrize("headers, body, expected", [
+        ({"Content-Length": "-1"}, b"", 400),
+        ({"Content-Length": "abc"}, b"", 400),
+        ({}, b"", 400),
+        ({"Content-Length": str(MAX_BODY_BYTES + 1)}, b"", 413),
+        ({"Content-Length": "100000"}, b"[" * 100_000, 400),
+    ], ids=["negative-length", "non-integer-length", "missing-length",
+            "oversize-length", "deep-nesting"])
+    def test_hostile_body_framing_is_refused(self, served, capsys, headers,
+                                             body, expected):
+        """A 4xx answer, the connection still usable, a quiet stderr —
+        not a parked handler thread, an allocation of the declared
+        length or a traceback and a dropped connection."""
+        server, _svc = served
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.putrequest("POST", "/jobs")
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders(body)
+            sock = conn.sock
+            resp = conn.getresponse()
+            assert resp.status == expected
+            assert "error" in json.loads(resp.read())
+            assert conn.sock is sock, "the server must not hang up"
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == \
+                (200, {"status": "alive"})
+        finally:
+            conn.close()
+        assert capsys.readouterr().err == ""
 
     def test_bad_state_filter_is_400(self, served):
         server, _svc = served
