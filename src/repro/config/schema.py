@@ -169,7 +169,7 @@ class EnergyConfig:
 class CompilerConfig:
     """Software-side knobs (Section III-A)."""
 
-    #: "utilization_first" or "performance_first".
+    #: one of :data:`MAPPINGS`.
     mapping: str = "performance_first"
     #: allow weight duplication to fill spare crossbars (performance-first).
     allow_duplication: bool = True
@@ -194,6 +194,9 @@ class CompilerConfig:
     #: an idle core.
     shard_placement: str = "distance"
 
+
+#: Valid mapping policies (Section III-A, Fig. 3).
+MAPPINGS = ("utilization_first", "performance_first")
 
 #: Valid execution fidelities: ``"cycle"`` is the bit-exact event-driven
 #: simulator; ``"fast"`` batch-executes straight-line instruction runs

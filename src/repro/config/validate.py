@@ -7,7 +7,13 @@ loudly before any compilation or simulation starts.
 
 from __future__ import annotations
 
-from .schema import FIDELITIES, SHARD_PLACEMENTS, ArchConfig, ConfigError
+from .schema import (
+    FIDELITIES,
+    MAPPINGS,
+    SHARD_PLACEMENTS,
+    ArchConfig,
+    ConfigError,
+)
 
 __all__ = ["validate"]
 
@@ -93,7 +99,7 @@ def validate(config: ArchConfig) -> ArchConfig:
         if value < 0:
             errors.append(f"energy.{key} must be >= 0, got {value}")
 
-    if comp.mapping not in ("utilization_first", "performance_first"):
+    if comp.mapping not in MAPPINGS:
         errors.append(
             f"compiler.mapping must be 'utilization_first' or "
             f"'performance_first', got {comp.mapping!r}"

@@ -113,7 +113,7 @@ work (:meth:`Engine.terminate` aborts the pool without draining).
 
 # Import order matters: `core` pulls in `repro.runner`, whose sweep module
 # imports JobSpec back from this package — bind spec/pool names first.
-from .spec import JobSpec, load_specs, save_specs
+from .spec import InvalidJobSpec, JobSpec, load_specs, save_specs
 from .pool import (
     JobFailed,
     JobPoisoned,
@@ -128,6 +128,7 @@ __all__ = [
     "Engine",
     "DecodeSession",
     "JobSpec",
+    "InvalidJobSpec",
     "JobFailed",
     "JobPoisoned",
     "JobTimeout",

@@ -194,7 +194,7 @@ def _rebuild_exception(error) -> BaseException:
     return JobFailed(kind, _first_line(message, kind), details)
 
 
-def _worker_main(task_conn, result_conn, config) -> None:
+def _worker_main(task_conn, task_sender, result_conn, config) -> None:
     """Worker loop: one private Engine, jobs until sentinel or EOF.
 
     Protocol: each task is ``(job_id, spec, attempt)``; the worker posts a
@@ -203,9 +203,15 @@ def _worker_main(task_conn, result_conn, config) -> None:
     job_id, report, error)`` record after.  Chaos directives embedded in
     the spec (:mod:`repro.engine.faults`) trip here — and only here, so
     in-process runs are never at risk.
+
+    ``task_sender`` is the parent's end of this worker's own task pipe,
+    inherited by the fork: closed first, so the parent's death — even a
+    SIGKILL that runs no teardown — reads as EOF here.
     """
     from . import faults
     from .core import Engine
+
+    task_sender.close()
 
     # A forked worker inherits the parent's signal dispositions; under
     # ``pimsim serve`` those trap SIGTERM/SIGINT for graceful drain,
@@ -378,7 +384,7 @@ class WorkerPool:
         task_r, task_w = ctx.Pipe(duplex=False)
         result_r, result_w = ctx.Pipe(duplex=False)
         worker = ctx.Process(target=_worker_main,
-                             args=(task_r, result_w, self._config),
+                             args=(task_r, task_w, result_w, self._config),
                              daemon=True)
         worker.start()
         # Close the parent's copies of the worker-side ends so a dead

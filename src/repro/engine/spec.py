@@ -21,11 +21,22 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from ..config import ArchConfig, get_preset
-from ..graph import Graph
+from ..config import FIDELITIES, ArchConfig, get_preset
+from ..config.schema import MAPPINGS
+from ..graph import Graph, kv_extent
 from ..graph.serialize import graph_from_dict, graph_to_dict
+from ..models import DECODE_MODELS, MODELS
 
-__all__ = ["JobSpec", "load_specs", "save_specs"]
+__all__ = ["InvalidJobSpec", "JobSpec", "load_specs", "save_specs"]
+
+
+class InvalidJobSpec(ValueError):
+    """A job spec no simulation can mean: a field of the wrong type or
+    out of range, or a name nothing knows (see :meth:`JobSpec.validate`)."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -94,27 +105,90 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
+        """Rebuild a spec from :meth:`to_dict` output, :meth:`validate`\\ d.
 
         ``network`` may be a zoo name or an embedded graph description;
         ``config`` may be a full configuration dict or a preset name.
         """
+        return cls._parse(data).validate()
+
+    @classmethod
+    def _parse(cls, data: dict) -> "JobSpec":
+        """:meth:`from_dict` without the value checks."""
         if not isinstance(data, dict) or "network" not in data:
-            raise ValueError("job spec must be an object with a 'network'")
+            raise InvalidJobSpec("job spec must be an object with a "
+                                 "'network'")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"job spec: unknown keys {sorted(unknown)}")
+            raise InvalidJobSpec(f"job spec: unknown keys {sorted(unknown)}")
         kwargs = dict(data)
         network = kwargs["network"]
         if isinstance(network, dict):
             kwargs["network"] = graph_from_dict(network.get("graph", network))
         config = kwargs.get("config")
         if isinstance(config, str):
-            kwargs["config"] = get_preset(config)
+            try:
+                kwargs["config"] = get_preset(config)
+            except KeyError as exc:
+                raise InvalidJobSpec(f"config: {exc.args[0]}") from None
         elif isinstance(config, dict):
             kwargs["config"] = ArchConfig.from_dict(config)
         return cls(**kwargs)
+
+    def validate(self) -> "JobSpec":
+        """Check every field's type and range; returns ``self``.
+
+        Raises :class:`InvalidJobSpec` naming every violation: an unknown
+        network / mapping / fidelity, a non-integer or non-positive
+        ``batch`` / ``rob_size`` / ``max_cycles`` / ``attention_shards`` /
+        ``decode_steps`` / ``kv_tokens``, a ``timeout`` that is not a
+        positive number, or decode fields on a network without
+        ``kv_cache`` nodes.  ``faults`` is the fault harness's to check.
+        """
+        errors: list[str] = []
+        decodes = True  # an unknown network is reported once, not twice
+        if isinstance(self.network, Graph):
+            decodes = kv_extent(self.network) is not None
+        elif isinstance(self.network, str) and self.network in MODELS:
+            decodes = self.network in DECODE_MODELS
+        else:
+            errors.append(f"network must be one of {sorted(MODELS)} or a "
+                          f"graph, got {self.network!r}")
+        if self.config is not None and not isinstance(self.config,
+                                                      ArchConfig):
+            errors.append(f"config must be a configuration, got "
+                          f"{type(self.config).__name__}")
+        for name, known in (("mapping", MAPPINGS),
+                            ("fidelity", FIDELITIES)):
+            value = getattr(self, name)
+            if value is not None and value not in known:
+                errors.append(f"{name} must be one of {known}, got {value!r}")
+        if not isinstance(self.imagenet, bool):
+            errors.append(f"imagenet must be a boolean, got "
+                          f"{self.imagenet!r}")
+        for name in ("batch", "rob_size", "max_cycles", "attention_shards",
+                     "decode_steps", "kv_tokens"):
+            value = getattr(self, name)
+            if value is None and name != "batch":
+                continue
+            if not _is_int(value) or value < 1:
+                errors.append(f"{name} must be an integer >= 1, got "
+                              f"{value!r}")
+        timeout = self.timeout
+        if timeout is not None and not (
+                isinstance(timeout, (int, float))
+                and not isinstance(timeout, bool) and timeout > 0):
+            errors.append(f"timeout must be a number of seconds > 0, got "
+                          f"{timeout!r}")
+        if not decodes:
+            for name in ("decode_steps", "kv_tokens"):
+                if getattr(self, name) is not None:
+                    errors.append(f"{name} needs a network with kv_cache "
+                                  f"nodes (one of {list(DECODE_MODELS)})")
+        if errors:
+            raise InvalidJobSpec("; ".join(errors))
+        return self
 
     def job_id(self) -> str:
         """Stable, content-addressed identity of this job.
@@ -139,7 +213,12 @@ class JobSpec:
 
 
 def load_specs(path: str | Path) -> list[JobSpec]:
-    """Load a job-spec file: one spec object, a list, or ``{"jobs": [...]}``."""
+    """Load a job-spec file: one spec object, a list, or ``{"jobs": [...]}``.
+
+    Values are not :meth:`~JobSpec.validate`\\ d: ``pimsim batch`` runs
+    every spec and records one that fails as that job's error record,
+    so one bad line does not cost the rest of the file.
+    """
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict) and "jobs" in data:
         data = data["jobs"]
@@ -148,7 +227,7 @@ def load_specs(path: str | Path) -> list[JobSpec]:
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a spec object, list, or "
                          "{'jobs': [...]} document")
-    return [JobSpec.from_dict(entry) for entry in data]
+    return [JobSpec._parse(entry) for entry in data]
 
 
 def save_specs(specs: list[JobSpec], path: str | Path) -> None:

@@ -389,7 +389,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     settled: dict[str, list[bool]] = {job_id: [] for job_id in ids}
     n_settled = 0
     if args.resume:
-        for record in Journal.replay(args.output):
+        for record, _span in Journal.replay(args.output):
             if "report" not in record and "error" not in record:
                 continue  # a summary trailer: settles nothing
             n_settled += 1

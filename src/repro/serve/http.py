@@ -80,14 +80,19 @@ class ServeHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def _json(self, status: int, payload, headers: dict | None = None):
+        """Send one JSON response in one ``send``.  ``end_headers()`` and
+        a separate body write would be two: on a keep-alive socket
+        Nagle's algorithm holds the small second one until the client's
+        delayed ACK (~40 ms) — so the body joins the buffered header
+        lines and the whole response is flushed at once."""
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _body(self):
         """The parsed JSON body.  The declared length is checked before

@@ -27,6 +27,12 @@ is append-only, so it grows with every transition;
 :meth:`JobStore.compact` rewrites it as one snapshot record per job
 (atomic rename), and opening a store compacts automatically when the
 event count dwarfs the live job count.
+
+A settled report is not kept on the heap: the record holds the span of
+the journal line that carries it and :attr:`JobRecord.report` reads that
+line back, so the server's memory per job is its spec, however many jobs
+it has settled.  The count of unsettled jobs is kept as jobs move, so
+admission (:meth:`JobStore.backlog`) never scans the table.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import threading
 import time
 from pathlib import Path
 
-from ..engine.journal import Journal
+from ..engine.journal import Journal, Span
 
 __all__ = ["JobStore", "JobRecord", "STATES", "TERMINAL_STATES",
            "UnknownJob"]
@@ -54,19 +60,25 @@ class UnknownJob(KeyError):
 
 
 class JobRecord:
-    """One job's durable state: spec, lifecycle, payload, blame."""
+    """One job's durable state: spec, lifecycle, payload, blame.
 
-    __slots__ = ("id", "spec", "state", "report", "error", "attempts",
-                 "submitted_at", "updated_at")
+    The report stays in the store's journal: ``report_span`` is the span
+    of the line carrying it (``None`` until the job settles with one).
+    """
 
-    def __init__(self, job_id: str, spec: dict, state: str = "queued", *,
-                 report: dict | None = None, error: dict | None = None,
-                 attempts: int = 0, submitted_at: float | None = None,
+    __slots__ = ("id", "spec", "state", "report_span", "error", "attempts",
+                 "submitted_at", "updated_at", "_store")
+
+    def __init__(self, store: "JobStore", job_id: str, spec: dict,
+                 state: str = "queued", *, report_span: Span | None = None,
+                 error: dict | None = None, attempts: int = 0,
+                 submitted_at: float | None = None,
                  updated_at: float | None = None):
+        self._store = store
         self.id = job_id
         self.spec = spec
         self.state = state
-        self.report = report
+        self.report_span = report_span
         self.error = error
         self.attempts = attempts
         self.submitted_at = submitted_at
@@ -76,6 +88,12 @@ class JobRecord:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    @property
+    def report(self) -> dict | None:
+        """The settled report, read back from the journal (one ``pread``
+        and one parse per access)."""
+        return self._store._read_report(self)
+
     def to_dict(self, *, include_report: bool = False) -> dict:
         """JSON-ready view (the HTTP layer's job resource)."""
         data = {"id": self.id, "state": self.state,
@@ -84,8 +102,10 @@ class JobRecord:
                 "updated_at": self.updated_at}
         if self.error is not None:
             data["error"] = self.error
-        if include_report and self.report is not None:
-            data["report"] = self.report
+        if include_report:
+            report = self.report
+            if report is not None:
+                data["report"] = report
         return data
 
     def snapshot(self) -> dict:
@@ -113,10 +133,13 @@ class JobStore:
         self._records: dict[str, JobRecord] = {}
         self._closed = False
         events = 0  # well-formed events: the compaction trigger input
-        for entry in Journal.replay(self.path):
+        for entry, span in Journal.replay(self.path):
             if "event" in entry:
                 events += 1
-                self._apply(entry)
+                self._apply(entry, span)
+        #: jobs not in a terminal state: counted once here, then kept
+        #: current by ``submit`` and ``_transition``.
+        self._unsettled = sum(not r.terminal for r in self._records.values())
         self._journal = Journal(self.path, fsync=fsync)
         self._recover_running()
         if events > max(compact_floor, 4 * len(self._records)):
@@ -124,15 +147,16 @@ class JobStore:
 
     # -- journal grammar ---------------------------------------------------
 
-    def _apply(self, entry: dict) -> None:
+    def _apply(self, entry: dict, span: Span) -> None:
         event = entry["event"]
         job_id = entry.get("id")
+        report_span = span if entry.get("report") is not None else None
         if event == "job":  # compaction snapshot: authoritative
             if job_id:
                 self._records[job_id] = JobRecord(
-                    job_id, entry.get("spec") or {},
+                    self, job_id, entry.get("spec") or {},
                     entry.get("state", "queued"),
-                    report=entry.get("report"), error=entry.get("error"),
+                    report_span=report_span, error=entry.get("error"),
                     attempts=int(entry.get("attempts", 0)),
                     submitted_at=entry.get("submitted_at"),
                     updated_at=entry.get("updated_at"))
@@ -140,7 +164,7 @@ class JobStore:
         if event == "submit":
             if job_id and job_id not in self._records:
                 self._records[job_id] = JobRecord(
-                    job_id, entry.get("spec") or {},
+                    self, job_id, entry.get("spec") or {},
                     submitted_at=entry.get("t"), updated_at=entry.get("t"))
             return
         record = self._records.get(job_id)
@@ -150,8 +174,8 @@ class JobStore:
             record.state = entry.get("state", record.state)
             record.attempts = int(entry.get("attempts", record.attempts))
             record.updated_at = entry.get("t", record.updated_at)
-            if record.state in TERMINAL_STATES:
-                record.report = entry.get("report")
+            if record.terminal:
+                record.report_span = report_span
                 record.error = entry.get("error")
 
     def _recover_running(self) -> None:
@@ -175,17 +199,19 @@ class JobStore:
                     report: dict | None = None,
                     error: dict | None = None) -> None:
         now = time.time()
+        self._unsettled += (state not in TERMINAL_STATES) - (not record.terminal)
         record.state = state
         record.updated_at = now
         entry = {"event": "state", "id": record.id, "state": state,
                  "attempts": record.attempts, "t": now}
         if report is not None:
-            record.report = report
             entry["report"] = report
         if error is not None:
             record.error = error
             entry["error"] = error
-        self._journal.append(entry)
+        span = self._journal.append(entry)
+        if report is not None:
+            record.report_span = span
 
     def submit(self, spec: dict, job_id: str) -> tuple[JobRecord, bool]:
         """Record a submission; idempotent by job id.
@@ -201,9 +227,10 @@ class JobStore:
             if existing is not None:
                 return existing, False
             now = time.time()
-            record = JobRecord(job_id, spec, submitted_at=now,
+            record = JobRecord(self, job_id, spec, submitted_at=now,
                                updated_at=now)
             self._records[job_id] = record
+            self._unsettled += 1
             self._journal.append({"event": "submit", "id": job_id,
                                   "spec": spec, "t": now})
             return record, True
@@ -284,7 +311,15 @@ class JobStore:
     def backlog(self) -> int:
         """Jobs admitted but not yet settled (the admission-control input)."""
         with self._lock:
-            return sum(1 for r in self._records.values() if not r.terminal)
+            return self._unsettled
+
+    def _read_report(self, record: JobRecord) -> dict | None:
+        # Under the lock: compaction moves every span to a new file.
+        with self._lock:
+            if record.report_span is None:
+                return None
+            self._check_open()
+            return self._journal.read(record.report_span)["report"]
 
     def __len__(self) -> int:
         with self._lock:
@@ -297,11 +332,19 @@ class JobStore:
             raise RuntimeError("job store is closed")
 
     def compact(self) -> None:
-        """Rewrite the journal as one snapshot line per job (atomic)."""
+        """Rewrite the journal as one snapshot line per job (atomic).
+
+        Streams: each snapshot reads its report from the old file while
+        the new one is written, then the report spans move to the new
+        snapshot lines."""
         with self._lock:
             self._check_open()
-            self._journal.rewrite(record.snapshot()
-                                  for record in self._records.values())
+            records = list(self._records.values())
+            spans = self._journal.rewrite(record.snapshot()
+                                          for record in records)
+            for record, span in zip(records, spans):
+                if record.report_span is not None:
+                    record.report_span = span
 
     def close(self) -> None:
         with self._lock:

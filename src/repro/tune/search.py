@@ -241,7 +241,7 @@ def _read_tune_journal(path) -> dict:
     mapping): record}``; everything else settles nothing.
     """
     done: dict = {}
-    for record in Journal.replay(path):
+    for record, _span in Journal.replay(path):
         if "baseline" in record and "report" in record:
             done[("baseline", record["baseline"])] = record
         elif "key" in record and "fidelity" in record \

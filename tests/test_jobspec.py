@@ -6,8 +6,9 @@ import pytest
 
 from repro import Engine, JobSpec
 from repro.config import get_preset, small_chip, tiny_chip
-from repro.engine import load_specs, save_specs
-from repro.graph import Graph
+from repro.engine import InvalidJobSpec, load_specs, save_specs
+from repro.graph import Graph, kv_extent
+from repro.models import DECODE_MODELS, MODELS, build_model
 from tests.conftest import build_chain_net
 
 
@@ -155,3 +156,59 @@ class TestSpecFiles:
         path.write_text(json.dumps("just a string"))
         with pytest.raises(ValueError):
             load_specs(path)
+
+
+class TestValidate:
+    """``from_dict`` refuses a spec no simulation can mean — what lets
+    ``POST /jobs`` answer 400 before anything is journaled."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"batch": -3}, {"batch": 0}, {"batch": True}, {"rob_size": "x"},
+        {"rob_size": 0}, {"rob_size": 2.5}, {"network": "nope"},
+        {"network": 7}, {"timeout": -1}, {"timeout": 0},
+        {"timeout": "5"}, {"kv_tokens": 5}, {"decode_steps": 2},
+        {"mapping": "fastest"}, {"fidelity": "exact"},
+        {"max_cycles": -1}, {"attention_shards": 0}, {"imagenet": "yes"},
+        {"config": 3}, {"config": "no-such-preset"},
+    ])
+    def test_refused(self, overrides):
+        with pytest.raises(InvalidJobSpec) as info:
+            JobSpec.from_dict({"network": "mlp", **overrides})
+        assert isinstance(info.value, ValueError)
+        assert next(iter(overrides)) in str(info.value)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"batch": 2, "rob_size": 1, "timeout": 0.5, "max_cycles": 10},
+        {"network": "gpt_tiny", "decode_steps": 3, "kv_tokens": 5},
+        {"mapping": "utilization_first", "fidelity": "fast"},
+        {"config": "tiny", "attention_shards": 2, "imagenet": True},
+        {"tag": {"anything": [1, "goes"]}, "faults": {"mode": "hang"}},
+    ])
+    def test_accepted(self, overrides):
+        spec = JobSpec.from_dict({"network": "mlp", **overrides})
+        assert spec.validate() is spec
+
+    def test_every_violation_is_named(self):
+        with pytest.raises(InvalidJobSpec) as info:
+            JobSpec.from_dict({"network": "mlp", "batch": -3,
+                               "rob_size": "x", "kv_tokens": 5})
+        message = str(info.value)
+        assert "batch" in message and "rob_size" in message \
+            and "kv_tokens" in message
+
+    def test_decode_fields_follow_the_graph(self):
+        """A graph network decodes iff it has kv_cache nodes; a zoo name
+        iff it is one of DECODE_MODELS — the same set, checked here."""
+        assert {name for name in MODELS
+                if kv_extent(build_model(name))} == set(DECODE_MODELS)
+        JobSpec(build_model("gpt_tiny"), kv_tokens=4).validate()
+        with pytest.raises(InvalidJobSpec, match="kv_cache"):
+            JobSpec(build_chain_net(), decode_steps=2).validate()
+
+    def test_construction_and_spec_files_are_not_validated(self, tmp_path):
+        """Only ``from_dict`` checks: the engine and ``pimsim batch``
+        report a bad spec as that job's failure."""
+        JobSpec("nosuch_net", batch=0)
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([{"network": "nosuch_net"}]))
+        assert load_specs(path) == [JobSpec("nosuch_net")]

@@ -34,6 +34,7 @@ ROOT_ALL = [
 ENGINE_ALL = [
     "DecodeSession",
     "Engine",
+    "InvalidJobSpec",
     "JobFailed",
     "JobPoisoned",
     "JobSpec",

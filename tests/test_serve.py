@@ -11,6 +11,7 @@ import http.client
 import json
 import multiprocessing
 import os
+import random
 import re
 import signal
 import socket
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from repro.serve import (
     Draining,
     JobStore,
     Overloaded,
+    ServeHTTPServer,
     ServeService,
     TERMINAL_STATES,
     serve_http,
@@ -251,6 +254,109 @@ class TestJobStore:
                                    "poisoned", "timeout", "cancelled"}
             assert store.backlog() == 1
 
+    def test_settled_reports_live_in_the_journal_not_the_heap(
+            self, tmp_path):
+        """2,000 jobs with ~20 KB reports: the store keeps each job's
+        record and spec, and reads its report back from the journal."""
+        def report(i):
+            return {"cycles": i, "per_core": {
+                str(core): f"{i}/{core}:" + "x" * 2500 for core in range(8)}}
+        jobs = 2000
+        with self._store(tmp_path) as store:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(jobs):
+                    store.submit({"network": "mlp", "rob_size": i}, f"j{i}")
+                    store.mark_running(f"j{i}")
+                    store.settle(f"j{i}", "done", report=report(i))
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(json.dumps(report(0))) > 19_000
+            assert grown / jobs < 1024, f"{grown / jobs:.0f} B per job"
+            assert all(store.get(f"j{i}").report == report(i)
+                       for i in range(jobs))
+
+    def test_report_spans_follow_compaction_and_restarts(self, tmp_path):
+        """Every report reads back equal after compaction, a restart
+        replay, a torn tail and a non-UTF-8 line in the journal."""
+        def report(i):
+            return {"cycles": i, "note": "\u00e9" * i}  # multi-byte UTF-8
+
+        def reports(store):
+            return {r.id: r.report for r in store.jobs()}
+        with self._store(tmp_path) as store:
+            for i in range(5):
+                store.submit({"network": "mlp", "rob_size": i}, f"j{i}")
+                store.mark_running(f"j{i}")
+            for i in range(3):
+                store.settle(f"j{i}", "done", report=report(i))
+            store.settle("j3", "failed", error={"kind": "X", "message": "m"})
+            expected = reports(store)
+            store.compact()
+            assert reports(store) == expected
+            lines = {span: entry
+                     for entry, span in Journal.replay(store.path)}
+            for record in store.jobs():
+                if record.report_span is not None:
+                    assert lines[record.report_span]["event"] == "job"
+                    assert lines[record.report_span]["id"] == record.id
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(path.read_bytes() + b"\xff\xfe not utf-8\n"
+                         + b'{"event": "state", "id": "j4", "sta')
+        with self._store(tmp_path) as store:  # j4 requeued with blame
+            assert reports(store) == expected
+            store.mark_running("j4")
+            store.settle("j4", "done", report=report(4))
+            expected["j4"] = report(4)
+            assert reports(store) == expected
+        with self._store(tmp_path) as store:
+            assert reports(store) == expected
+
+    def test_backlog_is_kept_not_scanned(self, tmp_path):
+        """``backlog()`` equals a brute-force count after every step of
+        a random submit / run / settle / cancel / requeue / replay /
+        compact sequence — and reads no record to answer."""
+        rng = random.Random(25)
+        store = self._store(tmp_path, max_restarts=2)
+        try:
+            for step in range(400):
+                records = store.jobs()
+                queued = [r.id for r in records if r.state == "queued"]
+                running = [r.id for r in records if r.state == "running"]
+                op = rng.choice(("submit", "submit", "run", "run", "settle",
+                                 "cancel", "requeue", "replay", "compact"))
+                if op == "submit":  # ids repeat: idempotent re-submits
+                    store.submit({"network": "mlp"}, f"j{rng.randrange(80)}")
+                elif op == "run" and queued:
+                    store.mark_running(rng.choice(queued))
+                elif op == "settle" and running:
+                    store.settle(rng.choice(running),
+                                 rng.choice(("done", "failed", "timeout")),
+                                 report={"step": step})
+                elif op == "cancel" and queued:
+                    store.cancel(rng.choice(queued))
+                elif op == "requeue" and running:
+                    store.requeue(rng.choice(running))
+                elif op == "replay":
+                    store.close()
+                    store = self._store(tmp_path, max_restarts=2)
+                elif op == "compact":
+                    store.compact()
+                assert store.backlog() == sum(
+                    not r.terminal for r in store.jobs()), (step, op)
+
+            class NoScan(dict):
+                def values(self):
+                    raise AssertionError("backlog() scanned the job table")
+                __iter__ = items = values
+            expected = store.backlog()
+            store._records = NoScan(store._records)
+            assert store.backlog() == expected
+        finally:
+            store.close()
+
 
 @pytest.fixture
 def service(tmp_path):
@@ -363,7 +469,7 @@ class TestServeService:
 
         def transitions():
             return [event["state"]
-                    for event in Journal.replay(service.store.path)
+                    for event, _span in Journal.replay(service.store.path)
                     if event.get("event") == "state"]
         wait_until(lambda: transitions() == ["running", "queued"])
         assert service.store.get(record.id).attempts == 0
@@ -581,14 +687,99 @@ class TestServeHTTP:
         assert status == 400
         assert "queued" in data["states"]
 
+    @pytest.mark.parametrize("overrides", [
+        {"batch": -3}, {"rob_size": "x"}, {"network": "nope"},
+        {"timeout": -1}, {"kv_tokens": 5},
+    ], ids=["negative-batch", "string-rob-size", "unknown-network",
+            "negative-timeout", "kv-tokens-on-mlp"])
+    def test_invalid_spec_is_400_before_anything_is_journaled(
+            self, served, overrides):
+        server, svc = served
+        status, data, _headers = request(server, "POST", "/jobs",
+                                         {**SPEC, **overrides})
+        assert status == 400, data
+        assert "bad job spec" in data["error"]
+        assert next(iter(overrides)) in data["error"]
+        assert len(svc.store) == 0
+        assert list(Journal.replay(svc.store.path)) == []
 
-def start_serve(store_path, *extra):
-    """Launch ``pimsim serve`` as a real process; returns (proc, base)."""
+    def test_every_response_is_one_send(self, tmp_path):
+        """Status line, headers and body leave in one ``send``; a body
+        sent on its own waits out the client's delayed ACK."""
+        store = JobStore(tmp_path / "store.jsonl", fsync=False)
+        svc = ServeService(store, config=tiny_chip(), workers=1).start()
+        server = _CountingServer(("127.0.0.1", 0), svc)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=60)
+        try:
+            def sends_for(method, path, body=None, headers=None):
+                before = sum(sock.sends for sock in server.accepted)
+                conn.request(method, path, body=body, headers=headers or {})
+                resp = conn.getresponse()
+                resp.read()
+                return resp.status, sum(
+                    sock.sends for sock in server.accepted) - before
+
+            assert sends_for("GET", "/healthz") == (200, 1)
+            svc.pause_dispatch()
+            assert sends_for("POST", "/jobs", json.dumps(SPEC)) == (201, 1)
+            job_id = spec_with().job_id()
+            path = f"/jobs/{job_id}/result"
+            assert sends_for("GET", path) == (202, 1)
+            svc.resume_dispatch()
+            wait_until(lambda: store.get(job_id).terminal)
+            assert sends_for("GET", path) == (200, 1)
+            assert sends_for("GET", "/jobs/jnope") == (404, 1)
+            assert sends_for("POST", "/jobs", headers={
+                "Content-Length": str(MAX_BODY_BYTES + 1)}) == (413, 1)
+            assert sends_for("GET", "/healthz") == (200, 1)
+            assert len(server.accepted) == 1, "one keep-alive connection"
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            svc.close()
+
+
+class _CountingSocket(socket.socket):
+    """An accepted connection that counts its sends."""
+
+    sends = 0
+
+    def send(self, data, *args):
+        self.sends += 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return super().sendall(data, *args)
+
+
+class _CountingServer(ServeHTTPServer):
+    """Hands every handler a :class:`_CountingSocket`."""
+
+    def __init__(self, address, service):
+        super().__init__(address, service)
+        self.accepted: list[_CountingSocket] = []
+
+    def get_request(self):
+        sock, address = super().get_request()
+        counted = _CountingSocket(sock.family, sock.type, sock.proto,
+                                  fileno=sock.detach())
+        self.accepted.append(counted)
+        return counted, address
+
+
+def start_serve(store_path, *extra, workers=1):
+    """Launch ``pimsim serve`` as a real process (the leader of its own
+    process group); returns (proc, base)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.runner.cli", "serve",
-         "--store", str(store_path), "--port", "0", "--workers", "1",
-         "--preset", "tiny", *extra],
-        stderr=subprocess.PIPE, text=True,
+         "--store", str(store_path), "--port", "0", "--workers",
+         str(workers), "--preset", "tiny", *extra],
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
         env={**os.environ, "PYTHONPATH": SRC})
     banner = proc.stderr.readline()
     match = re.search(r"listening on http://([\d.]+):(\d+)", banner)
@@ -606,6 +797,23 @@ class _Addr:
 
     def __init__(self, address):
         self.server_address = address
+
+
+def live_group_members(pgid):
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                # pid (comm) state ppid pgrp ...; comm may contain spaces
+                state, _ppid, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue  # exited while we were listing
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
 
 
 class TestServeCLI:
@@ -681,6 +889,31 @@ class TestServeCLI:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == SERVE_EXIT_OK
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigkill_leaves_no_worker_behind(self, tmp_path):
+        """A SIGKILLed server runs no teardown: its pool workers must
+        notice on their own (EOF on the task pipe) and exit."""
+        proc, base = start_serve(tmp_path / "store.jsonl", workers=2)
+        try:
+            status, job = http_json(base, "POST", "/jobs", SPEC)
+            assert status == 201
+            wait_until(lambda: http_json(
+                base, "GET", f"/jobs/{job['id']}/result")[0] == 200)
+            assert len(live_group_members(proc.pid)) == 3, \
+                "the server and its two workers"
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stderr.close()
+        try:
+            wait_until(lambda: not live_group_members(proc.pid),
+                       timeout=5.0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
     def test_sigterm_drains_cleanly_with_exit_zero(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
