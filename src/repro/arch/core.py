@@ -20,6 +20,11 @@ register file is architecturally current); ``HALT`` stops issue and the
 core reports halted once its ROB drains.  Compiled programs are
 straight-line, but the branch path makes the core a complete interpreter
 for the ISA's scalar control flow (exercised by the ISA-level tests).
+
+:class:`CoreBase` is the chassis both fidelity tiers build on: this
+module's :class:`CoreModel` and the fast tier's walker core
+(:mod:`repro.arch.fast`) share its identity and halt state, counters,
+scalar ALU, per-flow SEND drainer and per-core ``stats()`` contract.
 """
 
 from __future__ import annotations
@@ -27,18 +32,25 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..isa import N_REGISTERS, Program, ScalarInst
-from ..sim import Event
-from .rob import ReorderBuffer
+from ..sim import Event, Fifo
+from .rob import ReorderBuffer, RobEntry
 from .units import MatrixUnit, ScalarUnit, TransferUnit, VectorUnit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chip import ChipModel
 
-__all__ = ["CoreModel"]
+__all__ = ["CoreBase", "CoreModel"]
 
 
-class CoreModel:
-    """One PIM core executing its compiled program."""
+class CoreBase:
+    """State and behaviour every core model shares, whatever its fidelity.
+
+    A subclass supplies ``units`` (name -> an object with ``name`` /
+    ``busy_cycles`` / ``ops`` / ``layer_cycles``), ``rob`` (``entries`` and
+    ``occupancy_peak``, read by :meth:`ChipModel._diagnose` and
+    :meth:`stats`), ``start()`` and ``_send_done(token)``, the completion
+    of one drained SEND.
+    """
 
     def __init__(self, chip: "ChipModel", program: Program) -> None:
         self.chip = chip
@@ -48,6 +60,94 @@ class CoreModel:
         self.program = program
         self.groups = program.groups
         self.regs = [0] * N_REGISTERS
+        self.halted = Event(chip.sim, f"core{self.core_id}.halted")
+        self.halt_time: int | None = None
+        self.issued = 0
+        self.rob_stall_cycles = 0
+        self.hazard_stall_cycles = 0
+        self.queue_stall_cycles = 0
+        self._send_queues: dict[int, Fifo] = {}
+
+    # -- scalar ALU ------------------------------------------------------------
+
+    def execute_scalar(self, inst: ScalarInst) -> None:
+        """Architectural effect of a scalar ALU op, applied in the order
+        the in-order scalar unit completes them (program order)."""
+        regs = self.regs
+        op = inst.op
+        if op == "LI":
+            regs[inst.rd] = inst.imm
+        elif op == "SADD":
+            regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2]
+        elif op == "SSUB":
+            regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2]
+        elif op == "SMUL":
+            regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2]
+        elif op == "SAND":
+            regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2]
+        elif op == "SOR":
+            regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2]
+        # NOP / HALT: no architectural effect.
+
+    # -- per-flow SEND drain -------------------------------------------------
+
+    def send_queue(self, flow_id: int) -> Fifo:
+        """The flow's SEND queue; its drainer is spawned on first use.
+
+        Items are ``(token, issued_at, inst)``: ``issued_at`` is the cycle
+        the SEND left local memory, ``token`` what :meth:`_send_done`
+        completes once the payload is through.
+        """
+        queue = self._send_queues.get(flow_id)
+        if queue is None:
+            queue = self._send_queues[flow_id] = Fifo(
+                self.sim, None, f"core{self.core_id}.sendq{flow_id}")
+            self.sim.spawn(self._flow_drainer(flow_id, queue),
+                           f"core{self.core_id}.drain{flow_id}")
+        return queue
+
+    def _flow_drainer(self, flow_id: int, queue: Fifo) -> Generator:
+        """The flow's virtual output channel: push each queued SEND
+        through the credit window and the mesh, charge the transfer unit
+        its busy and per-layer time, then complete the SEND."""
+        sim = self.sim
+        channel = self.chip.flow(flow_id)
+        transfer = self.units["transfer"]
+        layers = transfer.layer_cycles
+        done = self._send_done
+        while True:
+            ok, item = queue.try_get()
+            if not ok:
+                item = yield from queue.get()
+            token, issued_at, inst = item
+            yield from channel.send(inst.bytes)
+            elapsed = sim.now - issued_at
+            transfer.busy_cycles += elapsed
+            layer = inst.layer
+            layers[layer] = layers.get(layer, 0) + elapsed
+            done(token)
+
+    # -- reporting ------------------------------------------------------------
+
+    def stats(self) -> dict:
+        return {
+            "issued": self.issued,
+            "halt_time": self.halt_time,
+            "rob_stall_cycles": self.rob_stall_cycles,
+            "hazard_stall_cycles": self.hazard_stall_cycles,
+            "queue_stall_cycles": self.queue_stall_cycles,
+            "rob_peak": self.rob.occupancy_peak,
+            "unit_busy": {name: unit.busy_cycles
+                          for name, unit in self.units.items()},
+            "unit_ops": {name: unit.ops for name, unit in self.units.items()},
+        }
+
+
+class CoreModel(CoreBase):
+    """One PIM core executing its compiled program, cycle by cycle."""
+
+    def __init__(self, chip: "ChipModel", program: Program) -> None:
+        super().__init__(chip, program)
         rob_size = chip.config.core.rob_size
         # Straight-line programs carry a static hazard table (cached on
         # the sealed program, amortized across sweeps/repeat runs);
@@ -62,12 +162,6 @@ class CoreModel:
             "transfer": TransferUnit(self),
             "scalar": ScalarUnit(self),
         }
-        self.halted = Event(chip.sim, f"core{self.core_id}.halted")
-        self.halt_time: int | None = None
-        self.issued = 0
-        self.rob_stall_cycles = 0
-        self.hazard_stall_cycles = 0
-        self.queue_stall_cycles = 0
 
     def start(self) -> None:
         for unit in self.units.values():
@@ -146,36 +240,8 @@ class CoreModel:
             taken = not taken
         return inst.target if taken else pc + 1
 
-    # -- scalar ALU ------------------------------------------------------------
-
-    def execute_scalar(self, inst: ScalarInst) -> None:
-        """Architectural effect of a scalar instruction (called by the
-        scalar unit at completion)."""
-        if inst.op == "LI":
-            self.regs[inst.rd] = inst.imm
-        elif inst.op == "SADD":
-            self.regs[inst.rd] = self.regs[inst.rs1] + self.regs[inst.rs2]
-        elif inst.op == "SSUB":
-            self.regs[inst.rd] = self.regs[inst.rs1] - self.regs[inst.rs2]
-        elif inst.op == "SMUL":
-            self.regs[inst.rd] = self.regs[inst.rs1] * self.regs[inst.rs2]
-        elif inst.op == "SAND":
-            self.regs[inst.rd] = self.regs[inst.rs1] & self.regs[inst.rs2]
-        elif inst.op == "SOR":
-            self.regs[inst.rd] = self.regs[inst.rs1] | self.regs[inst.rs2]
-        # NOP / HALT: no architectural effect.
-
-    # -- reporting ----------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "issued": self.issued,
-            "halt_time": self.halt_time,
-            "rob_stall_cycles": self.rob_stall_cycles,
-            "hazard_stall_cycles": self.hazard_stall_cycles,
-            "queue_stall_cycles": self.queue_stall_cycles,
-            "rob_peak": self.rob.occupancy_peak,
-            "unit_busy": {name: unit.busy_cycles
-                          for name, unit in self.units.items()},
-            "unit_ops": {name: unit.ops for name, unit in self.units.items()},
-        }
+    def _send_done(self, entry: RobEntry) -> None:
+        chip = self.chip
+        if chip.trace is not None:
+            chip.trace_event(self.core_id, "transfer", entry.inst)
+        self.rob.mark_done(entry)

@@ -16,16 +16,21 @@ issue loop and four execution units) collapse into ONE walker generator:
 * transfer instructions (SEND / RECV / LOAD / STORE) execute against the
   real flow channels and global memory at their computed start cycle:
   the walker advances simulated time there and runs the same coroutines
-  the cycle-accurate transfer unit would.  SENDs drain through real
-  per-flow drainer processes, so credit windows, link contention and
-  cross-core backpressure behave identically; a SEND's completion enters
-  the analytic window as a :class:`~repro.sim.PendingCompletion` that
-  later readers resolve against the kernel.
+  the cycle-accurate transfer unit would.  SENDs go through the per-flow
+  drainers both tiers share (:class:`~repro.arch.core.CoreBase`), so
+  credit windows, link contention and cross-core backpressure behave
+  identically; a SEND's completion enters the analytic window as a
+  :class:`~repro.sim.PendingCompletion` that later readers resolve
+  against the kernel.
 
-Cores the recurrences cannot cover — branchy programs (no static blocker
-table), shared-ADC arbitration, or instruction tracing — fall back to
-the cycle-accurate :class:`~repro.arch.core.CoreModel` inside the same
-chip, so mixed chips stay exact where they must be.
+:class:`FastCore` and the cycle-accurate
+:class:`~repro.arch.core.CoreModel` share one chassis — identity, halt
+state, counters, scalar ALU, SEND drainer and the per-core ``stats()``
+contract — and differ only in how they time instructions.  Cores the
+recurrences cannot cover — branchy programs (no static blocker table),
+shared-ADC arbitration, or instruction tracing — fall back to
+``CoreModel`` inside the same chip, so mixed chips stay exact where they
+must be.
 
 Accuracy: compute timing is computed retroactively (it never depends on
 the walker's real position in simulated time), with one deviation
@@ -34,11 +39,12 @@ blocker or at the retirement frontier — blocks in real simulated time,
 which can floor a *later* transfer's start at that wait's end where the
 cycle-accurate core would have started it earlier.
 ``tools/check_fidelity.py`` bounds the resulting total-cycle deviation at
-2% across the whole model zoo.  The walker inlines the unit loops'
-latency and energy arithmetic (:mod:`repro.arch.units`);
-``tests/test_fidelity.py`` is the gate that keeps the two copies equal —
-per energy category, per-core unit busy/ops/ROB stalls and per-layer
-busy cycles — so edit either side only with that test green.
+2% across the whole model zoo.  The walker deliberately inlines the unit
+loops' latency and energy arithmetic (:mod:`repro.arch.units`);
+``tests/test_fidelity.py`` (``TestBreakdownEqual``) is the gate that
+keeps the two copies equal — per energy category, per-core unit
+busy/ops/ROB stalls and per-layer busy cycles — so edit either side only
+with that test green.
 """
 
 from __future__ import annotations
@@ -46,18 +52,10 @@ from __future__ import annotations
 import math
 from typing import Generator
 
-from ..isa import (
-    N_REGISTERS,
-    VECTOR_SPECIAL_OPS,
-    MvmInst,
-    Program,
-    ScalarInst,
-    VectorInst,
-)
-from ..sim import Event, Fifo, PendingCompletion
+from ..isa import VECTOR_SPECIAL_OPS, MvmInst, Program, ScalarInst, VectorInst
+from ..sim import AnalyticWindow, PendingCompletion
 from .chip import ChipModel, RawResult
-from .core import CoreModel
-from .rob import analytic_window
+from .core import CoreBase, CoreModel
 
 __all__ = ["FastChipModel", "FastCore"]
 
@@ -77,7 +75,7 @@ class _AnalyticUnit:
 
 
 class _RobShim:
-    """What :meth:`ChipModel._diagnose` and :meth:`FastCore.stats` need
+    """What :meth:`ChipModel._diagnose` and :meth:`CoreBase.stats` need
     from a walker core's (virtual) ROB."""
 
     __slots__ = ("entries", "occupancy_peak")
@@ -87,69 +85,28 @@ class _RobShim:
         self.occupancy_peak = 0
 
 
-class FastCore:
-    """One straight-line core executed by the analytic walker."""
+class FastCore(CoreBase):
+    """One straight-line core executed by the analytic walker.
+
+    Builds no ROB and no event-driven units: chip construction is per-run
+    cost (every decode step builds a fresh chip).
+    """
 
     def __init__(self, chip: "FastChipModel", program: Program) -> None:
-        self.chip = chip
-        self.sim = chip.sim
-        self.config = chip.config
-        self.core_id = program.core
-        self.program = program
-        self.groups = program.groups
-        self.regs = [0] * N_REGISTERS
-        rob_size = chip.config.core.rob_size
-        self._blockers = program.static_blockers(rob_size)
-        assert self._blockers is not None  # factory falls back otherwise
-        self._rob_size = rob_size
+        super().__init__(chip, program)
         self.units = {name: _AnalyticUnit(name)
                       for name in ("matrix", "vector", "transfer", "scalar")}
         self.rob = _RobShim()
-        self.halted = Event(chip.sim, f"core{self.core_id}.halted")
-        self.halt_time: int | None = None
-        self.issued = 0
-        self.rob_stall_cycles = 0
-        self.hazard_stall_cycles = 0
-        self.queue_stall_cycles = 0
         #: maximal straight-line compute runs advanced analytically.
         self.analytic_runs = 0
         #: instructions executed through the event kernel (transfers).
         self.fallback_events = 0
-        self._send_queues: dict[int, Fifo] = {}
 
     def start(self) -> None:
         self.sim.spawn(self._walk(), f"core{self.core_id}.walk")
 
-    # -- kernel-side send path ------------------------------------------------
-
-    def _send_queue(self, flow_id: int) -> Fifo:
-        queue = self._send_queues.get(flow_id)
-        if queue is None:
-            queue = self._send_queues[flow_id] = Fifo(
-                self.sim, None, f"core{self.core_id}.sendq{flow_id}")
-            self.sim.spawn(self._flow_drainer(flow_id, queue),
-                           f"core{self.core_id}.drain{flow_id}")
-        return queue
-
-    def _flow_drainer(self, flow_id: int, queue: Fifo) -> Generator:
-        """Cycle mode's per-flow virtual output channel, resolving a
-        :class:`PendingCompletion` instead of a ROB entry."""
-        sim = self.sim
-        channel = self.chip.flow(flow_id)
-        transfer = self.units["transfer"]
-        layers = transfer.layer_cycles
-        while True:
-            ok, item = queue.try_get()
-            if not ok:
-                item = yield from queue.get()
-            pending, issued_at, inst = item
-            yield from channel.send(inst.bytes)
-            now = sim.now
-            elapsed = now - issued_at
-            transfer.busy_cycles += elapsed
-            layer = inst.layer
-            layers[layer] = layers.get(layer, 0) + elapsed
-            pending.resolve(now)
+    def _send_done(self, pending: PendingCompletion) -> None:
+        pending.resolve(self.sim.now)
 
     # -- the walker -----------------------------------------------------------
 
@@ -171,9 +128,11 @@ class FastCore:
         chip = self.chip
         cfg = self.config
         core_cfg = cfg.core
-        blockers_tab = self._blockers
-        rob_size = self._rob_size
-        window = analytic_window(rob_size)
+        rob_size = core_cfg.rob_size
+        blockers_tab = self.program.static_blockers(rob_size)
+        # Ring sizing and index masking match the ROB's static table
+        # mode, so blocker lookups hit the slots the cycle tier's would.
+        window = AnalyticWindow(rob_size)
         ring, mask = window.ring, window.mask
 
         fetch_width = core_cfg.fetch_width
@@ -238,6 +197,7 @@ class FastCore:
             if bound >= 0 and window._retired < bound:
                 pending = window.advance_frontier(bound)
                 while pending is not None:
+                    self.issued = issued  # current at every kernel yield
                     yield pending.event()
                     pending = window.advance_frontier(bound)
             if bound >= 0:
@@ -258,6 +218,7 @@ class FastCore:
                 done = ring[slot]
                 if type(done) is not int:
                     if done.done_at is None:
+                        self.issued = issued
                         yield done.event()  # real wait on an in-flight SEND
                     done = done.done_at
                     ring[slot] = done
@@ -351,6 +312,7 @@ class FastCore:
                 n_runs += 1
                 in_run = False
             n_fallback += 1
+            self.issued = issued
             start = alloc
             if transfer_free > start:
                 start = transfer_free
@@ -371,7 +333,7 @@ class FastCore:
                     sim, f"core{self.core_id}.send{index}")
                 ring[index & mask] = pending
                 outstanding.append(pending)
-                ok = self._send_queue(inst.flow).try_put(
+                ok = self.send_queue(inst.flow).try_put(
                     (pending, sim.now, inst))
                 assert ok  # send queues are unbounded
                 transfer_free = busy_until
@@ -401,6 +363,7 @@ class FastCore:
 
         if in_run:
             n_runs += 1
+        self.issued = issued
         # Drain: resolve in-flight sends, retire everything, halt at the
         # later of the front-end clock and the last retirement.
         for pending in outstanding:
@@ -416,48 +379,12 @@ class FastCore:
         now = sim.now
         if halt_t > now:
             yield halt_t - now
-        self.issued = issued
         self.rob_stall_cycles = rob_stall
         self.analytic_runs = n_runs
         self.fallback_events = n_fallback
         self.rob.occupancy_peak = min(issued, rob_size)
         self.halt_time = sim.now
         self.halted.notify()
-
-    # -- scalar ALU -----------------------------------------------------------
-
-    def execute_scalar(self, inst: ScalarInst) -> None:
-        """Architectural effect of a scalar ALU op (program order — the
-        same order the in-order scalar unit completes them in)."""
-        regs = self.regs
-        if inst.op == "LI":
-            regs[inst.rd] = inst.imm
-        elif inst.op == "SADD":
-            regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2]
-        elif inst.op == "SSUB":
-            regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2]
-        elif inst.op == "SMUL":
-            regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2]
-        elif inst.op == "SAND":
-            regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2]
-        elif inst.op == "SOR":
-            regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2]
-        # NOP: no architectural effect.
-
-    # -- reporting ------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "issued": self.issued,
-            "halt_time": self.halt_time,
-            "rob_stall_cycles": self.rob_stall_cycles,
-            "hazard_stall_cycles": self.hazard_stall_cycles,
-            "queue_stall_cycles": self.queue_stall_cycles,
-            "rob_peak": self.rob.occupancy_peak,
-            "unit_busy": {name: unit.busy_cycles
-                          for name, unit in self.units.items()},
-            "unit_ops": {name: unit.ops for name, unit in self.units.items()},
-        }
 
 
 class FastChipModel(ChipModel):

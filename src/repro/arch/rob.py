@@ -31,20 +31,9 @@ from __future__ import annotations
 from collections import deque
 
 from ..isa import Instruction
-from ..sim import AnalyticWindow, Event, Simulator
+from ..sim import Event, Simulator
 
-__all__ = ["RobEntry", "ReorderBuffer", "analytic_window"]
-
-
-def analytic_window(size: int) -> AnalyticWindow:
-    """The analytic twin of a ``size``-entry ROB in table mode.
-
-    Ring sizing and index masking match :class:`ReorderBuffer`'s static
-    ring exactly (``2*size - 1`` covered indices), so the fast-fidelity
-    walker's blocker lookups hit the same slots the cycle-accurate
-    ROB would, with completion *times* in place of entries.
-    """
-    return AnalyticWindow(size)
+__all__ = ["RobEntry", "ReorderBuffer"]
 
 
 class RobEntry:

@@ -9,8 +9,11 @@
 * :class:`TransferUnit` — executes SEND/RECV against the windowed flow
   channels and LOAD/STORE against global memory, strictly in order (a DMA
   engine); its busy time *includes* synchronization stalls, which is what
-  the per-layer communication-latency ratio measures.
-* :class:`ScalarUnit` — functional execution of register ALU ops.
+  the per-layer communication-latency ratio measures.  SENDs finish in
+  the core's per-flow drainers (:class:`~repro.arch.core.CoreBase`), the
+  one SEND path both fidelity tiers share.
+* :class:`ScalarUnit` — timing of register ALU ops; their architectural
+  effect is the core's shared ``execute_scalar``.
 
 Each unit pulls ROB entries from its issue queue, executes, charges energy
 and per-layer busy time, and marks the entry done.
@@ -18,17 +21,21 @@ and per-layer busy time, and marks the entry done.
 Issue-side hazard enforcement: a unit asks the ROB for the *oldest*
 in-flight conflicting entry and waits on exactly that entry's completion
 event (``ReorderBuffer.ready_event``), re-probing after each wake,
-instead of being woken by every completion in the window.  The
-fast-fidelity walker (:mod:`repro.arch.fast`) inlines the same latency
-and energy arithmetic as the loops below; ``tests/test_fidelity.py``
-gates the two against each other per energy category, per core and per
-layer, so a change to either must keep that test green.  The hot loops are also frame-free on their fast paths: queue
-pops use the nonblocking ``Fifo.try_get`` (falling into the blocking
-coroutine only when the queue is actually empty), and an MVM on a core
-without shared-ADC arbitration executes as a pair of scheduled callbacks
-rather than a spawned child process — the callback pair replays the
-spawned child's scheduling positions exactly, so simulations are
-bit-identical either way (pinned by ``tests/golden/``).
+instead of being woken by every completion in the window.
+
+The fast-fidelity walker (:mod:`repro.arch.fast`) deliberately inlines
+the latency and energy arithmetic of the loops below, because it runs
+once per instruction; ``tests/test_fidelity.py`` (``TestBreakdownEqual``)
+gates the two copies against each other per energy category, per core
+and per layer, so a change to either must keep that test green.
+
+The hot loops are also frame-free on their fast paths: queue pops use
+the nonblocking ``Fifo.try_get`` (falling into the blocking coroutine
+only when the queue is actually empty), and an MVM on a core without
+shared-ADC arbitration executes as a pair of scheduled callbacks rather
+than a spawned child process — the callback pair replays the spawned
+child's scheduling positions exactly, so simulations are bit-identical
+either way (pinned by ``tests/golden/``).
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ class _UnitBase:
     # than shared through a helper coroutine: the units are the model
     # layer's hottest loops and a ``yield from`` helper would put one
     # extra generator frame on every instruction issued.  Keep the five
-    # copies (four units + the flow drainer's pop) in sync:
+    # copies (four units + the core's flow-drainer pop) in sync:
     #
     #     ok, entry = queue.try_get()
     #     if not ok:
@@ -286,47 +293,19 @@ class TransferUnit(_UnitBase):
     connection, a slow inception branch) never head-of-line-blocks traffic
     to other consumers.  This mirrors per-destination output FIFOs in real
     NoC interfaces and is what makes windowed synchronized transfers
-    deadlock-free on arbitrary DAGs (see DESIGN.md).
+    deadlock-free on arbitrary DAGs (see DESIGN.md).  The queues and their
+    drainers belong to the core (:meth:`CoreBase.send_queue
+    <repro.arch.core.CoreBase.send_queue>`), shared with the fast tier.
     """
 
     name = "transfer"
-
-    def __init__(self, core: "CoreModel") -> None:
-        super().__init__(core)
-        self._send_queues: dict[int, Fifo] = {}
-
-    def _send_queue(self, flow_id: int) -> Fifo:
-        if flow_id not in self._send_queues:
-            queue = Fifo(self.sim, None,
-                         f"core{self.core.core_id}.sendq{flow_id}")
-            self._send_queues[flow_id] = queue
-            self.sim.spawn(self._flow_drainer(flow_id, queue),
-                           f"core{self.core.core_id}.drain{flow_id}")
-        return self._send_queues[flow_id]
-
-    def _flow_drainer(self, flow_id: int, queue: Fifo) -> Generator:
-        chip = self.core.chip
-        channel = chip.flow(flow_id)
-        while True:
-            ok, item = queue.try_get()
-            if not ok:
-                item = yield from queue.get()
-            entry, issued_at = item
-            yield from channel.send(entry.inst.bytes)
-            elapsed = self.sim.now - issued_at
-            self.busy_cycles += elapsed
-            layer = entry.inst.layer
-            cycles = self.layer_cycles
-            cycles[layer] = cycles.get(layer, 0) + elapsed
-            if self._traced:
-                chip.trace_event(self.core.core_id, self.name, entry.inst)
-            self._mark_done(entry)
 
     def _loop(self) -> Generator:
         cfg = self.core.config
         read_bw = cfg.core.local_memory_read_bytes_per_cycle
         write_bw = cfg.core.local_memory_write_bytes_per_cycle
         chip = self.core.chip
+        send_queue = self.core.send_queue
         queue = self.queue
         rob = self.core.rob
         while True:
@@ -343,7 +322,7 @@ class TransferUnit(_UnitBase):
                 yield math.ceil(inst.bytes / read_bw)  # drain local memory
                 chip.energy.local_mem(cfg.energy, inst.bytes)
                 self.ops += 1
-                ok = self._send_queue(inst.flow).try_put((entry, self.sim.now))
+                ok = send_queue(inst.flow).try_put((entry, self.sim.now, inst))
                 assert ok  # send queues are unbounded
                 continue
             if inst.op == "RECV":

@@ -57,15 +57,17 @@ class CompileCache:
 
     Thread-safe; every worker process of a parallel sweep holds its own
     instance (inside its private engine), so repeated points within one
-    worker skip recompilation without any cross-process traffic.
+    worker skip recompilation without any cross-process traffic.  The
+    engine's decode-template cache is a second instance, filled through
+    :meth:`get_or_build` under content keys.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        #: key -> (graph, result); the graph reference pins its id().
-        self._entries: "OrderedDict[tuple, tuple[Graph, CompilationResult]]" = (
+        #: key -> (pin, value); a graph pin keeps its id() from recycling.
+        self._entries: "OrderedDict[tuple, tuple[object, object]]" = (
             OrderedDict())
         self._lock = threading.Lock()
 
@@ -74,22 +76,29 @@ class CompileCache:
 
     def get_or_compile(self, graph: Graph, config: ArchConfig) -> CompilationResult:
         """Return the cached compilation for this point, compiling on miss."""
-        key = (id(graph), config_fingerprint(config))
+        return self.get_or_build((id(graph), config_fingerprint(config)),
+                                 lambda: compile_network(graph, config),
+                                 pin=graph)
+
+    def get_or_build(self, key: tuple, build, pin: object = None):
+        """Return the value cached under ``key`` (its entry must hold the
+        identical ``pin``), else ``build()`` it, evicting the least
+        recently used entries beyond ``maxsize``."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] is graph:
+            if entry is not None and entry[0] is pin:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return entry[1]
-        # Compile outside the lock; a racing duplicate compile is benign
+        # Build outside the lock; a racing duplicate build is benign
         # (both produce equivalent results, last writer wins).
-        result = compile_network(graph, config)
+        value = build()
         with self._lock:
             self.misses += 1
-            self._entries[key] = (graph, result)
+            self._entries[key] = (pin, value)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-        return result
+        return value
 
     def stats(self) -> dict:
         """Counters snapshot (also attached to ``SimReport.meta``)."""

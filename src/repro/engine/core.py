@@ -83,9 +83,6 @@ class Engine:
         is killed (worker respawned in place) and fails with
         :class:`~repro.engine.JobTimeout`.  ``JobSpec.timeout``
         overrides it per job.  ``None`` (default): no timeout.
-    retry_backoff:
-        Scale (seconds) of the jittered delay before a blamed job is
-        resubmitted after a worker crash.
     fidelity:
         Default execution fidelity for jobs that do not carry their own
         (``"cycle"`` or ``"fast"``).  ``JobSpec.fidelity`` overrides it
@@ -97,7 +94,6 @@ class Engine:
                  workers: int | None = None,
                  max_retries: int = 1,
                  job_timeout: float | None = None,
-                 retry_backoff: float = 0.05,
                  fidelity: str | None = None):
         if fidelity is not None and fidelity not in FIDELITIES:
             raise ConfigError(
@@ -107,7 +103,6 @@ class Engine:
         self._default_workers = workers
         self._max_retries = max_retries
         self._job_timeout = job_timeout
-        self._retry_backoff = retry_backoff
         self._compile_cache = CompileCache()
         #: memoized zoo builds: (name, imagenet) -> Graph.
         self._models: dict[tuple[str, bool], Graph] = {}
@@ -116,10 +111,9 @@ class Engine:
         self._graph_memo: dict[str, Graph] = {}
         self._graph_memo_cap = 64
         #: (extent-normalized graph digest, config fingerprint) ->
-        #: compiled decode template (see :meth:`step_template`).
-        self._template_cache: dict[tuple[str, str], StepTemplate] = {}
-        self._template_hits = 0
-        self._template_misses = 0
+        #: compiled decode template (see :meth:`step_template`), LRU-bounded
+        #: at the compile cache's size.
+        self._template_cache = CompileCache()
         self._pool: WorkerPool | None = None
         self._last_pool_width: int | None = None
         self._lock = Lock()
@@ -245,14 +239,8 @@ class Engine:
     def _template(self, graph: Graph, config: ArchConfig) -> StepTemplate:
         key = (graph_digest(with_kv_extent(graph, 1)),
                config_fingerprint(config))
-        template = self._template_cache.get(key)
-        if template is not None:
-            self._template_hits += 1
-            return template
-        self._template_misses += 1
-        template = compile_step_template(graph, config)
-        self._template_cache[key] = template
-        return template
+        return self._template_cache.get_or_build(
+            key, lambda: compile_step_template(graph, config))
 
     def decode_session(self, network: str | Graph,
                        config: ArchConfig | None = None, *,
@@ -362,8 +350,7 @@ class Engine:
                     pool = self._pool = WorkerPool(
                         workers, self.config,
                         max_retries=self._max_retries,
-                        default_timeout=self._job_timeout,
-                        retry_backoff=self._retry_backoff)
+                        default_timeout=self._job_timeout)
                     self._last_pool_width = workers
                     # An Engine dropped without close() must not pin idle
                     # workers for the rest of the process.
@@ -605,9 +592,8 @@ class Engine:
         plus the decode-template counters (``template_hits`` /
         ``template_misses`` / ``template_entries``)."""
         stats = dict(self._compile_cache.stats())
-        stats["template_hits"] = self._template_hits
-        stats["template_misses"] = self._template_misses
-        stats["template_entries"] = len(self._template_cache)
+        for key, value in self._template_cache.stats().items():
+            stats[f"template_{key}"] = value
         return stats
 
     def pool_stats(self) -> dict:
@@ -644,8 +630,6 @@ class Engine:
         self._models.clear()
         self._graph_memo.clear()
         self._template_cache.clear()
-        self._template_hits = 0
-        self._template_misses = 0
 
     def terminate(self) -> None:
         """Abort the worker pool without draining; engine stays usable.

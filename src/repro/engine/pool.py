@@ -80,6 +80,10 @@ __all__ = ["WorkerPool", "JobFailed", "JobPoisoned", "JobTimeout",
 #: one outlier.
 _EWMA_ALPHA = 0.2
 
+#: scale (seconds) of the jittered delay before a crash-recovered job is
+#: resubmitted onto its lane's respawned worker.
+_RETRY_BACKOFF_S = 0.05
+
 
 class PoolUnavailable(RuntimeError):
     """The pool cannot accept jobs: closed, or unrecoverably broken.
@@ -309,16 +313,14 @@ class WorkerPool:
     it).  ``max_retries`` bounds how often a single job may crash its
     worker before being quarantined as :class:`JobPoisoned`;
     ``default_timeout`` (seconds) applies to jobs whose spec carries no
-    timeout of its own; ``retry_backoff`` scales the jittered delay before
-    a blamed job is resubmitted.  :meth:`close` drains queued jobs and
+    timeout of its own.  :meth:`close` drains queued jobs and
     shuts down cleanly; at interpreter exit an unclosed pool is torn down
     abortively (daemonic workers are terminated, outstanding futures
     failed) so it never blocks process exit.
     """
 
     def __init__(self, size: int, config=None, *, max_retries: int = 1,
-                 default_timeout: float | None = None,
-                 retry_backoff: float = 0.05) -> None:
+                 default_timeout: float | None = None) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         if max_retries < 0:
@@ -328,7 +330,6 @@ class WorkerPool:
         self._config = config
         self._max_retries = max_retries
         self._default_timeout = default_timeout
-        self._retry_backoff = retry_backoff
         #: bystander-requeue bound: a spec that kills workers before its
         #: start heartbeat can ever be blamed must not respawn-loop.
         self._requeue_cap = max(4, 2 * max_retries + 2)
@@ -684,7 +685,7 @@ class WorkerPool:
         for future, exc in settle:
             _settle(future, exception=exc)
         for job_id, attempts in resubmits:
-            delay = (self._retry_backoff * attempts * (0.5 + random.random())
+            delay = (_RETRY_BACKOFF_S * attempts * (0.5 + random.random())
                      if attempts else 0.0)
             timer = threading.Timer(delay, self._resubmit, args=(job_id,))
             timer.daemon = True
@@ -739,7 +740,7 @@ class WorkerPool:
                 f"worker {lane.index} kept dying before the job could be "
                 "queued"))
             return
-        timer = threading.Timer(self._retry_backoff, self._resubmit,
+        timer = threading.Timer(_RETRY_BACKOFF_S, self._resubmit,
                                 args=(job_id,))
         timer.daemon = True
         timer.start()

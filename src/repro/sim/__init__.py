@@ -8,7 +8,9 @@ Public surface:
 * :class:`~repro.sim.channel.Fifo`, :class:`~repro.sim.channel.Rendezvous`,
   :class:`~repro.sim.channel.Mutex`, :class:`~repro.sim.channel.Resource`
   — blocking communication/arbitration primitives.
-* :mod:`~repro.sim.stats` — statistics collectors.
+* :class:`~repro.sim.analytic.PendingCompletion`,
+  :class:`~repro.sim.analytic.AnalyticWindow` — the fast tier's analytic
+  scheduling primitives.
 """
 
 from .analytic import AnalyticWindow, PendingCompletion
@@ -22,7 +24,6 @@ from .kernel import (
     SimulationError,
     Simulator,
 )
-from .stats import Accumulator, Counter, StatGroup, TimeWeighted
 
 __all__ = [
     "Simulator",
@@ -39,8 +40,4 @@ __all__ = [
     "ChannelError",
     "PendingCompletion",
     "AnalyticWindow",
-    "Counter",
-    "Accumulator",
-    "TimeWeighted",
-    "StatGroup",
 ]

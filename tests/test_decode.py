@@ -334,6 +334,20 @@ class TestEngineDecode:
         assert engine.compile_stats()["template_entries"] == 0
         assert engine.compile_stats()["template_misses"] == 0
 
+    def test_template_cache_is_lru_bounded(self, engine):
+        """A long-lived engine keeps at most the compile cache's number of
+        templates; an evicted one is recompiled (a miss), not served."""
+        engine._template_cache.maxsize = 1
+        engine.step_template("gpt_tiny")
+        engine.step_template("gpt_tiny", small_chip())
+        stats = engine.compile_stats()
+        assert stats["template_entries"] == 1
+        assert stats["template_misses"] == 2
+        engine.step_template("gpt_tiny")  # evicted by the small-chip one
+        stats = engine.compile_stats()
+        assert stats["template_entries"] == 1
+        assert (stats["template_hits"], stats["template_misses"]) == (0, 3)
+
     def test_decode_rejects_batch(self, engine):
         with pytest.raises(ValueError, match="batch"):
             engine.run(JobSpec("gpt_tiny", decode_steps=2, batch=2))

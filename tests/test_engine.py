@@ -371,7 +371,7 @@ class TestPoolRobustness:
         respawned in place and the in-flight job replays successfully."""
         from repro.engine.pool import WorkerPool
 
-        pool = WorkerPool(1, tiny_chip(), retry_backoff=0.01)
+        pool = WorkerPool(1, tiny_chip())
         try:
             future = pool.submit(JobSpec("vgg8", small_chip()))
             pool._lanes[0].worker.terminate()
@@ -388,7 +388,7 @@ class TestPoolRobustness:
         """Self-healing means the engine never cold-restarts the pool on
         a worker crash — the same pool object answers the next batch."""
         specs = [JobSpec("mlp", rob_size=size) for size in (1, 4)]
-        with Engine(tiny_chip(), retry_backoff=0.01) as eng:
+        with Engine(tiny_chip()) as eng:
             healthy = eng.map(specs, workers=2)
             pool = eng._pool
             pool._lanes[0].worker.terminate()

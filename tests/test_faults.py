@@ -22,7 +22,6 @@ from repro.engine.faults import (
 
 
 def _engine(**kw):
-    kw.setdefault("retry_backoff", 0.01)
     return Engine(tiny_chip(), **kw)
 
 

@@ -18,6 +18,7 @@ processes with one analytic walker (``repro.arch.fast``).  Its contract:
 
 import functools
 import importlib.util
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,10 +26,11 @@ import pytest
 
 from repro import Engine, JobSpec, simulate
 from repro.arch import run_program
-from repro.compiler import compile_step_template
+from repro.compiler import compile_network, compile_step_template
 from repro.config import ConfigError, small_chip, tiny_chip, validate
 from repro.engine import JobPoisoned
 from repro.models import build_model
+from repro.sim import DeadlockError
 
 
 def _load_check_fidelity():
@@ -129,6 +131,44 @@ class TestBreakdownEqual:
         found = breakdown_mismatches(cycle, bent)
         assert [line.split("[")[0] for line in found] \
             == ["energy_pj", "per_core", "layer_busy"]
+
+
+class TestSharedCoreContract:
+    """Both tiers' cores report through one per-core ``stats()`` contract.
+
+    The e2e harness reads ``rob_stall_cycles`` / ``hazard_stall_cycles``
+    / ``queue_stall_cycles`` and ``unit_busy[...]`` from ``per_core``, so
+    the key names are pinned here, not only compared across tiers.
+    """
+
+    KEYS = {"issued", "halt_time", "rob_stall_cycles", "hazard_stall_cycles",
+            "queue_stall_cycles", "rob_peak", "unit_busy", "unit_ops"}
+    UNITS = {"matrix", "vector", "transfer", "scalar"}
+
+    def test_same_keys_and_values_on_one_program(self):
+        config = validate(small_chip())
+        program = compile_network(build_model("vgg8"), config).program
+        cycle = run_program(program, config)
+        fast = run_program(program, config.with_fidelity("fast"))
+        assert fast.meta["analytic_runs"] > 0  # walker cores, not fallbacks
+        assert set(fast.per_core) == set(cycle.per_core)
+        for core, stats in cycle.per_core.items():
+            walker = fast.per_core[core]
+            assert set(stats) == set(walker) == self.KEYS
+            for counts in ("unit_busy", "unit_ops"):
+                assert set(stats[counts]) == set(walker[counts]) == self.UNITS
+            assert walker == stats, core
+
+    def test_max_cycles_diagnosis_counts_walker_issue(self):
+        """A walker core stopped by ``max_cycles`` reports how far it got
+        (its issue count is kept current at every kernel yield)."""
+        _cycle, fast = _pair("vgg8", small_chip, None)
+        with pytest.raises(DeadlockError, match="max_cycles") as info:
+            simulate("vgg8", small_chip(), fidelity="fast",
+                     max_cycles=fast.cycles // 2)
+        issued = [int(n) for n in re.findall(r"issued=(\d+)/",
+                                             str(info.value))]
+        assert issued and all(n > 0 for n in issued), str(info.value)
 
 
 class TestReportPlumbing:

@@ -14,7 +14,7 @@ from repro.isa import (
     encode,
     ranges_overlap,
 )
-from repro.sim import Fifo, Simulator, TimeWeighted
+from repro.sim import Fifo, Simulator
 
 
 # -- range algebra -------------------------------------------------------------
@@ -187,22 +187,3 @@ def test_fifo_preserves_order_under_random_delays(delays):
     sim.spawn(consumer())
     sim.run()
     assert out == list(range(len(delays)))
-
-
-@given(st.lists(st.tuples(st.integers(0, 100), st.floats(0, 10)),
-                min_size=1, max_size=30))
-def test_time_weighted_integral_matches_manual_sum(updates):
-    w = TimeWeighted()
-    manual = 0.0
-    last_t, last_v = 0, 0.0
-    for dt, v in updates:
-        t = last_t + dt
-        manual += last_v * (t - last_t)
-        w.update(t, v)
-        last_t, last_v = t, v
-    horizon = last_t + 10
-    manual += last_v * (horizon - last_t)
-    assert w.integral(horizon) == pytest.approx(manual)
-
-
-import pytest  # noqa: E402  (used by approx above)

@@ -133,7 +133,6 @@ ENGINE_INIT_PARAMS = [
     "workers",
     "max_retries",
     "job_timeout",
-    "retry_backoff",
     "fidelity",
 ]
 
