@@ -10,7 +10,7 @@ The front-end issues the core's instruction stream in program order:
 Hazards are enforced at unit issue, not dispatch: each unit holds an
 instruction until no *older* in-flight entry conflicts with it (RAW/WAR/
 WAW on registers or local memory, structural hazard on crossbar groups —
-see :meth:`~repro.arch.rob.ReorderBuffer.conflicts_before`), so
+see :meth:`~repro.arch.rob.ReorderBuffer.oldest_conflict`), so
 independent younger instructions in other units keep flowing.  This is
 the paper's "dispatch unit which can identify the conflicts between
 instructions" working with the ROB to expose hardware parallelism.

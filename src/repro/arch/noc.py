@@ -16,7 +16,7 @@ import math
 from typing import Generator
 
 from ..config import ArchConfig
-from ..sim import Mutex, Resource, Simulator
+from ..sim import Resource, Simulator
 from .energy import EnergyMeter
 
 __all__ = ["MeshNoc", "GlobalMemory", "xy_route"]
@@ -47,8 +47,9 @@ class MeshNoc:
 
     Hot-path design: XY routes are pure functions of the (src, dst) pair,
     so they are memoized per coordinate pair (and per core pair in
-    :meth:`transmit`); link mutexes take the frame-free
-    :meth:`~repro.sim.Mutex.try_acquire` path when the link is free; and
+    :meth:`transmit`); link locks (one-slot resources) take the
+    frame-free :meth:`~repro.sim.Resource.try_acquire` path when the
+    link is free; and
     with ``model_contention=False`` there is nothing to arbitrate per hop,
     so the whole traversal collapses into a single timed wait of the
     path's total latency.
@@ -59,7 +60,7 @@ class MeshNoc:
         self.sim = sim
         self.config = config
         self.energy = energy
-        self._links: dict[tuple[Coord, Coord], Mutex] = {}
+        self._links: dict[tuple[Coord, Coord], Resource] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         self.byte_hops = 0
@@ -70,10 +71,10 @@ class MeshNoc:
         #: memoized core-pair routes: (src_core, dst_core) -> link list.
         self._core_routes: dict[tuple[int, int], list[tuple[Coord, Coord]]] = {}
 
-    def _link(self, key: tuple[Coord, Coord]) -> Mutex:
+    def _link(self, key: tuple[Coord, Coord]) -> Resource:
         link = self._links.get(key)
         if link is None:
-            link = self._links[key] = Mutex(self.sim, f"link{key}")
+            link = self._links[key] = Resource(self.sim, 1, f"link{key}")
         return link
 
     def core_xy(self, core_id: int) -> Coord:

@@ -3,10 +3,11 @@
 The ROB bounds the number of instructions a core may have in flight
 (Fig. 2b).  Dispatch allocates an entry in program order; execution units
 mark entries done out of order; retirement frees entries strictly in
-order.  The dispatch stage consults :meth:`has_conflict` so an instruction
-never enters an execution unit while an older in-flight instruction
-conflicts with it — including the crossbar-group *structure hazard* the
-paper uses to explain the ROB-size plateau of Fig. 4.
+order.  Execution units consult :meth:`oldest_conflict` (and the dispatch
+stage :meth:`oldest_conflict_inst`, for branches) so an instruction never
+enters an execution unit while an older in-flight instruction conflicts
+with it — including the crossbar-group *structure hazard* the paper uses
+to explain the ROB-size plateau of Fig. 4.
 
 Hazard queries return the *oldest* conflicting entry, so a blocked unit
 can wait on exactly the entry that blocks it (via :meth:`ready_event`)
@@ -39,15 +40,11 @@ __all__ = ["RobEntry", "ReorderBuffer"]
 class RobEntry:
     """One in-flight instruction: identity-keyed, slotted (hot path)."""
 
-    __slots__ = ("inst", "done", "dispatched_at", "completed_at",
-                 "seq", "done_event")
+    __slots__ = ("inst", "done", "seq", "done_event")
 
-    def __init__(self, inst: Instruction, dispatched_at: int = 0,
-                 seq: int = 0) -> None:
+    def __init__(self, inst: Instruction, seq: int = 0) -> None:
         self.inst = inst
         self.done = False
-        self.dispatched_at = dispatched_at
-        self.completed_at = -1
         #: allocation sequence number; program order within the core.
         self.seq = seq
         #: lazily-created event notified at completion (``ready_event``).
@@ -78,7 +75,6 @@ class ReorderBuffer:
         self.name = name
         self.entries: deque[RobEntry] = deque()
         self.slot_freed = Event(sim, f"{name}.slot_freed")
-        self.completed = Event(sim, f"{name}.completed")
         self.drained = Event(sim, f"{name}.drained")
         self.retired_count = 0
         #: peak in-flight occupancy (the only occupancy statistic reports
@@ -150,16 +146,6 @@ class ReorderBuffer:
                 return e
         return None
 
-    def conflicts_before(self, entry: RobEntry) -> bool:
-        """Does ``entry`` conflict with any *older* in-flight entry?"""
-        return self.oldest_conflict(entry) is not None
-
-    def has_conflict(self, inst: Instruction) -> bool:
-        """Does ``inst`` conflict with any in-flight instruction?  Used by
-        the dispatch stage for instructions executed outside the ROB
-        (branch resolution)."""
-        return self.oldest_conflict_inst(inst) is not None
-
     # -- lifecycle ------------------------------------------------------------
 
     def ready_event(self, entry: RobEntry) -> Event:
@@ -176,7 +162,7 @@ class ReorderBuffer:
         if len(entries) >= self.size:
             raise RuntimeError(f"{self.name}: allocate on full ROB")
         self._seq = seq = self._seq + 1
-        entry = RobEntry(inst, self.sim.now, seq)
+        entry = RobEntry(inst, seq)
         entries.append(entry)
         if self._static is not None:
             # Table mode: in-flight lookups go through the index ring.
@@ -190,14 +176,8 @@ class ReorderBuffer:
         if entry.done:
             raise RuntimeError(f"{self.name}: double completion of {entry.inst!r}")
         entry.done = True
-        entry.completed_at = self.sim.now
         if entry.done_event is not None:
             entry.done_event.notify()
-        # ``completed`` is notified only when observed: nothing in the
-        # model layer polls it any more (units wait per-entry), but it
-        # remains the ROB's public completion signal.
-        if self.completed._waiters:
-            self.completed.notify()
         # Retire (inlined): free in-order-completed head entries.  The
         # deque still holds ``entry``, so it is never empty here.
         entries = self.entries

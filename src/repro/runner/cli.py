@@ -29,8 +29,10 @@ from pathlib import Path
 
 from ..analysis import ascii_bars, comm_ratios, step_latency_stats
 from ..config import FIDELITIES, PRESETS, ArchConfig, get_preset, validate
-from ..engine import Engine, JobFailed, JobSpec, PoolUnavailable, load_specs
+from ..engine import (Engine, JobFailed, JobSpec, PoolUnavailable,
+                      default_engine, load_specs)
 from ..engine.journal import Journal
+from ..graph import Graph
 from ..models import DECODE_MODELS, MODELS
 from .api import compile_model, simulate
 from .sweep import compare_mappings, compare_with_baseline, sweep_rob
@@ -54,6 +56,12 @@ def _load_config(args: argparse.Namespace) -> ArchConfig:
     if args.config:
         return ArchConfig.load(args.config)
     return get_preset(args.preset)
+
+
+def _network(args: argparse.Namespace) -> Graph:
+    """The graph ``--model`` names, at the input size ``--imagenet`` picks."""
+    return default_engine().resolve_network(args.model,
+                                            imagenet=args.imagenet)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +300,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_mappings(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    cmp = compare_mappings(args.model, config, rob_size=args.rob,
+    cmp = compare_mappings(_network(args), config, rob_size=args.rob,
                            workers=args.workers, fidelity=args.fidelity)
     print(f"{args.model}: utilization-first {cmp.utilization.cycles:,} cycles, "
           f"performance-first {cmp.performance.cycles:,} cycles")
@@ -308,7 +316,7 @@ def _cmd_mappings(args: argparse.Namespace) -> int:
 def _cmd_rob(args: argparse.Namespace) -> int:
     config = _load_config(args)
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    sweep = sweep_rob(args.model, config, sizes=sizes,
+    sweep = sweep_rob(_network(args), config, sizes=sizes,
                       workers=args.workers, fidelity=args.fidelity)
     print(ascii_bars(
         {f"ROB {size:>2}": value
@@ -321,7 +329,7 @@ def _cmd_rob(args: argparse.Namespace) -> int:
 def _cmd_mnsim(args: argparse.Namespace) -> int:
     config = _load_config(args) if (args.config or args.preset != "paper") \
         else get_preset("mnsim")
-    cmp = compare_with_baseline(args.model, config)
+    cmp = compare_with_baseline(_network(args), config)
     print(f"{args.model}: ours {cmp.ours.cycles:,} cycles, "
           f"MNSIM2.0-style baseline {cmp.baseline_cycles:,} cycles")
     print(ascii_bars({

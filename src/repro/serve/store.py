@@ -54,6 +54,10 @@ STATES = ("queued", "running", "done", "failed", "poisoned", "timeout",
 TERMINAL_STATES = frozenset(("done", "failed", "poisoned", "timeout",
                              "cancelled"))
 
+#: opening a store compacts it once its journal holds more events than
+#: this floor and more than four per live job.
+_COMPACT_FLOOR = 256
+
 
 class UnknownJob(KeyError):
     """The store holds no job with that id."""
@@ -126,7 +130,7 @@ class JobStore:
     """
 
     def __init__(self, path: str | Path, *, max_restarts: int = 1,
-                 fsync: bool = True, compact_floor: int = 256):
+                 fsync: bool = True):
         self.path = Path(path)
         self.max_restarts = max_restarts
         self._lock = threading.RLock()
@@ -142,7 +146,7 @@ class JobStore:
         self._unsettled = sum(not r.terminal for r in self._records.values())
         self._journal = Journal(self.path, fsync=fsync)
         self._recover_running()
-        if events > max(compact_floor, 4 * len(self._records)):
+        if events > max(_COMPACT_FLOOR, 4 * len(self._records)):
             self.compact()
 
     # -- journal grammar ---------------------------------------------------

@@ -5,16 +5,17 @@ Public surface:
 * :class:`~repro.sim.kernel.Simulator` — the event wheel / process scheduler.
 * :class:`~repro.sim.kernel.Event`, :class:`~repro.sim.kernel.AnyOf`,
   :class:`~repro.sim.kernel.AllOf` — wait conditions.
-* :class:`~repro.sim.channel.Fifo`, :class:`~repro.sim.channel.Rendezvous`,
-  :class:`~repro.sim.channel.Mutex`, :class:`~repro.sim.channel.Resource`
-  — blocking communication/arbitration primitives.
+* :class:`~repro.sim.channel.Fifo`, :class:`~repro.sim.channel.Resource`
+  — the blocking queue and the counted lock (``Resource(sim, 1)`` is the
+  exclusive one).  The ISA's synchronized SEND/RECV pairing lives in the
+  model layer (:class:`repro.arch.flows.FlowChannel`).
 * :class:`~repro.sim.analytic.PendingCompletion`,
   :class:`~repro.sim.analytic.AnalyticWindow` — the fast tier's analytic
   scheduling primitives.
 """
 
 from .analytic import AnalyticWindow, PendingCompletion
-from .channel import ChannelError, Fifo, Mutex, Rendezvous, Resource
+from .channel import ChannelError, Fifo, Resource
 from .kernel import (
     AllOf,
     AnyOf,
@@ -34,8 +35,6 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "Fifo",
-    "Rendezvous",
-    "Mutex",
     "Resource",
     "ChannelError",
     "PendingCompletion",

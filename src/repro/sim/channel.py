@@ -1,15 +1,14 @@
-"""Blocking communication primitives built on the event kernel.
-
-Three channel flavours cover every inter-module protocol used by the
-architecture models:
+"""Blocking queue and lock primitives built on the event kernel.
 
 * :class:`Fifo` — bounded queue with blocking ``put``/``get`` coroutines;
-  used for unit issue queues and NoC link buffers.
-* :class:`Rendezvous` — unbuffered synchronized exchange where a put and a
-  get complete together; this is the primitive behind the ISA's
-  *synchronized transfer* instructions.
-* :class:`Mutex` / :class:`Resource` — exclusive or counted resource locks;
-  used for shared-ADC arbitration and NoC link serialization.
+  used for the execution units' issue queues and the per-flow SEND queues.
+* :class:`Resource` — counted lock with FIFO granting; ``Resource(sim, 1)``
+  is the exclusive lock behind NoC link serialization and the global
+  memory port, larger counts model shared-ADC arbitration.
+
+The ISA's *synchronized transfer* instructions are not a channel here:
+:class:`repro.arch.flows.FlowChannel` pairs SEND with RECV on the flow
+tables the compiler emits.
 
 All blocking operations are generator coroutines: call them with
 ``yield from`` inside a process.
@@ -22,11 +21,11 @@ from typing import Any, Generator
 
 from .kernel import Event, SimulationError, Simulator
 
-__all__ = ["Fifo", "Rendezvous", "Mutex", "Resource", "ChannelError"]
+__all__ = ["Fifo", "Resource", "ChannelError"]
 
 
 class ChannelError(SimulationError):
-    """Protocol misuse of a channel (e.g. nonblocking get on empty fifo)."""
+    """Protocol misuse of a channel (e.g. releasing an idle resource)."""
 
 
 class Fifo:
@@ -118,115 +117,13 @@ class Fifo:
             self._not_full.notify()
         return True, item
 
-    def peek(self) -> Any:
-        """Return the oldest item without removing it."""
-        if not self._items:
-            raise ChannelError(f"peek on empty fifo {self.name!r}")
-        return self._items[0]
-
-
-class Rendezvous:
-    """Unbuffered synchronized exchange keyed by an arbitrary tag.
-
-    A ``put(tag, item)`` completes only when a ``get(tag)`` is pending for
-    the same tag and vice versa — both sides resume at the same cycle.  This
-    models the ISA's synchronized SEND/RECV semantics: the sender holds its
-    data until the receiver is ready, so no unbounded buffering is assumed
-    (the modelling point the paper makes against MNSIM2.0).
-    """
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._senders: dict[Any, deque[tuple[Any, Event]]] = {}
-        self._receivers: dict[Any, deque[tuple[list, Event]]] = {}
-
-    def put(self, tag: Any, item: Any) -> Generator:
-        """Coroutine: offer ``item`` under ``tag``; block until matched."""
-        receivers = self._receivers.get(tag)
-        if receivers:
-            slot, wake = receivers.popleft()
-            if not receivers:
-                del self._receivers[tag]
-            slot.append(item)
-            wake.notify()
-            return
-        wake = Event(self.sim, f"{self.name}.put[{tag}]")
-        self._senders.setdefault(tag, deque()).append((item, wake))
-        yield wake
-
-    def get(self, tag: Any) -> Generator:
-        """Coroutine: receive the item offered under ``tag``; block until
-        a matching put arrives.  Returns the item."""
-        senders = self._senders.get(tag)
-        if senders:
-            item, wake = senders.popleft()
-            if not senders:
-                del self._senders[tag]
-            wake.notify()
-            return item
-        slot: list = []
-        wake = Event(self.sim, f"{self.name}.get[{tag}]")
-        self._receivers.setdefault(tag, deque()).append((slot, wake))
-        yield wake
-        return slot[0]
-
-    @property
-    def pending_sends(self) -> int:
-        return sum(len(q) for q in self._senders.values())
-
-    @property
-    def pending_receives(self) -> int:
-        return sum(len(q) for q in self._receivers.values())
-
-
-class Mutex:
-    """Exclusive lock with FIFO granting order."""
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Generator:
-        """Coroutine: block until the lock is held by the caller."""
-        while self._locked:
-            wake = Event(self.sim, f"{self.name}.acquire")
-            self._waiters.append(wake)
-            yield wake
-        self._locked = True
-
-    def try_acquire(self) -> bool:
-        """Nonblocking acquire; returns False when the lock is held.
-
-        Equivalent to the no-suspension path of :meth:`acquire` (including
-        its barging behaviour: an unlocked mutex is taken immediately even
-        while released-but-not-yet-woken waiters are queued), minus the
-        coroutine frame — the fast path for uncontended hot loops.
-        """
-        if self._locked:
-            return False
-        self._locked = True
-        return True
-
-    def release(self) -> None:
-        if not self._locked:
-            raise ChannelError(f"release of unlocked mutex {self.name!r}")
-        self._locked = False
-        if self._waiters:
-            self._waiters.popleft().notify()
-
 
 class Resource:
     """Counted resource: up to ``slots`` concurrent holders, FIFO waiting.
 
     Models shared hardware with limited parallelism, e.g. an ADC shared by
-    the crossbars of a matrix execution unit.
+    the crossbars of a matrix execution unit; with ``slots=1`` it is an
+    exclusive lock (a NoC link, the global memory port).
     """
 
     def __init__(self, sim: Simulator, slots: int, name: str = "") -> None:
@@ -257,8 +154,10 @@ class Resource:
     def try_acquire(self) -> bool:
         """Nonblocking acquire; returns False when all slots are taken.
 
-        The frame-free twin of the no-suspension path of :meth:`acquire`
-        (same barging semantics as :meth:`Mutex.try_acquire`).
+        Equivalent to the no-suspension path of :meth:`acquire` (including
+        its barging behaviour: a free slot is taken immediately even while
+        released-but-not-yet-woken waiters are queued), minus the
+        coroutine frame — the fast path for uncontended hot loops.
         """
         if self._in_use >= self.slots:
             return False

@@ -30,7 +30,11 @@ three structures by delay instead of a single binary heap:
   bucket is again a flat callable list, appended (and therefore drained)
   in scheduling order.
 * **far heap** — delays ``>= _NEAR_SIZE`` fall back to a ``heapq`` of
-  ``(time, seq, fn, arg)`` tuples, exactly like the classic wheel.
+  ``(time, seq, fn)`` tuples, exactly like the classic wheel.
+
+Every entry in all three structures is a zero-argument callable:
+``call_at``/``call_after`` bind their ``fn(arg)`` pair into one
+``partial`` when scheduling, so the drain loops never inspect an entry.
 
 Determinism guarantees are unchanged from the single-heap kernel: all
 callbacks scheduled for one timestamp run in global scheduling (FIFO)
@@ -49,6 +53,9 @@ AllOf-after-fire cleanup are O(1) ``pop`` calls (the old list-based
 ``remove`` was O(n) and silently swallowed double removals); a process
 waiting on a single event or a timer records no tuple; and ``run()`` checks
 its ``until`` bound once per distinct timestamp rather than once per event.
+Every wake-up — spawn, timer or event fire — steps its process through the
+one condition dispatch in :meth:`Process._resume` (inlined copies of it
+measured within noise; DESIGN.md "Hot paths").
 
 ``Simulator.pending`` is exact whenever ``run()`` is not on the stack
 (entries already executed inside the current ``run`` slice are compacted
@@ -95,15 +102,6 @@ __all__ = [
 #: near-wheel span in cycles; delays below this use O(1) ring buckets.
 _NEAR_SIZE = 128
 _NEAR_MASK = _NEAR_SIZE - 1
-
-
-def _call_entry(entry) -> None:
-    """Run one delta/near-format entry (bare callable or (fn, arg) tuple);
-    used when such entries are parked on the far heap by a clock rewind."""
-    if entry.__class__ is tuple:
-        entry[0](entry[1])
-    else:
-        entry()
 
 
 class SimulationError(RuntimeError):
@@ -164,80 +162,13 @@ class Event:
         else:
             raise ValueError(f"negative notify delay: {delay}")
 
-    def _fire(self, _arg: object = None) -> None:
-        sim = self.sim
-        self._fired_at = sim.now
+    def _fire(self) -> None:
+        self._fired_at = self.sim.now
         waiters = self._waiters
         if not waiters:
             return
         if len(waiters) == 1:
-            proc = waiters.popitem()[0]
-            if proc._wait_single is not self:
-                # AnyOf / AllOf wake: sibling cancellation and AllOf
-                # accounting live in the general resume.
-                proc._resume(self)
-                return
-            # Single-event waiter: the wake is fully determined (no
-            # siblings to cancel, no AllOf set, the process cannot be
-            # done), so step the generator right here instead of paying
-            # another frame for Process._resume.  The dispatch below is
-            # the shared condition-dispatch block — see the sync note on
-            # Process._resume.
-            proc._wait_single = None
-            try:
-                condition = proc._send(self)
-            except StopIteration:
-                proc._done = True
-                sim._live_processes.discard(proc)
-                if proc._finished_event is not None:
-                    proc._finished_event.notify()
-                return
-            tc = condition.__class__
-            if tc is int:
-                if 0 < condition < _NEAR_SIZE:
-                    sim._near[(sim.now + condition) & _NEAR_MASK].append(
-                        proc._timer_cb)
-                    sim._near_count += 1
-                elif condition == 0:
-                    sim._delta_append(proc._timer_cb)
-                elif condition > 0:
-                    sim._seq = seq = sim._seq + 1
-                    heapq.heappush(
-                        sim._far,
-                        (sim.now + condition, seq, proc._timer_cb, None))
-                else:
-                    raise SimulationError(
-                        f"process {proc.name!r} yielded a negative delay: "
-                        f"{condition}"
-                    )
-            elif tc is Event:
-                condition._waiters[proc] = None
-                proc._wait_single = condition
-            elif tc is AnyOf:
-                for ev in condition.events:
-                    ev._waiters[proc] = None
-                proc._wait_multi = condition.events
-            elif tc is AllOf:
-                proc._pending_all = set(condition.events)
-                for ev in condition.events:
-                    ev._waiters[proc] = None
-                proc._wait_multi = condition.events
-            elif isinstance(condition, int):
-                # bool / int subclasses take the generic path.
-                if condition < 0:
-                    raise SimulationError(
-                        f"process {proc.name!r} yielded a negative delay: "
-                        f"{condition}"
-                    )
-                sim._schedule(condition, proc._timer_cb)
-            elif isinstance(condition, Event):
-                condition._waiters[proc] = None
-                proc._wait_single = condition
-            else:
-                raise SimulationError(
-                    f"process {proc.name!r} yielded unsupported condition "
-                    f"{condition!r} (expected int, Event, AnyOf or AllOf)"
-                )
+            waiters.popitem()[0]._resume(self)
         else:
             self._waiters = {}
             for proc in waiters:
@@ -247,9 +178,6 @@ class Event:
     def fired_at(self) -> int | None:
         """Cycle of the last notification, or ``None`` if never fired."""
         return self._fired_at
-
-    def _add_waiter(self, proc: "Process") -> None:
-        self._waiters[proc] = None
 
     def _remove_waiter(self, proc: "Process") -> None:
         # O(1); removing a process that is not waiting (e.g. the AllOf
@@ -299,7 +227,7 @@ class Process:
 
     __slots__ = ("sim", "gen", "name", "_wait_single", "_wait_multi",
                  "_pending_all", "_done", "_finished_event", "_resume_cb",
-                 "_timer_cb", "_send")
+                 "_send")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         self.sim = sim
@@ -308,7 +236,6 @@ class Process:
         #: bound-method / send caches: rescheduling this process allocates
         #: no fresh bound-method object, and each resume skips one lookup.
         self._resume_cb = self._resume
-        self._timer_cb = self._timer_resume
         self._send = gen.send
         #: fast path: the one event this process waits on (no tuple built).
         self._wait_single: Event | None = None
@@ -332,38 +259,34 @@ class Process:
                 self._finished_event.notify()
         return self._finished_event
 
-    # NOTE: _resume, _timer_resume and the single-waiter fast path of
-    # Event._fire share the post-``send`` condition dispatch verbatim.  The
-    # duplication is deliberate: this is the kernel's hottest code (every
-    # process switch lands in one of the copies) and factoring the dispatch
-    # into a helper would put one extra Python frame on every single
-    # wake-up.  Keep the three copies in sync.
-
     def _resume(self, cause: Event | None = None) -> None:
-        """Wake from an event fire (or the spawn step): wait-state cleanup,
-        then one generator step, then dispatch on the yielded condition.
+        """The one wake-up path: wait-state cleanup, then one generator
+        step, then dispatch on the yielded condition.
 
-        Only :meth:`Event._fire` (whose waiters are by construction live,
-        blocked processes) and :meth:`Simulator.spawn` (a fresh process)
-        schedule this, so no ``_done`` re-check is needed.
+        ``cause`` is the firing :class:`Event`, or ``None`` for the spawn
+        step and timer wakes — neither has wait state to clean, so they
+        pay one compare.  Only :meth:`Event._fire` (whose waiters are by
+        construction live, blocked processes), :meth:`Simulator.spawn`
+        (a fresh process) and this dispatch's own timers schedule this,
+        so no ``_done`` re-check is needed.
         """
-        pending = self._pending_all
-        if pending is not None and cause is not None:
-            pending.discard(cause)
-            if pending:
-                return  # still waiting on the rest of the AllOf set
-            self._pending_all = None
-        single = self._wait_single
-        if single is not None:
-            self._wait_single = None
-        else:
-            multi = self._wait_multi
-            if multi is not None:
-                self._wait_multi = None
-                # Cancel any sibling waits (AnyOf semantics); O(1) each.
-                for ev in multi:
-                    if ev is not cause:
-                        ev._waiters.pop(self, None)
+        if cause is not None:
+            pending = self._pending_all
+            if pending is not None:
+                pending.discard(cause)
+                if pending:
+                    return  # still waiting on the rest of the AllOf set
+                self._pending_all = None
+            if self._wait_single is not None:
+                self._wait_single = None
+            else:
+                multi = self._wait_multi
+                if multi is not None:
+                    self._wait_multi = None
+                    # Cancel any sibling waits (AnyOf semantics); O(1) each.
+                    for ev in multi:
+                        if ev is not cause:
+                            ev._waiters.pop(self, None)
         sim = self.sim
         try:
             condition = self._send(cause)
@@ -377,14 +300,14 @@ class Process:
         if tc is int:
             if 0 < condition < _NEAR_SIZE:
                 sim._near[(sim.now + condition) & _NEAR_MASK].append(
-                    self._timer_cb)
+                    self._resume_cb)
                 sim._near_count += 1
             elif condition == 0:
-                sim._delta_append(self._timer_cb)
+                sim._delta_append(self._resume_cb)
             elif condition > 0:
                 sim._seq = seq = sim._seq + 1
                 heapq.heappush(
-                    sim._far, (sim.now + condition, seq, self._timer_cb, None))
+                    sim._far, (sim.now + condition, seq, self._resume_cb))
             else:
                 raise SimulationError(
                     f"process {self.name!r} yielded a negative delay: {condition}"
@@ -407,64 +330,7 @@ class Process:
                 raise SimulationError(
                     f"process {self.name!r} yielded a negative delay: {condition}"
                 )
-            sim._schedule(condition, self._timer_cb)
-        elif isinstance(condition, Event):
-            condition._waiters[self] = None
-            self._wait_single = condition
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported condition "
-                f"{condition!r} (expected int, Event, AnyOf or AllOf)"
-            )
-
-    def _timer_resume(self, _arg: object = None) -> None:
-        """Wake from a timed wait: a timer-suspended process has no wait
-        state to clean and cannot be done, so this skips every guard in
-        :meth:`_resume` (see the sync note above)."""
-        sim = self.sim
-        try:
-            condition = self._send(None)
-        except StopIteration:
-            self._done = True
-            sim._live_processes.discard(self)
-            if self._finished_event is not None:
-                self._finished_event.notify()
-            return
-        tc = condition.__class__
-        if tc is int:
-            if 0 < condition < _NEAR_SIZE:
-                sim._near[(sim.now + condition) & _NEAR_MASK].append(
-                    self._timer_cb)
-                sim._near_count += 1
-            elif condition == 0:
-                sim._delta_append(self._timer_cb)
-            elif condition > 0:
-                sim._seq = seq = sim._seq + 1
-                heapq.heappush(
-                    sim._far, (sim.now + condition, seq, self._timer_cb, None))
-            else:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative delay: {condition}"
-                )
-        elif tc is Event:
-            condition._waiters[self] = None
-            self._wait_single = condition
-        elif tc is AnyOf:
-            for ev in condition.events:
-                ev._waiters[self] = None
-            self._wait_multi = condition.events
-        elif tc is AllOf:
-            self._pending_all = set(condition.events)
-            for ev in condition.events:
-                ev._waiters[self] = None
-            self._wait_multi = condition.events
-        elif isinstance(condition, int):
-            # bool / int subclasses take the generic path.
-            if condition < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative delay: {condition}"
-                )
-            sim._schedule(condition, self._timer_cb)
+            sim._schedule(condition, self._resume_cb)
         elif isinstance(condition, Event):
             condition._waiters[self] = None
             self._wait_single = condition
@@ -498,8 +364,8 @@ class Simulator:
         self._near: list[list] = [[] for _ in range(_NEAR_SIZE)]
         #: number of entries currently in the near wheel.
         self._near_count = 0
-        #: far-future heap of ``(time, seq, fn, arg)``.
-        self._far: list[tuple[int, int, Callable, Any]] = []
+        #: far-future heap of ``(time, seq, fn)``.
+        self._far: list[tuple[int, int, Callable]] = []
         self._seq = 0
         self._live_processes: set[Process] = set()
         self._stopped = False
@@ -507,14 +373,7 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, delay: int, fn: Callable) -> None:
-        """Schedule a no-argument callable after ``delay`` cycles.
-
-        Internal primitive: delta/near entries occupy one list slot and are
-        either a bare zero-arg callable (kernel callbacks; also called as
-        ``fn(None)`` when spilled to the far heap, so they must tolerate one
-        optional positional argument) or an ``(fn, arg)`` tuple scheduled by
-        ``call_at``/``call_after``.
-        """
+        """Schedule a zero-argument callable after ``delay`` cycles."""
         if delay == 0:
             self._delta_append(fn)
         elif delay < _NEAR_SIZE:
@@ -522,7 +381,7 @@ class Simulator:
             self._near_count += 1
         else:
             self._seq = seq = self._seq + 1
-            heapq.heappush(self._far, (self.now + delay, seq, fn, None))
+            heapq.heappush(self._far, (self.now + delay, seq, fn))
 
     def call_at(self, time: int, fn: Callable, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at absolute cycle ``time`` (>= now)."""
@@ -537,18 +396,7 @@ class Simulator:
                 f"delay must be an integer number of cycles, got {delay!r}")
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        if delay >= _NEAR_SIZE:
-            self._seq = seq = self._seq + 1
-            heapq.heappush(self._far, (self.now + delay, seq, fn, arg))
-        elif delay:
-            # near buckets hold zero-argument callables or ``(fn, arg)``
-            # tuples (their drain special-cases the tuple form for the
-            # user-facing ``fn(arg)`` convention of call_at/call_after).
-            self._schedule(delay, (fn, arg))
-        else:
-            # the delta queue is callables-only (its drain has no tuple
-            # dispatch); bind the argument once here instead.
-            self._delta_append(partial(fn, arg))
+        self._schedule(delay, partial(fn, arg))
 
     def event(self, name: str = "") -> Event:
         """Create a fresh :class:`Event` bound to this simulator."""
@@ -571,7 +419,13 @@ class Simulator:
 
         With ``detect_deadlock`` (default), raises :class:`DeadlockError` if
         the wheel drains while spawned processes are still blocked on events.
+        An ``until`` before the current cycle raises :class:`SimulationError`:
+        the clock never moves backwards.
         """
+        has_until = until is not None
+        if has_until and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self.now}")
         self._stopped = False
         delta = self._delta
         dpop = delta.popleft
@@ -579,39 +433,12 @@ class Simulator:
         far = self._far
         pop_far = heapq.heappop
         mask = _NEAR_MASK
-        has_until = until is not None
-        if has_until and until < self.now:
-            # Nothing at or before `until` can exist; mirror the old
-            # kernel: rewind the clock without processing anything.  Ring
-            # buckets and the delta queue are keyed to the current clock,
-            # so park their entries on the far heap (absolute times
-            # preserved) before moving `now` backwards — otherwise they
-            # would alias to wrong cycles after the rewind.
-            if delta or self._near_count or far:
-                now = self.now
-                if self._near_count:
-                    for k in range(1, _NEAR_SIZE):
-                        bucket = near[(now + k) & mask]
-                        if bucket:
-                            fire_time = now + k
-                            for fn in bucket:
-                                self._seq = seq = self._seq + 1
-                                heapq.heappush(
-                                    far, (fire_time, seq, _call_entry, fn))
-                            bucket.clear()
-                    self._near_count = 0
-                while delta:
-                    self._seq = seq = self._seq + 1
-                    heapq.heappush(far, (now, seq, _call_entry, dpop()))
-                self.now = until
-                return
         while True:
             now = self.now
             # 1. far-heap entries that landed exactly on the current cycle
             # (only possible right after a time advance or on resume).
             while far and far[0][0] == now:
-                entry = pop_far(far)
-                entry[2](entry[3])
+                pop_far(far)[2]()
                 if self._stopped:
                     return
             # 2. the near bucket for the current cycle.  Its entries were
@@ -628,10 +455,7 @@ class Simulator:
                     fn = bucket[0]
                     bucket.clear()
                     self._near_count -= 1
-                    if fn.__class__ is tuple:
-                        fn[0](fn[1])
-                    else:
-                        fn()
+                    fn()
                     if self._stopped:
                         return
                 else:
@@ -641,10 +465,7 @@ class Simulator:
                         while i < n:
                             fn = bucket[i]
                             i += 1
-                            if fn.__class__ is tuple:
-                                fn[0](fn[1])
-                            else:
-                                fn()
+                            fn()
                             if self._stopped:
                                 return
                     finally:

@@ -9,8 +9,10 @@ mixes every kernel primitive the architecture models use:
   (large) delay ranges,
 * single-event waits, ``AnyOf`` and ``AllOf`` over a shared event pool,
 * ``Fifo`` producer/consumer streams (bounded and unbounded),
-* ``Rendezvous`` tagged send/receive pairs,
-* ``Mutex`` / ``Resource`` contention,
+* ``Rendezvous`` tagged send/receive pairs (the class below: it left
+  ``repro.sim`` when nothing in the models used it any more, and lives on
+  here so the seed-recorded traces stay byte-identical),
+* exclusive (``Resource(sim, 1)``) and counted ``Resource`` contention,
 * dynamic ``spawn`` plus ``Process.finished`` waits.
 
 All randomness comes from per-process ``random.Random`` instances seeded
@@ -21,23 +23,72 @@ of the seed — any trace difference is a kernel-semantics difference.
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Any, Generator
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    Fifo,
-    Mutex,
-    Rendezvous,
-    Resource,
-    Simulator,
-)
+from repro.sim import AllOf, AnyOf, Event, Fifo, Resource, Simulator
 
 __all__ = ["run_workload", "HORIZON"]
 
 #: cycle bound for every workload run (the sims intentionally leave some
 #: processes blocked; running "until" sidesteps deadlock detection).
 HORIZON = 20_000
+
+
+class Rendezvous:
+    """Unbuffered synchronized exchange keyed by an arbitrary tag.
+
+    A ``put(tag, item)`` completes only when a ``get(tag)`` is pending for
+    the same tag and vice versa — both sides resume at the same cycle.  This
+    models the ISA's synchronized SEND/RECV semantics: the sender holds its
+    data until the receiver is ready, so no unbounded buffering is assumed
+    (the modelling point the paper makes against MNSIM2.0).
+    """
+
+    def __init__(self, sim: Simulator, name: str = "") -> None:
+        self.sim = sim
+        self.name = name
+        self._senders: dict[Any, deque[tuple[Any, Event]]] = {}
+        self._receivers: dict[Any, deque[tuple[list, Event]]] = {}
+
+    def put(self, tag: Any, item: Any) -> Generator:
+        """Coroutine: offer ``item`` under ``tag``; block until matched."""
+        receivers = self._receivers.get(tag)
+        if receivers:
+            slot, wake = receivers.popleft()
+            if not receivers:
+                del self._receivers[tag]
+            slot.append(item)
+            wake.notify()
+            return
+        wake = Event(self.sim, f"{self.name}.put[{tag}]")
+        self._senders.setdefault(tag, deque()).append((item, wake))
+        yield wake
+
+    def get(self, tag: Any) -> Generator:
+        """Coroutine: receive the item offered under ``tag``; block until
+        a matching put arrives.  Returns the item."""
+        senders = self._senders.get(tag)
+        if senders:
+            item, wake = senders.popleft()
+            if not senders:
+                del self._senders[tag]
+            wake.notify()
+            return item
+        slot: list = []
+        wake = Event(self.sim, f"{self.name}.get[{tag}]")
+        self._receivers.setdefault(tag, deque()).append((slot, wake))
+        yield wake
+        return slot[0]
+
+    @property
+    def pending_sends(self) -> int:
+        return sum(len(q) for q in self._senders.values())
+
+    @property
+    def pending_receives(self) -> int:
+        return sum(len(q) for q in self._receivers.values())
+
 
 #: delays chosen to exercise delta (0), near-wheel (1..63) and far-heap
 #: (>= 64) scheduling paths.
@@ -50,7 +101,7 @@ def _build(sim: Simulator, seed: int, trace: list) -> None:
     fifo_b = Fifo(sim, capacity=rng.choice([1, 2, 4]), name="fifo_b")
     fifo_u = Fifo(sim, capacity=None, name="fifo_u")
     rendezvous = Rendezvous(sim, "rv")
-    mutex = Mutex(sim, "mtx")
+    mutex = Resource(sim, 1, "mtx")
     resource = Resource(sim, rng.randint(1, 3), "res")
 
     def t(name: str, what: str) -> None:

@@ -99,8 +99,8 @@ class TestHazards:
         rob = ReorderBuffer(Simulator(), 4)
         a = rob.allocate(mvm(group=7, dst=0))
         b = rob.allocate(mvm(group=7, dst=10))  # same group as a
-        assert rob.conflicts_before(b)       # b waits on a
-        assert not rob.conflicts_before(a)   # a waits on nothing
+        assert rob.oldest_conflict(b) is a   # b waits on a
+        assert rob.oldest_conflict(a) is None  # a waits on nothing
 
     def test_done_entries_do_not_conflict(self):
         rob = ReorderBuffer(Simulator(), 4)
@@ -108,7 +108,7 @@ class TestHazards:
         rob.allocate(mvm(group=9, dst=10))
         b = rob.allocate(mvm(group=7, dst=20))
         rob.mark_done(a)
-        assert not rob.conflicts_before(b)
+        assert rob.oldest_conflict(b) is None
 
     def test_raw_dependency_chain(self):
         rob = ReorderBuffer(Simulator(), 4)
@@ -117,12 +117,12 @@ class TestHazards:
         consumer = rob.allocate(VectorInst(op="VRELU", src1=100,
                                            src_bytes=40, dst=200,
                                            dst_bytes=40, length=10))
-        assert rob.conflicts_before(consumer)
+        assert rob.oldest_conflict(consumer) is producer
         rob.mark_done(producer)
-        assert not rob.conflicts_before(consumer)
+        assert rob.oldest_conflict(consumer) is None
 
     def test_has_conflict_for_branches(self):
         rob = ReorderBuffer(Simulator(), 4)
         rob.allocate(ScalarInst(op="LI", rd=3, imm=5))
         branch = ScalarInst(op="SBEQ", rs1=3, rs2=0, target=0)
-        assert rob.has_conflict(branch)
+        assert rob.oldest_conflict_inst(branch) is not None

@@ -49,6 +49,41 @@ class TestSubcommands:
         assert "utilization-first" in out
         assert "performance-first" in out
 
+    def test_mappings_honours_imagenet(self, capsys):
+        """``--imagenet`` reaches the comparison: the printed cycles are
+        those of the 224x224 graph (resnet18 is the cheapest zoo network
+        whose cycles change with input size on the small chip)."""
+        from repro import build_model, compare_mappings, small_chip
+
+        assert main(["mappings", "--model", "resnet18", "--preset", "small",
+                     "--fidelity", "fast", "--imagenet"]) == 0
+        out = capsys.readouterr().out
+        cmp = compare_mappings(build_model("resnet18", imagenet=True),
+                               small_chip(), fidelity="fast")
+        assert (f"utilization-first {cmp.utilization.cycles:,} cycles, "
+                f"performance-first {cmp.performance.cycles:,} cycles") in out
+
+    @pytest.mark.parametrize("command, helper", [
+        ("rob", "sweep_rob"), ("mnsim", "compare_with_baseline")])
+    def test_sweeps_receive_the_imagenet_graph(self, command, helper,
+                                               monkeypatch):
+        """``rob`` and ``mnsim`` hand their helper the graph ``--imagenet``
+        selects (the helper is stubbed: only the hand-over is checked)."""
+        from repro.engine import default_engine
+        from repro.runner import cli
+
+        received = []
+
+        def stub(network, *args, **kwargs):
+            received.append(network)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, helper, stub)
+        with pytest.raises(SystemExit):
+            main([command, "--model", "resnet18", "--imagenet"])
+        assert received == [default_engine().resolve_network(
+            "resnet18", imagenet=True)]
+
     def test_rob_sweep(self, capsys):
         assert main(["rob", "--model", "vgg8", "--preset", "small",
                      "--sizes", "1,8"]) == 0

@@ -8,7 +8,7 @@ observable semantics to the seed's, via golden traces recorded on the
 pre-optimization implementations:
 
 * seeded random kernel workloads mixing timed waits, AnyOf/AllOf, Fifo /
-  Rendezvous / Mutex / Resource traffic — the full wake-order trace, final
+  Rendezvous / Resource traffic — the full wake-order trace, final
   time and pending count must match the seed recording bit-for-bit;
 * architecture-level workloads (a branchy scalar program, a contended
   NoC/ADC/gmem mesh) whose *entire* observable record — cycles, per-core
@@ -219,25 +219,39 @@ class TestSchedulerStructures:
         assert seen == ["a", "b", "far"]
 
 
-class TestClockRewind:
-    """run(until < now) rewinds the clock; scheduled work must still fire
-    at its original absolute cycles (review regression)."""
-
-    def test_rewind_preserves_absolute_fire_times(self):
+    def test_call_after_delivers_arg_in_scheduling_order(self):
+        """``call_after``/``call_at`` hand ``arg`` to ``fn(arg)`` from all
+        three structures, and same-cycle entries run in scheduling order
+        whichever structure holds them."""
         sim = Simulator()
-        fired = []
+        seen = []
+        record = seen.append
+        for delay in (0, 5, 300):          # delta, near wheel, far heap
+            sim.call_after(delay, record, ("after", delay))
+            sim.call_at(delay, record, ("at", delay))
+        sim.call_after(300, record)        # arg defaults to None
+        sim.run()
+        assert seen == [("after", 0), ("at", 0), ("after", 5), ("at", 5),
+                        ("after", 300), ("at", 300), None]
+
+
+class TestClockRewind:
+    """The clock never moves backwards."""
+
+    def test_run_until_before_now_raises(self):
+        from repro.sim import SimulationError
+
+        sim = Simulator()
         sim.call_after(1000, lambda _: None)
         sim.run()
         assert sim.now == 1000
-        sim.call_after(100, lambda _: fired.append(sim.now))   # near wheel
-        sim.call_after(0, lambda _: fired.append(("delta", sim.now)))
-        sim.call_after(5000, lambda _: fired.append(sim.now))  # far heap
-        sim.run(until=500)
-        assert sim.now == 500
-        assert fired == []
-        assert sim.pending == 3
+        sim.call_after(100, lambda _: None)
+        with pytest.raises(SimulationError, match="already at 1000"):
+            sim.run(until=500)
+        assert sim.now == 1000
+        assert sim.pending == 1
         sim.run()
-        assert fired == [("delta", 1000), 1100, 6000]
+        assert sim.now == 1100
 
 
 class TestDelayValidation:

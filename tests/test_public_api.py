@@ -9,6 +9,7 @@ import repro
 import repro.engine
 import repro.runner
 import repro.serve
+import repro.sim
 
 ROOT_ALL = [
     "ArchConfig",
@@ -58,6 +59,23 @@ RUNNER_ALL = [
     "compile_model",
     "simulate",
     "sweep_rob",
+]
+
+#: the event kernel's surface: one queue, one (counted) lock, no
+#: rendezvous — synchronized SEND/RECV lives in ``repro.arch.flows``.
+SIM_ALL = [
+    "AllOf",
+    "AnalyticWindow",
+    "AnyOf",
+    "ChannelError",
+    "DeadlockError",
+    "Event",
+    "Fifo",
+    "PendingCompletion",
+    "Process",
+    "Resource",
+    "SimulationError",
+    "Simulator",
 ]
 
 TUNE_ALL = [
@@ -180,6 +198,15 @@ def test_engine_all_pinned():
 
 def test_runner_all_pinned():
     assert sorted(repro.runner.__all__) == RUNNER_ALL
+
+
+def test_sim_all_pinned():
+    assert sorted(repro.sim.__all__) == SIM_ALL
+
+
+def test_sim_names_resolve():
+    for name in repro.sim.__all__:
+        assert getattr(repro.sim, name) is not None, name
 
 
 def test_root_names_resolve():

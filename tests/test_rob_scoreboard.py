@@ -5,7 +5,7 @@ for sealed straight-line programs, and with a program-order
 ``conflicts_with`` scan of the window for everything else.  These tests
 drive both modes through randomized instruction mixes — all four unit
 types, deliberately colliding register/memory/group footprints, branches
-for the ``has_conflict`` path — against the brute-force oracle below
+for the ``oldest_conflict_inst`` path — against the brute-force oracle below
 (kept independent of ``repro.arch.rob`` on purpose), across random
 allocate/complete interleavings.
 """
@@ -84,15 +84,16 @@ def oracle_has_conflict(rob, inst):
 
 
 def assert_matches_oracle(rob, live, *probes):
-    """Every answer the ROB gives right now — boolean and oldest-entry
-    for each in-flight entry, ``has_conflict`` for each not-yet-allocated
-    probe instruction — must match the oracle's."""
+    """Every answer the ROB gives right now — whether and with which
+    oldest entry each in-flight entry conflicts, and the same for each
+    not-yet-allocated probe instruction — must match the oracle's."""
     for entry in live:
-        assert rob.conflicts_before(entry) == \
+        assert (rob.oldest_conflict(entry) is not None) == \
             oracle_conflicts_before(rob, entry)
         assert rob.oldest_conflict(entry) is oracle_oldest(rob, entry)
     for inst in probes:
-        assert rob.has_conflict(inst) == oracle_has_conflict(rob, inst)
+        assert (rob.oldest_conflict_inst(inst) is not None) == \
+            oracle_has_conflict(rob, inst)
         assert rob.oldest_conflict_inst(inst) \
             is oracle_oldest_inst(rob, inst)
 

@@ -1,8 +1,10 @@
-"""Unit tests for fifos, rendezvous channels, mutexes and resources."""
+"""Unit tests for fifos, resources (``slots=1``: the exclusive lock) and
+the rendezvous exchange of the kernel-equivalence workload."""
 
 import pytest
 
-from repro.sim import ChannelError, Fifo, Mutex, Rendezvous, Resource, Simulator
+from _kernel_workload import Rendezvous
+from repro.sim import ChannelError, Fifo, Resource, Simulator
 
 
 class TestFifo:
@@ -90,18 +92,6 @@ class TestFifo:
         ok, item = fifo.try_get()
         assert not ok and item is None
 
-    def test_peek(self):
-        sim = Simulator()
-        fifo = Fifo(sim, 2)
-        fifo.try_put(1)
-        fifo.try_put(2)
-        assert fifo.peek() == 1
-        assert len(fifo) == 2
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(ChannelError):
-            Fifo(Simulator(), 2).peek()
-
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
             Fifo(Simulator(), 0)
@@ -128,7 +118,122 @@ class TestFifo:
         assert out == list(range(20))
 
 
+class TestResource:
+    def test_counted_slots(self):
+        sim = Simulator()
+        res = Resource(sim, 2)
+        active = []
+        peak = []
+
+        def worker():
+            yield from res.acquire()
+            active.append(1)
+            peak.append(len(active))
+            yield 5
+            active.pop()
+            res.release()
+
+        for _ in range(6):
+            sim.spawn(worker())
+        sim.run()
+        assert max(peak) == 2
+
+    def test_available_accounting(self):
+        sim = Simulator()
+        res = Resource(sim, 3)
+        assert res.available == 3
+
+        def worker():
+            yield from res.acquire()
+            yield 1
+            res.release()
+
+        sim.spawn(worker())
+        sim.run()
+        assert res.available == 3
+        assert res.in_use == 0
+
+    def test_release_idle_raises(self):
+        with pytest.raises(ChannelError):
+            Resource(Simulator(), 1).release()
+
+    def test_try_acquire_barges_past_queued_waiter(self):
+        """A free slot goes to ``try_acquire`` even while a released
+        waiter has not yet woken (the NoC hot path relies on it)."""
+        sim = Simulator()
+        lock = Resource(sim, 1)
+        order = []
+
+        def waiter():
+            yield from lock.acquire()
+            order.append(("waiter", sim.now))
+            lock.release()
+
+        assert lock.try_acquire()
+        sim.spawn(waiter())
+        sim.run(detect_deadlock=False)  # the waiter is now queued
+        lock.release()                # wake scheduled, slot free now
+        assert lock.try_acquire()     # barges in ahead of the waiter
+        order.append(("barger", sim.now))
+        sim.call_after(4, lambda _: lock.release())
+        sim.run()
+        assert order == [("barger", 0), ("waiter", 4)]
+
+    def test_zero_slots_rejected(self):
+        with pytest.raises(ValueError):
+            Resource(Simulator(), 0)
+
+
+class TestMutex:
+    """The exclusive lock: ``Resource(sim, 1)``."""
+
+    def test_exclusive_ownership(self):
+        sim = Simulator()
+        lock = Resource(sim, 1)
+        holds = []
+
+        def worker(tag, hold):
+            yield from lock.acquire()
+            holds.append((tag, "in", sim.now))
+            yield hold
+            holds.append((tag, "out", sim.now))
+            lock.release()
+
+        sim.spawn(worker("a", 5))
+        sim.spawn(worker("b", 5))
+        sim.run()
+        # b enters only after a leaves
+        a_out = next(t for tag, io, t in holds if tag == "a" and io == "out")
+        b_in = next(t for tag, io, t in holds if tag == "b" and io == "in")
+        assert b_in >= a_out
+
+    def test_fifo_granting(self):
+        sim = Simulator()
+        lock = Resource(sim, 1)
+        order = []
+
+        def worker(tag):
+            yield from lock.acquire()
+            order.append(tag)
+            yield 2
+            lock.release()
+
+        for tag in range(5):
+            sim.spawn(worker(tag))
+        sim.run()
+        assert order == [0, 1, 2, 3, 4]
+
+    def test_release_unlocked_raises(self):
+        lock = Resource(Simulator(), 1)
+        assert lock.try_acquire()
+        lock.release()
+        with pytest.raises(ChannelError):
+            lock.release()
+
+
 class TestRendezvous:
+    """The tagged exchange the kernel-equivalence workload drives."""
+
     def test_matched_put_get(self):
         sim = Simulator()
         rv = Rendezvous(sim)
@@ -202,92 +307,6 @@ class TestRendezvous:
         sim.spawn(receiver())
         sim.run()
         assert out == [0, 1, 2]
-
-
-class TestMutex:
-    def test_exclusive_ownership(self):
-        sim = Simulator()
-        mtx = Mutex(sim)
-        holds = []
-
-        def worker(tag, hold):
-            yield from mtx.acquire()
-            holds.append((tag, "in", sim.now))
-            yield hold
-            holds.append((tag, "out", sim.now))
-            mtx.release()
-
-        sim.spawn(worker("a", 5))
-        sim.spawn(worker("b", 5))
-        sim.run()
-        # b enters only after a leaves
-        a_out = next(t for tag, io, t in holds if tag == "a" and io == "out")
-        b_in = next(t for tag, io, t in holds if tag == "b" and io == "in")
-        assert b_in >= a_out
-
-    def test_release_unlocked_raises(self):
-        with pytest.raises(ChannelError):
-            Mutex(Simulator()).release()
-
-    def test_fifo_granting(self):
-        sim = Simulator()
-        mtx = Mutex(sim)
-        order = []
-
-        def worker(tag):
-            yield from mtx.acquire()
-            order.append(tag)
-            yield 2
-            mtx.release()
-
-        for tag in range(5):
-            sim.spawn(worker(tag))
-        sim.run()
-        assert order == [0, 1, 2, 3, 4]
-
-
-class TestResource:
-    def test_counted_slots(self):
-        sim = Simulator()
-        res = Resource(sim, 2)
-        active = []
-        peak = []
-
-        def worker():
-            yield from res.acquire()
-            active.append(1)
-            peak.append(len(active))
-            yield 5
-            active.pop()
-            res.release()
-
-        for _ in range(6):
-            sim.spawn(worker())
-        sim.run()
-        assert max(peak) == 2
-
-    def test_available_accounting(self):
-        sim = Simulator()
-        res = Resource(sim, 3)
-        assert res.available == 3
-
-        def worker():
-            yield from res.acquire()
-            yield 1
-            res.release()
-
-        sim.spawn(worker())
-        sim.run()
-        assert res.available == 3
-        assert res.in_use == 0
-
-    def test_release_idle_raises(self):
-        with pytest.raises(ChannelError):
-            Resource(Simulator(), 1).release()
-
-    def test_zero_slots_rejected(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), 0)
 
 
 class TestFifoEdgeNotifications:
