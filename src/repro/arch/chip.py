@@ -49,6 +49,27 @@ class RawResult:
         return sum(self.energy_pj.values())
 
 
+class CompletionTrace:
+    """The completion trace ``sim.trace`` enables: one ``(cycle, core,
+    unit, instruction repr)`` per completed instruction, at most ``limit``
+    of them; a run that dropped events reports ``meta["trace_truncated"]``.
+    """
+
+    __slots__ = ("sim", "events", "limit", "truncated")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.events: list[tuple[int, int, str, str]] = []
+        self.limit = 200_000
+        self.truncated = False
+
+    def record(self, core: int, unit: str, inst) -> None:
+        if len(self.events) < self.limit:
+            self.events.append((self.sim.now, core, unit, repr(inst)))
+        else:
+            self.truncated = True
+
+
 class ChipModel:
     """The simulated accelerator."""
 
@@ -60,17 +81,15 @@ class ChipModel:
         self.energy = EnergyMeter()
         self.noc = MeshNoc(self.sim, config, self.energy)
         self.gmem = GlobalMemory(self.sim, config, self.noc, self.energy)
-        self._flows: dict[int, FlowChannel] = {}
+        #: flow id -> the windowed channel carrying it.
+        self.flows: dict[int, FlowChannel] = {}
         for flow_id, info in program.flows.items():
             window = info.window or config.noc.sync_window
-            self._flows[flow_id] = FlowChannel(self.sim, info, self.noc, window)
-        #: completion trace (cycle, core, unit, instruction repr) when
-        #: ``sim.trace`` is enabled; bounded by ``_trace_limit``, and a
-        #: run that dropped events reports ``meta["trace_truncated"]``.
-        self.trace: list[tuple[int, int, str, str]] | None = (
-            [] if config.sim.trace else None)
-        self._trace_limit = 200_000
-        self._trace_truncated = False
+            self.flows[flow_id] = FlowChannel(self.sim, info, self.noc, window)
+        self.trace = CompletionTrace(self.sim) if config.sim.trace else None
+        # Cores and units copy what they use from the chip at construction
+        # and keep no reference back to it (nor units to their core): the
+        # finished model is then freed by reference counting.
         self.cores = {
             core_id: self._make_core(core_program)
             for core_id, core_program in sorted(program.programs.items())
@@ -81,11 +100,6 @@ class ChipModel:
         """Core-model factory; the fast-fidelity chip overrides this to
         substitute analytic walker cores where they apply."""
         return CoreModel(self, program)
-
-    # -- hooks used by units ---------------------------------------------------
-
-    def flow(self, flow_id: int) -> FlowChannel:
-        return self._flows[flow_id]
 
     def _merged_layer_busy(self) -> dict[str, dict[str, int]]:
         """layer -> unit -> busy cycles, merged from the per-unit tallies
@@ -99,14 +113,6 @@ class ChipModel:
                     per_unit[unit.name] = per_unit.get(unit.name, 0) + cycles
         return merged
 
-    def trace_event(self, core: int, unit: str, inst) -> None:
-        if self.trace is None:
-            return
-        if len(self.trace) < self._trace_limit:
-            self.trace.append((self.sim.now, core, unit, repr(inst)))
-        else:
-            self._trace_truncated = True
-
     # -- running ------------------------------------------------------------------
 
     def run(self, max_cycles: int | None = None) -> RawResult:
@@ -115,10 +121,15 @@ class ChipModel:
         for core in self.cores.values():
             core.start()
         limit = max_cycles if max_cycles is not None else self.config.sim.max_cycles
-        sim.run(until=limit, detect_deadlock=False)
-        if not self._finished:
-            raise DeadlockError(self._diagnose(limit))
-        return self._collect()
+        try:
+            sim.run(until=limit, detect_deadlock=False)
+            if not self._finished:
+                raise DeadlockError(self._diagnose(limit))
+            return self._collect()
+        finally:
+            # Results and diagnosis have read the kernel state: release the
+            # blocked processes and the wheel on every path.
+            sim.close()
 
     def _completion_watcher(self):
         yield AllOf(*[core.halted for core in self.cores.values()])
@@ -139,7 +150,7 @@ class ChipModel:
                 f"  core {core.core_id}: issued={core.issued}/"
                 f"{len(core.program)} in-flight={inflight}"
             )
-        waiting = [f for f in self._flows.values()
+        waiting = [f for f in self.flows.values()
                    if f.info.n_messages and f.outstanding]
         for flowch in waiting[:8]:
             lines.append(f"  pending {flowch!r}")
@@ -154,7 +165,8 @@ class ChipModel:
         self.energy.add_leakage(self.config.energy, self.config.chip.n_cores,
                                 seconds)
         meta = {"network": self.program.network, **self.program.meta}
-        if self._trace_truncated:
+        trace = self.trace
+        if trace is not None and trace.truncated:
             meta["trace_truncated"] = True
         return RawResult(
             cycles=cycles,
@@ -174,9 +186,9 @@ class ChipModel:
                 "gmem_written": self.gmem.bytes_written,
                 "hottest_links": self.noc.hottest_links(),
             },
-            flow_stalls=sum(f.stall_cycles for f in self._flows.values()),
+            flow_stalls=sum(f.stall_cycles for f in self.flows.values()),
             meta=meta,
-            trace=self.trace,
+            trace=trace.events if trace is not None else None,
         )
 
 

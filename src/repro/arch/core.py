@@ -50,12 +50,18 @@ class CoreBase:
     ``occupancy_peak``, read by :meth:`ChipModel._diagnose` and
     :meth:`stats`), ``start()`` and ``_send_done(token)``, the completion
     of one drained SEND.
+
+    A core copies the chip-level parts it uses and keeps no reference to
+    the chip, so a finished model holds no core <-> chip cycle.
     """
 
     def __init__(self, chip: "ChipModel", program: Program) -> None:
-        self.chip = chip
         self.sim = chip.sim
         self.config = chip.config
+        self.energy = chip.energy
+        self.gmem = chip.gmem
+        self.flows = chip.flows
+        self.trace = chip.trace
         self.core_id = program.core
         self.program = program
         self.groups = program.groups
@@ -111,7 +117,7 @@ class CoreBase:
         through the credit window and the mesh, charge the transfer unit
         its busy and per-layer time, then complete the SEND."""
         sim = self.sim
-        channel = self.chip.flow(flow_id)
+        channel = self.flows[flow_id]
         transfer = self.units["transfer"]
         layers = transfer.layer_cycles
         done = self._send_done
@@ -164,8 +170,13 @@ class CoreModel(CoreBase):
         }
 
     def start(self) -> None:
+        # A unit no instruction dispatches to would only block forever on
+        # its empty queue (``HALT`` leaves every compiled core's scalar
+        # unit idle), so it gets no process.
+        used = self.program.units_used()
         for unit in self.units.values():
-            unit.start()
+            if unit.name in used:
+                unit.start(self)
         self.sim.spawn(self._issue(), f"core{self.core_id}.issue")
 
     # -- front-end ---------------------------------------------------------------
@@ -241,7 +252,6 @@ class CoreModel(CoreBase):
         return inst.target if taken else pc + 1
 
     def _send_done(self, entry: RobEntry) -> None:
-        chip = self.chip
-        if chip.trace is not None:
-            chip.trace_event(self.core_id, "transfer", entry.inst)
+        if self.trace is not None:
+            self.trace.record(self.core_id, "transfer", entry.inst)
         self.rob.mark_done(entry)

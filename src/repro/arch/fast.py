@@ -125,7 +125,8 @@ class FastCore(CoreBase):
         once per instruction.
         """
         sim = self.sim
-        chip = self.chip
+        flows = self.flows
+        gmem = self.gmem
         cfg = self.config
         core_cfg = cfg.core
         rob_size = core_cfg.rob_size
@@ -157,7 +158,7 @@ class FastCore(CoreBase):
         e_special = e.vector_special_pj_per_element
         e_mac = e.vector_mac_pj
         e_lmem = e.local_mem_pj_per_byte
-        energy = chip.energy
+        energy = self.energy
         pj = energy.pj
 
         matrix = self.units["matrix"]
@@ -341,16 +342,14 @@ class FastCore(CoreBase):
             if start > now:
                 yield start - now
             if op == "RECV":
-                yield from chip.flow(inst.flow).recv(inst.seq)
+                yield from flows[inst.flow].recv(inst.seq)
                 yield math.ceil(nbytes / write_bw)  # fill local memory
             elif op == "LOAD":
-                yield from chip.gmem.access(self.core_id, nbytes,
-                                            write=False)
+                yield from gmem.access(self.core_id, nbytes, write=False)
                 yield math.ceil(nbytes / write_bw)
             else:  # STORE
                 yield math.ceil(nbytes / read_bw)
-                yield from chip.gmem.access(self.core_id, nbytes,
-                                            write=True)
+                yield from gmem.access(self.core_id, nbytes, write=True)
             energy.local_mem(e, nbytes)
             done = sim.now
             ring[index & mask] = done

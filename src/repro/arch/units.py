@@ -16,7 +16,11 @@
   effect is the core's shared ``execute_scalar``.
 
 Each unit pulls ROB entries from its issue queue, executes, charges energy
-and per-layer busy time, and marks the entry done.
+and per-layer busy time, and marks the entry done.  A unit keeps no
+reference to its core or chip: it copies the few fields its callbacks need
+at construction, and its process reads the rest from the core passed to
+:meth:`_UnitBase.start`, which only the (closed-after-the-run) generator
+frame holds.
 
 Issue-side hazard enforcement: a unit asks the ROB for the *oldest*
 in-flight conflicting entry and waits on exactly that entry's completion
@@ -60,9 +64,8 @@ class _UnitBase:
     name = "?"
 
     def __init__(self, core: "CoreModel") -> None:
-        self.core = core
         self.sim = core.sim
-        self.chip = core.chip
+        self.core_id = core.core_id
         # Queues never throttle below the ROB window (the seed sized them
         # max(unit_queue_depth, rob_size)): the ROB is the architectural
         # lookahead limit (Fig. 4), the queue only stages, and every
@@ -72,17 +75,17 @@ class _UnitBase:
                           f"core{core.core_id}.{self.name}.q")
         self.busy_cycles = 0
         self.ops = 0
-        self._traced = core.chip.trace is not None
+        self._trace = core.trace
         #: bound once: every completed instruction calls it (hot path).
         self._mark_done = core.rob.mark_done
         #: busy cycles per network layer; merged chip-wide by
         #: :meth:`ChipModel._merged_layer_busy` into ``RawResult.layer_busy``.
         self.layer_cycles: dict[str, int] = {}
 
-    def start(self) -> None:
-        self.sim.spawn(self._loop(), f"core{self.core.core_id}.{self.name}")
+    def start(self, core: "CoreModel") -> None:
+        self.sim.spawn(self._loop(core), f"core{self.core_id}.{self.name}")
 
-    def _loop(self) -> Generator:
+    def _loop(self, core: "CoreModel") -> Generator:
         raise NotImplementedError
 
     # The pop + hazard-wait sequence is inlined in every unit loop rather
@@ -106,8 +109,8 @@ class _UnitBase:
         layer = entry.inst.layer
         cycles = self.layer_cycles
         cycles[layer] = cycles.get(layer, 0) + elapsed
-        if self._traced:
-            self.chip.trace_event(self.core.core_id, self.name, entry.inst)
+        if self._trace is not None:
+            self._trace.record(self.core_id, self.name, entry.inst)
         self._mark_done(entry)
 
 
@@ -133,14 +136,15 @@ class MatrixUnit(_UnitBase):
         self._e_dac = cfg.energy.dac_pj_per_conversion
         self._e_adc = cfg.energy.adc_pj_per_sample
         self._e_lmem = cfg.energy.local_mem_pj_per_byte
+        self._pj = core.energy.pj
 
-    def _loop(self) -> Generator:
+    def _loop(self, core: "CoreModel") -> Generator:
         queue = self.queue
-        rob = self.core.rob
+        rob = core.rob
         delta_append = self.sim._delta_append
         begin = self._begin
         fast = self._adc is None
-        child_name = f"core{self.core.core_id}.mvm"
+        child_name = f"core{self.core_id}.mvm"
         while True:
             ok, entry = queue.try_get()
             if not ok:
@@ -187,7 +191,7 @@ class MatrixUnit(_UnitBase):
         cols = group.cols
         count = entry.inst.count
         phases = self._dac_phases
-        pj = self.chip.energy.pj
+        pj = self._pj
         pj["xbar"] += self._e_xbar * rows * cols * count
         pj["dac"] += self._e_dac * rows * phases * count
         pj["adc"] += self._e_adc * cols * phases * count
@@ -231,8 +235,8 @@ class VectorUnit(_UnitBase):
 
     name = "vector"
 
-    def _loop(self) -> Generator:
-        cfg = self.core.config
+    def _loop(self, core: "CoreModel") -> Generator:
+        cfg = core.config
         lanes = cfg.core.vector_lanes
         issue = cfg.core.vector_issue_cycles
         special_cycles = cfg.core.vector_special_cycles_per_element
@@ -246,9 +250,9 @@ class VectorUnit(_UnitBase):
         e_mac = cfg.energy.vector_mac_pj
         e_lmem = cfg.energy.local_mem_pj_per_byte
         special = VECTOR_SPECIAL_OPS
-        pj = self.core.chip.energy.pj
+        pj = core.energy.pj
         queue = self.queue
-        rob = self.core.rob
+        rob = core.rob
         while True:
             ok, entry = queue.try_get()
             if not ok:
@@ -300,14 +304,16 @@ class TransferUnit(_UnitBase):
 
     name = "transfer"
 
-    def _loop(self) -> Generator:
-        cfg = self.core.config
+    def _loop(self, core: "CoreModel") -> Generator:
+        cfg = core.config
         read_bw = cfg.core.local_memory_read_bytes_per_cycle
         write_bw = cfg.core.local_memory_write_bytes_per_cycle
-        chip = self.core.chip
-        send_queue = self.core.send_queue
+        energy = core.energy
+        flows = core.flows
+        gmem = core.gmem
+        send_queue = core.send_queue
         queue = self.queue
-        rob = self.core.rob
+        rob = core.rob
         while True:
             ok, entry = queue.try_get()
             if not ok:
@@ -320,36 +326,34 @@ class TransferUnit(_UnitBase):
             start = self.sim.now
             if inst.op == "SEND":
                 yield math.ceil(inst.bytes / read_bw)  # drain local memory
-                chip.energy.local_mem(cfg.energy, inst.bytes)
+                energy.local_mem(cfg.energy, inst.bytes)
                 self.ops += 1
                 ok = send_queue(inst.flow).try_put((entry, self.sim.now, inst))
                 assert ok  # send queues are unbounded
                 continue
             if inst.op == "RECV":
-                yield from chip.flow(inst.flow).recv(inst.seq)
+                yield from flows[inst.flow].recv(inst.seq)
                 yield math.ceil(inst.bytes / write_bw)  # fill local memory
             elif inst.op == "LOAD":
-                yield from chip.gmem.access(self.core.core_id, inst.bytes,
-                                            write=False)
+                yield from gmem.access(self.core_id, inst.bytes, write=False)
                 yield math.ceil(inst.bytes / write_bw)
             else:  # STORE
                 yield math.ceil(inst.bytes / read_bw)
-                yield from chip.gmem.access(self.core.core_id, inst.bytes,
-                                            write=True)
-            chip.energy.local_mem(cfg.energy, inst.bytes)
+                yield from gmem.access(self.core_id, inst.bytes, write=True)
+            energy.local_mem(cfg.energy, inst.bytes)
             self._account(entry, start)
 
 
 class ScalarUnit(_UnitBase):
     name = "scalar"
 
-    def _loop(self) -> Generator:
-        cfg = self.core.config
+    def _loop(self, core: "CoreModel") -> Generator:
+        cfg = core.config
         latency = max(1, cfg.core.scalar_cycles)
-        energy = self.core.chip.energy
-        execute = self.core.execute_scalar
+        energy = core.energy
+        execute = core.execute_scalar
         queue = self.queue
-        rob = self.core.rob
+        rob = core.rob
         while True:
             ok, entry = queue.try_get()
             if not ok:

@@ -143,7 +143,7 @@ def run_baseline(graph: Graph, config: ArchConfig, *,
     # code generator uses, so co-resident stages interleave on their core
     # instead of one stage monopolizing it (a list-scheduling artifact a
     # stage-major sweep would introduce).
-    levels = compute_levels(pipeline, tile_pixels)
+    levels = compute_levels(pipeline, tile_pixels, reqs=reqs)
     items: list[tuple[int, int, int, object]] = []
     tile_compute: dict[str, int] = {}
     for stage in pipeline:

@@ -88,9 +88,12 @@ class _CodeGenerator:
         self.window = config.noc.sync_window
 
         self.stages = {s.name: s for s in pipeline.stages}
-        self.levels = compute_levels(pipeline, self.tile_pixels)
+        # One dependence analysis per compile, shared by the three tables.
         self.reqs = edge_requirements(pipeline, self.tile_pixels)
-        self.skews = edge_skews(pipeline, self.tile_pixels)
+        self.levels = compute_levels(pipeline, self.tile_pixels,
+                                     reqs=self.reqs)
+        self.skews = edge_skews(pipeline, self.tile_pixels, reqs=self.reqs,
+                                levels=self.levels)
         self.home: dict[str, int | None] = {}
         self.receivers: dict[str, list[int]] = {}
         self.allocs = AllocatorSet(config.core.local_memory_bytes)

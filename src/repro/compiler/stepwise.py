@@ -18,6 +18,15 @@ any extent by patching only the varying fields — no frontend, mapping,
 allocation or codegen work — and the result is field-for-field identical
 to a from-scratch compile at that extent (pinned by tests).
 
+Only the size fields in :data:`PATCHABLE_FIELDS` may vary; the static
+verifier reads each of them in linear bounds alone (``bytes >= 1``,
+``length >= 1``, ``0 <= start < end <= local memory``), and an affine
+field meets a linear bound on ``[1, capacity]`` exactly when it meets it
+at both ends.  So :func:`compile_step_template` verifies the resolved
+programs at extent 1 and at ``capacity`` once, and ``resolve`` verifies
+nothing.  A varying field outside the tuple — an address, a flow field,
+a message count — fails the template build.
+
 Cores whose programs have no varying field share the probe-1 ``Program``
 object across every extent, so the simulator's cached static-blocker
 tables (:meth:`~repro.isa.Program.static_blockers`) are reused across the
@@ -35,7 +44,8 @@ from ..isa import ChipProgram, Program, verify_program
 from .frontend import CompileError
 from .pipeline import CompilationResult, compile_network
 
-__all__ = ["StepwiseError", "StepTemplate", "compile_step_template"]
+__all__ = ["StepwiseError", "StepTemplate", "compile_step_template",
+           "PATCHABLE_FIELDS"]
 
 
 class StepwiseError(CompileError):
@@ -45,10 +55,12 @@ class StepwiseError(CompileError):
 #: probe extents for the affine fit (third is a cross-check).
 _PROBES = (1, 2, 3)
 
-
-def _int_fields(obj) -> list[str]:
-    return [f.name for f in dataclasses.fields(obj)
-            if isinstance(getattr(obj, f.name), int)]
+#: instruction size fields allowed to vary with the extent: cache LOAD
+#: ``bytes``, ``VMATMUL`` / ``VSOFTMAX`` ``length``, extent-scaled
+#: ``dst_bytes``.  Verification at the two ends of the extent range
+#: covers every extent only for fields the verifier reads in linear
+#: bounds; widen this tuple only with such a field.
+PATCHABLE_FIELDS = ("bytes", "length", "dst_bytes")
 
 
 def _fit(name: str, values: tuple[int, ...],
@@ -80,16 +92,14 @@ class StepTemplate:
 
     def __init__(self, base: CompilationResult, config: ArchConfig,
                  capacity: int, probe_extents: tuple[int, ...],
-                 inst_patches: dict[int, list[tuple[int, str, int, int]]],
-                 flow_patches: dict[int, list[tuple[str, int, int]]]) -> None:
+                 inst_patches: dict[int, list[tuple[int, str, int, int]]]
+                 ) -> None:
         self.base = base
         self.config = config
         self.capacity = capacity
         self.probe_extents = probe_extents
         #: core -> [(instruction index, field, a, b)] for varying fields.
         self.inst_patches = inst_patches
-        #: flow id -> [(field, a, b)] for varying fields.
-        self.flow_patches = flow_patches
         self._resolved: dict[int, ChipProgram] = {}
 
     @property
@@ -99,8 +109,7 @@ class StepTemplate:
     @property
     def patched_field_count(self) -> int:
         """Extent-dependent integer fields patched per resolve."""
-        return (sum(len(p) for p in self.inst_patches.values())
-                + sum(len(p) for p in self.flow_patches.values()))
+        return sum(len(p) for p in self.inst_patches.values())
 
     def resolve(self, extent: int) -> ChipProgram:
         """The chip program for one decode extent (tokens in the cache).
@@ -109,7 +118,9 @@ class StepTemplate:
         produced by patching the template.  Memoized per extent, so a
         serving loop revisiting an extent pays nothing; cores without
         extent-dependent work share one ``Program`` across all extents
-        (and with it the simulator's static-blocker cache).
+        (and with it the simulator's static-blocker cache).  Not verified
+        here: the template build verified both ends of the extent range,
+        which covers every extent (module docstring).
         """
         if not 1 <= extent <= self.capacity:
             raise StepwiseError(
@@ -137,15 +148,10 @@ class StepTemplate:
             clone._sealed = True
             programs[core] = clone
 
-        flows = dict(base_chip.flows)
-        for flow_id, fpatches in self.flow_patches.items():
-            updates = {fname: a * extent + b for fname, a, b in fpatches}
-            flows[flow_id] = dataclasses.replace(flows[flow_id], **updates)
-
         chip = ChipProgram(network=base_chip.network, programs=programs,
-                           flows=flows, layer_cores=base_chip.layer_cores,
+                           flows=dict(base_chip.flows),
+                           layer_cores=base_chip.layer_cores,
                            meta={**base_chip.meta, "kv_extent": extent})
-        verify_program(chip, self.config)
         self._resolved[extent] = chip
         return chip
 
@@ -154,8 +160,10 @@ def compile_step_template(graph: Graph, config: ArchConfig) -> StepTemplate:
     """Compile a KV-cache network into an extent-parameterized template.
 
     Runs the full compiler at the probe extents, asserts the programs are
-    structurally identical, and fits every varying integer field as an
-    affine function of the extent (cross-checked on the last probe).  The
+    structurally identical, and fits every varying field — which must be
+    one of :data:`PATCHABLE_FIELDS` — as an affine function of the extent
+    (cross-checked on the last probe).  Then verifies the programs at
+    extent 1 and at capacity, which covers every extent in between.  The
     graph must contain ``kv_cache`` nodes; their ``max_tokens`` capacity
     bounds the extents the template can resolve.
     """
@@ -166,7 +174,7 @@ def compile_step_template(graph: Graph, config: ArchConfig) -> StepTemplate:
             "fixed-shape networks")
     capacity = ext[1]
     probes = tuple(p for p in _PROBES if p <= capacity)
-    results = [compile_network(with_kv_extent(graph, p), config)
+    results = [compile_network(with_kv_extent(graph, p), config, verify=False)
                for p in probes]
     base = results[0]
     chips = [r.program for r in results]
@@ -176,9 +184,9 @@ def compile_step_template(graph: Graph, config: ArchConfig) -> StepTemplate:
         if set(chip.programs) != set(ref.programs):
             raise StepwiseError(
                 f"core set changes with the extent (probe {probe})")
-        if set(chip.flows) != set(ref.flows):
+        if chip.flows != ref.flows:
             raise StepwiseError(
-                f"flow set changes with the extent (probe {probe})")
+                f"flow table changes with the extent (probe {probe})")
 
     inst_patches: dict[int, list[tuple[int, str, int, int]]] = {}
     for core in sorted(ref.programs):
@@ -197,31 +205,20 @@ def compile_step_template(graph: Graph, config: ArchConfig) -> StepTemplate:
                 values = tuple(getattr(i, fname) for i in insts)
                 if all(v == values[0] for v in values[1:]):
                     continue
-                if not all(isinstance(v, int) for v in values):
+                if fname not in PATCHABLE_FIELDS:
                     raise StepwiseError(
                         f"core {core} inst {index} field {fname!r}: "
-                        "non-integer field varies with the extent")
+                        f"varies with the extent but is not one of "
+                        f"{PATCHABLE_FIELDS}")
                 a, b = _fit(f"core {core} inst {index} field {fname!r}",
                             values, probes)
                 patches.append((index, fname, a, b))
         if patches:
             inst_patches[core] = patches
 
-    flow_patches: dict[int, list[tuple[str, int, int]]] = {}
-    for flow_id in sorted(ref.flows):
-        infos = [c.flows[flow_id] for c in chips]
-        patches_f: list[tuple[str, int, int]] = []
-        for fname in _int_fields(infos[0]):
-            values = tuple(getattr(i, fname) for i in infos)
-            if all(v == values[0] for v in values[1:]):
-                continue
-            a, b = _fit(f"flow {flow_id} field {fname!r}", values, probes)
-            patches_f.append((fname, a, b))
-        if patches_f:
-            flow_patches[flow_id] = patches_f
-
-    template = StepTemplate(base, config, capacity, probes,
-                            inst_patches, flow_patches)
+    template = StepTemplate(base, config, capacity, probes, inst_patches)
     # The probe-1 compile doubles as the extent-1 resolution.
     template._resolved[probes[0]] = ref
+    for extent in sorted({probes[0], capacity}):
+        verify_program(template.resolve(extent), config)
     return template

@@ -159,7 +159,9 @@ def edge_requirements(pipeline: Pipeline,
     return reqs
 
 
-def compute_levels(pipeline: Pipeline, tile_pixels: int) -> dict[str, list[int]]:
+def compute_levels(pipeline: Pipeline, tile_pixels: int, *,
+                   reqs: dict[tuple[str, int], list[int]] | None = None
+                   ) -> dict[str, list[int]]:
     """Dependency level of every (stage, tile) work item.
 
     ``level[stage.name][tile]`` is strictly greater than the level of every
@@ -169,8 +171,11 @@ def compute_levels(pipeline: Pipeline, tile_pixels: int) -> dict[str, list[int]]
     resident stages in pipelined rounds instead of running one stage to
     completion first.  Levels give all cores a common topological order
     over work items (the deadlock-freedom argument in DESIGN.md).
+    ``reqs`` is :func:`edge_requirements`' table when the caller already
+    holds it.
     """
-    reqs = edge_requirements(pipeline, tile_pixels)
+    if reqs is None:
+        reqs = edge_requirements(pipeline, tile_pixels)
     levels: dict[str, list[int]] = {}
     for stage in pipeline.stages:
         nt = n_tiles(stage, tile_pixels)
@@ -195,7 +200,10 @@ def compute_levels(pipeline: Pipeline, tile_pixels: int) -> dict[str, list[int]]
     return levels
 
 
-def edge_skews(pipeline: Pipeline, tile_pixels: int) -> dict[tuple[str, int], int]:
+def edge_skews(pipeline: Pipeline, tile_pixels: int, *,
+               reqs: dict[tuple[str, int], list[int]] | None = None,
+               levels: dict[str, list[int]] | None = None
+               ) -> dict[tuple[str, int], int]:
     """Pipeline skew of every edge, in producer-tile units.
 
     For edge ``P -> S``, the skew bounds how far P must be able to run
@@ -218,11 +226,15 @@ def edge_skews(pipeline: Pipeline, tile_pixels: int) -> dict[tuple[str, int], in
     (with per-flow send queues) makes windowed synchronized communication
     deadlock-free on arbitrary DAGs.  This is exactly the buffering a real
     compiler must provision for skip connections and branch joins.
+    ``reqs`` / ``levels`` are the :func:`edge_requirements` /
+    :func:`compute_levels` tables when the caller already holds them.
     """
     from bisect import bisect_right
 
-    reqs = edge_requirements(pipeline, tile_pixels)
-    levels = compute_levels(pipeline, tile_pixels)
+    if reqs is None:
+        reqs = edge_requirements(pipeline, tile_pixels)
+    if levels is None:
+        levels = compute_levels(pipeline, tile_pixels, reqs=reqs)
     stage_by_name = {s.name: s for s in pipeline.stages}
     producers_of_interest = {e.producer for s in pipeline.stages for e in s.edges}
     skews: dict[tuple[str, int], int] = {}

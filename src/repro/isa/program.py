@@ -79,6 +79,23 @@ class Program:
             counts[inst.unit] += 1
         return counts
 
+    def units_used(self) -> frozenset[str]:
+        """Execution units this program's instructions occupy.
+
+        Control instructions (branches, ``HALT``) resolve at dispatch and
+        occupy no unit, so a compiled program — straight-line, ended by
+        ``HALT`` — leaves the scalar unit out unless it has ALU ops.
+        Cached once the program is sealed, like :meth:`static_blockers`.
+        """
+        used = getattr(self, "_units_used", None)
+        if used is None:
+            used = frozenset(
+                inst.unit for inst in self.instructions
+                if not (isinstance(inst, ScalarInst) and inst.is_control))
+            if self._sealed:
+                self._units_used = used
+        return used
+
     def static_blockers(self, window: int) -> tuple | None:
         """Per-instruction static hazard predecessors under a ``window``-entry
         ROB, or ``None`` when the program branches.

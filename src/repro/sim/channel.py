@@ -41,7 +41,10 @@ class Fifo:
         self.capacity = capacity
         self.name = name
         self._items: deque[Any] = deque()
-        self._not_full = Event(sim, f"{name}.not_full")
+        # Only a bounded fifo can block a put (every use of ``_not_full``
+        # is behind a capacity check).
+        self._not_full = (None if capacity is None
+                          else Event(sim, f"{name}.not_full"))
         self._not_empty = Event(sim, f"{name}.not_empty")
 
     def __len__(self) -> int:

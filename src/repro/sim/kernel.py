@@ -23,8 +23,8 @@ three structures by delay instead of a single binary heap:
 * **delta queue** — ``delay == 0`` callbacks (the dominant case: every
   ``Event.notify()``, process spawn and ``yield 0``) go to a plain list of
   ready-to-call zero-argument callables drained FIFO within the current
-  cycle.  Nothing is allocated (bound methods are cached per event/process)
-  and the heap is never touched.
+  cycle.  Nothing is allocated (an :class:`Event` or :class:`Process` is
+  itself the entry, through ``__call__``) and the heap is never touched.
 * **near wheel** — delays in ``1 .. _NEAR_SIZE-1`` go to a ring of
   ``_NEAR_SIZE`` buckets indexed by ``(now + delay) & _NEAR_MASK``; each
   bucket is again a flat callable list, appended (and therefore drained)
@@ -35,6 +35,14 @@ three structures by delay instead of a single binary heap:
 Every entry in all three structures is a zero-argument callable:
 ``call_at``/``call_after`` bind their ``fn(arg)`` pair into one
 ``partial`` when scheduling, so the drain loops never inspect an entry.
+Events and processes are callable themselves rather than caching a bound
+method on ``self``: such a cache is a reference cycle on every object.
+
+A finished simulation is freed by reference counting alone:
+:meth:`Simulator.close` closes every still-blocked process's generator,
+unhooks it from the events it waits on and empties the wheel, so no
+suspended frame or scheduled entry keeps the model alive (DESIGN.md "A
+finished run is freed by reference counting").
 
 Determinism guarantees are unchanged from the single-heap kernel: all
 callbacks scheduled for one timestamp run in global scheduling (FIFO)
@@ -126,8 +134,7 @@ class Event:
     delta of the current cycle) or delayed by an integer number of cycles.
     """
 
-    __slots__ = ("sim", "name", "_waiters", "_fired_at", "_fire_cb",
-                 "_dappend")
+    __slots__ = ("sim", "name", "_waiters", "_fired_at", "_dappend")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
@@ -138,10 +145,8 @@ class Event:
         self._waiters: dict[Process, None] = {}
         #: time of the most recent notification, or ``None``.
         self._fired_at: int | None = None
-        #: bound method cached once so scheduling a notification does not
-        #: allocate a fresh bound-method object per call; same for the
-        #: simulator's delta append (the delta list is never replaced).
-        self._fire_cb = self._fire
+        #: the simulator's delta append, cached (the deque is never
+        #: replaced); the event itself is the scheduled entry.
         self._dappend = sim._delta_append
 
     def notify(self, delay: int = 0) -> None:
@@ -152,17 +157,18 @@ class Event:
         instant is woken; one that starts waiting after the fire is not.
         """
         if delay == 0:
-            self._dappend(self._fire_cb)
+            self._dappend(self)
         elif delay > 0:
             if not isinstance(delay, int):
                 raise ValueError(
                     f"notify delay must be an integer number of cycles, "
                     f"got {delay!r}")
-            self.sim._schedule(delay, self._fire_cb)
+            self.sim._schedule(delay, self)
         else:
             raise ValueError(f"negative notify delay: {delay}")
 
-    def _fire(self) -> None:
+    def __call__(self) -> None:
+        """Fire (the event is its own wheel entry): wake every waiter."""
         self._fired_at = self.sim.now
         waiters = self._waiters
         if not waiters:
@@ -226,16 +232,14 @@ class Process:
     """
 
     __slots__ = ("sim", "gen", "name", "_wait_single", "_wait_multi",
-                 "_pending_all", "_done", "_finished_event", "_resume_cb",
-                 "_send")
+                 "_pending_all", "_done", "_finished_event", "_send")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "") or gen.__class__.__name__
-        #: bound-method / send caches: rescheduling this process allocates
-        #: no fresh bound-method object, and each resume skips one lookup.
-        self._resume_cb = self._resume
+        #: each resume skips one lookup; the process itself is the wheel
+        #: entry that resumes it (``__call__``).
         self._send = gen.send
         #: fast path: the one event this process waits on (no tuple built).
         self._wait_single: Event | None = None
@@ -264,8 +268,9 @@ class Process:
         step, then dispatch on the yielded condition.
 
         ``cause`` is the firing :class:`Event`, or ``None`` for the spawn
-        step and timer wakes — neither has wait state to clean, so they
-        pay one compare.  Only :meth:`Event._fire` (whose waiters are by
+        step and timer wakes (the wheel calls the process itself, which is
+        this method) — neither has wait state to clean, so they pay one
+        compare.  Only a firing :class:`Event` (whose waiters are by
         construction live, blocked processes), :meth:`Simulator.spawn`
         (a fresh process) and this dispatch's own timers schedule this,
         so no ``_done`` re-check is needed.
@@ -299,15 +304,13 @@ class Process:
         tc = condition.__class__
         if tc is int:
             if 0 < condition < _NEAR_SIZE:
-                sim._near[(sim.now + condition) & _NEAR_MASK].append(
-                    self._resume_cb)
+                sim._near[(sim.now + condition) & _NEAR_MASK].append(self)
                 sim._near_count += 1
             elif condition == 0:
-                sim._delta_append(self._resume_cb)
+                sim._delta_append(self)
             elif condition > 0:
                 sim._seq = seq = sim._seq + 1
-                heapq.heappush(
-                    sim._far, (sim.now + condition, seq, self._resume_cb))
+                heapq.heappush(sim._far, (sim.now + condition, seq, self))
             else:
                 raise SimulationError(
                     f"process {self.name!r} yielded a negative delay: {condition}"
@@ -330,7 +333,7 @@ class Process:
                 raise SimulationError(
                     f"process {self.name!r} yielded a negative delay: {condition}"
                 )
-            sim._schedule(condition, self._resume_cb)
+            sim._schedule(condition, self)
         elif isinstance(condition, Event):
             condition._waiters[self] = None
             self._wait_single = condition
@@ -339,6 +342,8 @@ class Process:
                 f"process {self.name!r} yielded unsupported condition "
                 f"{condition!r} (expected int, Event, AnyOf or AllOf)"
             )
+
+    __call__ = _resume
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name}>"
@@ -409,7 +414,7 @@ class Simulator:
         the current time (before time advances)."""
         proc = Process(self, gen, name)
         self._live_processes.add(proc)
-        self._delta_append(proc._resume_cb)
+        self._delta_append(proc)
         return proc
 
     # -- running ------------------------------------------------------------
@@ -513,6 +518,32 @@ class Simulator:
     def stop(self) -> None:
         """Request :meth:`run` to return after the current callback."""
         self._stopped = True
+
+    def close(self) -> None:
+        """Release the simulation once nothing will run it again.
+
+        Closes the generator of every still-blocked process (a suspended
+        frame holds its model objects, which hold the simulator, which
+        holds the process), unhooks it from the events it waits on and
+        empties the wheel.  The clock and every model counter keep their
+        values, so results can still be read; the model is then freed by
+        reference counting, with no work left for the cyclic collector.
+        Call it outside :meth:`run`, never from a process.
+        """
+        for proc in self._live_processes:
+            proc.gen.close()
+            proc._done = True
+            for ev in proc._wait_multi or (proc._wait_single,):
+                if ev is not None:
+                    ev._waiters.pop(proc, None)
+            proc._wait_single = proc._wait_multi = proc._pending_all = None
+        self._live_processes.clear()
+        self._delta.clear()
+        if self._near_count:
+            for bucket in self._near:
+                bucket.clear()
+            self._near_count = 0
+        self._far.clear()
 
     @property
     def pending(self) -> int:

@@ -407,7 +407,7 @@ class TestTraceLimit:
             config.sim, trace=True, fidelity=fidelity))
         model_cls = FastChipModel if fidelity == "fast" else ChipModel
         model = model_cls(single_core_chip(self.INSTS), config)
-        model._trace_limit = limit
+        model.trace.limit = limit
         return model.run()
 
     @pytest.mark.parametrize("fidelity", ["cycle", "fast"])
@@ -421,3 +421,51 @@ class TestTraceLimit:
         raw = self._run(fidelity, limit=len(self.INSTS))  # none dropped
         assert len(raw.trace) == len(self.INSTS)
         assert "trace_truncated" not in raw.meta
+
+
+class TestUnitProcesses:
+    """A cycle-tier core spawns a process only for the units its program
+    occupies: control instructions (branches, ``HALT``) resolve at
+    dispatch, so a straight-line program ended by ``HALT`` leaves the
+    scalar unit without one.  Every unit still reports its tallies."""
+
+    @staticmethod
+    def _spawned(chip, config=None):
+        model = ChipModel(chip, config or tiny_chip())
+        names = []
+        spawn = model.sim.spawn
+
+        def recording_spawn(gen, name=""):
+            names.append(name)
+            return spawn(gen, name)
+
+        model.sim.spawn = recording_spawn
+        raw = model.run()
+        return names, raw
+
+    def test_halt_only_scalar_work_spawns_no_scalar_process(self):
+        chip = single_core_chip([VectorInst(op="VRELU", src1=0, src_bytes=64,
+                                            dst=256, dst_bytes=64, length=64)])
+        assert chip.programs[0].units_used() == {"vector"}
+        names, raw = self._spawned(chip)
+        assert "core0.vector" in names and "core0.issue" in names
+        assert not {"core0.scalar", "core0.matrix", "core0.transfer"} \
+            & set(names)
+        assert raw.per_core[0]["unit_ops"] == {
+            "matrix": 0, "vector": 1, "transfer": 0, "scalar": 0}
+
+    def test_scalar_alu_ops_keep_their_process(self):
+        chip = single_core_chip([ScalarInst(op="LI", rd=1, imm=3),
+                                 ScalarInst(op="SJMP", target=2)])
+        assert chip.programs[0].units_used() == {"scalar"}
+        names, raw = self._spawned(chip)
+        assert "core0.scalar" in names
+        assert raw.per_core[0]["unit_ops"]["scalar"] == 1
+
+    def test_units_used_is_cached_once_sealed(self):
+        program = Program(core=0)
+        program.append(ScalarInst(op="LI", rd=1, imm=3))
+        assert program.units_used() == {"scalar"}
+        assert program.units_used() is not program.units_used()  # unsealed
+        program.seal()
+        assert program.units_used() is program.units_used()

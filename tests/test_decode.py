@@ -22,6 +22,8 @@ import pytest
 from repro import Engine, JobSpec, simulate
 from repro.analysis import attention_share, op_class_breakdown, step_latency_stats
 from repro.compiler import StepwiseError, compile_network, compile_step_template
+from repro.compiler import stepwise
+from repro.compiler.stepwise import PATCHABLE_FIELDS
 from repro.config import small_chip, tiny_chip
 from repro.engine import DecodeSession, load_specs, save_specs
 from repro.engine.decode import aggregate_step_reports
@@ -33,7 +35,7 @@ from repro.graph import (
     random_weights,
     with_kv_extent,
 )
-from repro.isa import TransferInst
+from repro.isa import TransferInst, VerificationError, verify_program
 from repro.models import DECODE_MODELS, MODELS, build_model, gpt_tiny
 from repro.runner import MixReport
 from repro.runner.results import nearest_rank
@@ -266,6 +268,64 @@ class TestStepTemplate:
     def test_resolve_is_memoized(self):
         template = compile_step_template(build_model("gpt_tiny"), tiny_chip())
         assert template.resolve(5) is template.resolve(5)
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_every_extent_passes_full_verification(self, shards):
+        """``resolve`` verifies nothing: the build verified extent 1 and
+        capacity, and every patched field is affine and read by the
+        verifier in linear bounds only — so each extent in between must
+        pass the full verifier too."""
+        cfg = small_chip()
+        if shards is not None:
+            cfg = cfg.replaced(compiler=dataclasses.replace(
+                cfg.compiler, attention_shards=shards))
+        template = compile_step_template(build_model("gpt_tiny"), cfg)
+        patched = {fname for patches in template.inst_patches.values()
+                   for _index, fname, _a, _b in patches}
+        assert patched and patched <= set(PATCHABLE_FIELDS)
+        for extent in range(1, template.capacity + 1):
+            verify_program(template.resolve(extent), cfg)
+
+    @staticmethod
+    def _steepen(monkeypatch, fname, step):
+        """Make the compiler add ``step * (extent - 1)`` to ``fname`` of one
+        low-address LOAD (the same instruction at every probe)."""
+        real = stepwise.compile_network
+        target = []
+
+        def compile_steeper(graph, config, **kwargs):
+            result = real(graph, config, **kwargs)
+            extent = kv_extent(graph)[0]
+            if not target:
+                target.extend(next(
+                    (core, inst.index)
+                    for core, prog in sorted(result.program.programs.items())
+                    for inst in prog.instructions
+                    if isinstance(inst, TransferInst) and inst.op == "LOAD"
+                    and inst.addr + inst.bytes
+                    <= config.core.local_memory_bytes // 2))
+            core, index = target
+            inst = result.program.programs[core].instructions[index]
+            setattr(inst, fname, getattr(inst, fname) + step * (extent - 1))
+            return result
+
+        monkeypatch.setattr(stepwise, "compile_network", compile_steeper)
+
+    def test_bound_broken_only_at_capacity_fails_the_build(self, monkeypatch):
+        """A patched size that stays in local memory at every probe extent
+        but overflows it at capacity is caught when the template is built,
+        not by some later step."""
+        cfg = tiny_chip()
+        step = cfg.core.local_memory_bytes // 40  # +5% at probe 3, >150% at 64
+        self._steepen(monkeypatch, "bytes", step)
+        with pytest.raises(VerificationError, match="outside"):
+            compile_step_template(build_model("gpt_tiny"), cfg)
+
+    def test_varying_field_outside_the_patchable_set_fails_the_build(
+            self, monkeypatch):
+        self._steepen(monkeypatch, "addr", 64)
+        with pytest.raises(StepwiseError, match="'addr'.*not one of"):
+            compile_step_template(build_model("gpt_tiny"), tiny_chip())
 
     def test_resolved_fields_match_from_scratch_compile(self):
         """Every instruction field at a replay extent equals the program a

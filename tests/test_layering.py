@@ -4,8 +4,9 @@
 / ``tune`` / ``serve`` / ``runner`` consume them.  A lower layer importing
 an upper one (as codegen once did to precompute run latencies through
 ``repro.arch.units``) couples program generation to one timing model and
-drags the simulator into every compile.  Pure AST walk: nothing is
-imported or simulated.
+drags the simulator into every compile.  The same walk keeps garbage
+collector knobs out of ``src/``.  Pure AST walk: nothing is imported or
+simulated.
 """
 
 import ast
@@ -43,4 +44,24 @@ def test_lower_layers_do_not_import_the_model(layer):
         for path in (SRC / "repro" / layer).rglob("*.py")
         for module in _imported_modules(path)
         if any(module == b or module.startswith(b + ".") for b in banned))
+    assert offenders == []
+
+
+#: collector knobs: a speed-up that came from one of these would only hide
+#: the cyclic garbage a run leaves (DESIGN.md "A finished run is freed by
+#: reference counting"), so none may appear in ``src/``.
+COLLECTOR_KNOBS = ("disable", "freeze", "set_threshold")
+
+
+def test_src_sets_no_collector_knob():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "gc" and node.attr in COLLECTOR_KNOBS:
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc" \
+                    and any(a.name in COLLECTOR_KNOBS for a in node.names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert offenders == []

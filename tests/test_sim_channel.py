@@ -322,6 +322,13 @@ class TestFifoEdgeNotifications:
         assert fifo.try_put(3)
         assert sim.pending == base
 
+    def test_unbounded_fifo_allocates_no_not_full_event(self):
+        """Nothing can block a put on an unbounded fifo (every fifo the
+        model builds), so it carries no ``not_full`` event to wake."""
+        sim = Simulator()
+        assert Fifo(sim)._not_full is None
+        assert Fifo(sim, capacity=2)._not_full is not None
+
     def test_get_above_full_boundary_schedules_nothing(self):
         sim = Simulator()
         fifo = Fifo(sim, capacity=4)
