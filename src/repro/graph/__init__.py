@@ -1,7 +1,11 @@
-"""Network-description IR: graph, operators, builder, serialization."""
+"""Network-description IR: graph, operators, builder, serialization.
+
+:func:`execute` and :func:`random_weights` live in :mod:`.reference`, the
+one numpy user in the package; they are resolved on first access so that
+importing the simulator never loads numpy (DESIGN.md "Cold start").
+"""
 
 from .builder import GraphBuilder
-from .execute import execute, random_weights
 from .ir import Graph, GraphError, Node, Tensor
 from .ops import (
     OPS,
@@ -47,3 +51,10 @@ __all__ = [
     "kv_extent",
     "with_kv_extent",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("execute", "random_weights"):
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,10 @@ meant, and the test suite uses it to pin the IR's operator definitions
 Weights are a dict ``{node_name: array}``: conv weights shaped
 ``(out_channels, in_channels, k, k)``, fc weights ``(out_features,
 in_features)``.  :func:`random_weights` fabricates a deterministic set.
+
+This is the only module of the package that imports numpy; ``repro.graph``
+loads it on first access to ``execute`` / ``random_weights``, so the
+simulator itself runs without numpy installed.
 """
 
 from __future__ import annotations

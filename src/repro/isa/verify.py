@@ -8,7 +8,7 @@ messages instead of mid-simulation deadlocks.
 from __future__ import annotations
 
 from ..config import ArchConfig
-from .instructions import MvmInst, ScalarInst, TransferInst, VectorInst
+from .instructions import VECTOR_OPS, MvmInst, ScalarInst, TransferInst, VectorInst
 from .program import ChipProgram, ProgramError
 
 __all__ = ["verify_program", "VerificationError"]
@@ -49,56 +49,95 @@ def verify_program(chip: ChipProgram, config: ArchConfig) -> ChipProgram:
 
 def _check_stream(errors: list[str], prefix: str, program, chip: ChipProgram,
                   mem_limit: int, n_cores: int) -> None:
-    n = len(program.instructions)
-    halts = [i for i, inst in enumerate(program)
-             if isinstance(inst, ScalarInst) and inst.op == "HALT"]
-    if not halts:
-        errors.append(f"{prefix}: no HALT")
-    elif halts[0] != n - 1:
-        errors.append(f"{prefix}: HALT at {halts[0]} is not the last instruction")
+    """Check one core's stream in one pass over plain instruction fields.
 
+    Every check reads the fields directly and builds its message only when
+    it fails, so an instruction that passes costs a few compares.  The
+    stream-level HALT message comes first, then each instruction's messages
+    in stream order.
+    """
+    instructions = program.instructions
+    n = len(instructions)
     groups = program.groups
-    for inst in program:
-        where = f"{prefix} inst {inst.index}"
-        for start, end in (*inst.reads_mem(), *inst.writes_mem()):
-            if start < 0 or end > mem_limit:
-                errors.append(
-                    f"{where}: local-memory range [{start},{end}) outside "
-                    f"0..{mem_limit}"
-                )
-            if start >= end:
-                errors.append(f"{where}: empty/negative memory range [{start},{end})")
+    group_ids = groups.groups if groups is not None else None
+    flows = chip.flows
+    first_halt = -1
+    found: list[str] = []
+
+    def fail(inst, msg: str) -> None:
+        found.append(f"{prefix} inst {inst.index}: {msg}")
+
+    def bad_range(inst, start: int, end: int) -> None:
+        if start < 0 or end > mem_limit:
+            fail(inst, f"local-memory range [{start},{end}) outside 0..{mem_limit}")
+        if start >= end:
+            fail(inst, f"empty/negative memory range [{start},{end})")
+
+    for i, inst in enumerate(instructions):
         if isinstance(inst, MvmInst):
-            if groups is None:
-                errors.append(f"{where}: MVM but core has no group table")
-            else:
-                try:
-                    groups.get(inst.group)
-                except Exception:
-                    errors.append(f"{where}: undefined group {inst.group}")
+            src, dst = inst.src, inst.dst
+            end = src + inst.src_bytes
+            if not 0 <= src < end <= mem_limit:
+                bad_range(inst, src, end)
+            end = dst + inst.dst_bytes
+            if not 0 <= dst < end <= mem_limit:
+                bad_range(inst, dst, end)
+            if group_ids is None:
+                fail(inst, "MVM but core has no group table")
+            elif inst.group not in group_ids:
+                fail(inst, f"undefined group {inst.group}")
             if inst.count < 1:
-                errors.append(f"{where}: MVM count must be >= 1, got {inst.count}")
+                fail(inst, f"MVM count must be >= 1, got {inst.count}")
         elif isinstance(inst, VectorInst):
+            two = VECTOR_OPS[inst.op] == 2
+            src, src_bytes, src2_bytes = inst.src1, inst.src_bytes, inst.src2_bytes
+            end = src + src_bytes
+            if not 0 <= src < end <= mem_limit:
+                bad_range(inst, src, end)
+            if two:
+                src = inst.src2
+                end = src + (src2_bytes or src_bytes)
+                if not 0 <= src < end <= mem_limit:
+                    bad_range(inst, src, end)
+            dst = inst.dst
+            end = dst + inst.dst_bytes
+            if not 0 <= dst < end <= mem_limit:
+                bad_range(inst, dst, end)
             if inst.length < 1:
-                errors.append(f"{where}: vector length must be >= 1")
-            if inst.n_sources == 2 and inst.src2_bytes < 0:
-                errors.append(f"{where}: negative src2_bytes")
-            if inst.n_sources < 2 and inst.src2_bytes:
-                errors.append(
-                    f"{where}: src2_bytes set on one-operand {inst.op}")
+                fail(inst, "vector length must be >= 1")
+            if two:
+                if src2_bytes < 0:
+                    fail(inst, "negative src2_bytes")
+            elif src2_bytes:
+                fail(inst, f"src2_bytes set on one-operand {inst.op}")
         elif isinstance(inst, TransferInst):
-            if inst.op in ("SEND", "RECV") and not 0 <= inst.peer < n_cores:
-                errors.append(f"{where}: peer {inst.peer} outside the chip")
+            addr, op = inst.addr, inst.op
+            end = addr + inst.bytes
+            if not 0 <= addr < end <= mem_limit:
+                bad_range(inst, addr, end)
+            sync = op == "SEND" or op == "RECV"
+            if sync and not 0 <= inst.peer < n_cores:
+                fail(inst, f"peer {inst.peer} outside the chip")
             if inst.bytes < 1:
-                errors.append(f"{where}: transfer of {inst.bytes} bytes")
-            if inst.op in ("SEND", "RECV") and inst.flow not in chip.flows:
-                errors.append(f"{where}: undeclared flow {inst.flow}")
+                fail(inst, f"transfer of {inst.bytes} bytes")
+            if sync and inst.flow not in flows:
+                fail(inst, f"undeclared flow {inst.flow}")
         elif isinstance(inst, ScalarInst):
+            if inst.op == "HALT":
+                if first_halt < 0:
+                    first_halt = i
+                continue
             regs = (*inst.reads_regs(), *inst.writes_regs())
             if any(not 0 <= r < N_REGISTERS for r in regs):
-                errors.append(f"{where}: register out of range in {inst!r}")
-            if inst.is_control and inst.op != "HALT" and not 0 <= inst.target < n:
-                errors.append(f"{where}: branch target {inst.target} outside stream")
+                fail(inst, f"register out of range in {inst!r}")
+            if inst.is_control and not 0 <= inst.target < n:
+                fail(inst, f"branch target {inst.target} outside stream")
+
+    if first_halt < 0:
+        errors.append(f"{prefix}: no HALT")
+    elif first_halt != n - 1:
+        errors.append(f"{prefix}: HALT at {first_halt} is not the last instruction")
+    errors.extend(found)
 
 
 def _check_flows(errors: list[str], chip: ChipProgram) -> None:

@@ -5,7 +5,8 @@
 an upper one (as codegen once did to precompute run latencies through
 ``repro.arch.units``) couples program generation to one timing model and
 drags the simulator into every compile.  The same walk keeps garbage
-collector knobs out of ``src/``.  Pure AST walk: nothing is imported or
+collector knobs out of ``src/`` and numpy out of every module but the
+reference executor.  Pure AST walk: nothing is imported or
 simulated.
 """
 
@@ -45,6 +46,22 @@ def test_lower_layers_do_not_import_the_model(layer):
         for module in _imported_modules(path)
         if any(module == b or module.startswith(b + ".") for b in banned))
     assert offenders == []
+
+
+#: the one module allowed to import numpy (DESIGN.md "Cold start": a heavy
+#: optional dependency is imported only by the module that uses it).
+NUMPY_USER = Path("repro/graph/reference.py")
+
+
+def test_only_the_reference_executor_imports_numpy():
+    offenders = sorted(
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in (SRC / "repro").rglob("*.py")
+        if path.relative_to(SRC) != NUMPY_USER
+        for module in _imported_modules(path)
+        if module == "numpy" or module.startswith("numpy."))
+    assert offenders == []
+    assert "numpy" in set(_imported_modules(SRC / NUMPY_USER))
 
 
 #: collector knobs: a speed-up that came from one of these would only hide
