@@ -71,13 +71,5 @@ class EnergyMeter:
         milliwatts = energy_cfg.chip_leakage_mw + energy_cfg.core_leakage_mw * n_cores_used
         self.add("leakage", milliwatts * 1e-3 * seconds * 1e12)
 
-    @property
-    def total_pj(self) -> float:
-        return sum(self.pj.values())
-
-    @property
-    def dynamic_pj(self) -> float:
-        return self.total_pj - self.pj["leakage"]
-
     def to_dict(self) -> dict[str, float]:
         return dict(self.pj)

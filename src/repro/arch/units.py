@@ -67,7 +67,7 @@ class _UnitBase:
         self.sim = core.sim
         self.core_id = core.core_id
         # Queues never throttle below the ROB window (the seed sized them
-        # max(unit_queue_depth, rob_size)): the ROB is the architectural
+        # at least as deep as the ROB): the ROB is the architectural
         # lookahead limit (Fig. 4), the queue only stages, and every
         # queued entry holds a ROB slot — so the capacity provably never
         # binds and the queue is unbounded to skip the bound checks.

@@ -13,7 +13,6 @@ utilization-first policy).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .frontend import CompileError, Pipeline, Stage
@@ -268,15 +267,3 @@ def assign_shard_groups(pipeline: Pipeline, placement: Placement, config,
         order = sorted(range(n_cores),
                        key=lambda c: (c != home, score(c), distance(c), c))
         placement.shard_groups[stage.name] = order[:n]
-
-
-def copies_that_fit(tiling: WeightTiling, spare_crossbars: int,
-                    max_copies: int, max_useful: int) -> int:
-    """How many whole duplicates fit in a crossbar budget."""
-    per_copy = tiling.crossbars_per_copy
-    by_space = max(1, spare_crossbars // per_copy) if per_copy <= spare_crossbars else 1
-    return max(1, min(by_space, max_copies, max_useful))
-
-
-def ceil_div(a: int, b: int) -> int:
-    return math.ceil(a / b)

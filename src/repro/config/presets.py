@@ -77,8 +77,7 @@ def mnsim_like_chip(*, mapping: str = "performance_first") -> ArchConfig:
         # the paper (and its ref. [5]) report: comm is a large share of
         # inference latency, which is what separates synchronized
         # transfers from MNSIM2.0's ideal-async model on join-heavy nets.
-        noc=NocConfig(hop_cycles=4, link_bytes_per_cycle=2, flit_bytes=8,
-                      sync_window=2),
+        noc=NocConfig(hop_cycles=4, link_bytes_per_cycle=2, sync_window=2),
         compiler=CompilerConfig(mapping=mapping),
     ))
 

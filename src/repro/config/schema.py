@@ -58,7 +58,6 @@ class CrossbarConfig:
     bit_sliced: bool = False
     input_bits: int = 8
     dac_bits: int = 1
-    adc_bits: int = 8
     adcs_per_crossbar: int = 8
     adc_cycles_per_sample: int = 1
     #: explicit override for the per-crossbar MVM latency (cycles).
@@ -97,7 +96,6 @@ class CoreConfig:
     fetch_width: int = 1
     decode_cycles: int = 1
     dispatch_cycles: int = 1
-    unit_queue_depth: int = 4
     vector_lanes: int = 32
     vector_issue_cycles: int = 1
     #: per-element cycle cost of transcendental-heavy vector ops
@@ -135,7 +133,6 @@ class NocConfig:
     """Mesh interconnect parameters."""
 
     hop_cycles: int = 2
-    flit_bytes: int = 32
     link_bytes_per_cycle: int = 32
     #: per-flow credit window (in messages) for synchronized transfers;
     #: 1 degenerates to strict rendezvous.
@@ -216,7 +213,6 @@ class SimSettings:
 
     frequency_mhz: float = 1000.0
     max_cycles: int | None = None
-    collect_unit_stats: bool = True
     trace: bool = False
     #: execution fidelity: one of :data:`FIDELITIES`.  ``"cycle"`` (the
     #: default) is the cycle-accurate event simulator; ``"fast"`` is the
@@ -257,7 +253,8 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArchConfig":
-        """Build a configuration from a nested dict, rejecting unknown keys."""
+        """Build a configuration from a nested dict, rejecting unknown keys
+        (retired fields are dropped: see ``_RETIRED_FIELDS``)."""
         return _from_dict(cls, data, context="ArchConfig")
 
     @classmethod
@@ -303,28 +300,42 @@ class ArchConfig:
         return self.replaced(sim=dataclasses.replace(self.sim, fidelity=fidelity))
 
 
-def _from_dict(cls: type, data: Any, context: str) -> Any:
+def _from_dict(cls: type, data: Any, context: str,
+               retired: frozenset = frozenset()) -> Any:
     """Recursively instantiate a dataclass tree from nested dicts."""
     if not dataclasses.is_dataclass(cls):
         return data
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(data) - fields - retired
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        ftype = fields[key].type
+        if key in retired:
+            continue
         nested = _DATACLASS_FIELDS.get((cls.__name__, key))
         if nested is not None:
-            kwargs[key] = _from_dict(nested, value, context=f"{context}.{key}")
+            kwargs[key] = _from_dict(nested, value, f"{context}.{key}",
+                                     _RETIRED_FIELDS.get(key, frozenset()))
         elif key == "global_memory_xy" and isinstance(value, list):
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
-        del ftype
     return cls(**kwargs)
+
+
+#: section -> fields an older schema had that no model ever read (see
+#: DESIGN.md "Every configuration field has a witness").  Loading drops
+#: them, so configuration files and job specs written before their
+#: removal still load; any other unknown key still raises.
+_RETIRED_FIELDS: dict[str, frozenset] = {
+    "core": frozenset({"unit_queue_depth"}),
+    "crossbar": frozenset({"adc_bits"}),
+    "noc": frozenset({"flit_bytes"}),
+    "sim": frozenset({"collect_unit_stats"}),
+}
 
 
 #: map of (owner dataclass, field name) -> nested dataclass type, used by the

@@ -49,7 +49,7 @@ def validate(config: ArchConfig) -> ArchConfig:
 
     _positive(errors, "core", crossbars_per_core=core.crossbars_per_core,
               rob_size=core.rob_size, fetch_width=core.fetch_width,
-              unit_queue_depth=core.unit_queue_depth, vector_lanes=core.vector_lanes,
+              vector_lanes=core.vector_lanes,
               vector_special_cycles_per_element=core.vector_special_cycles_per_element,
               local_memory_bytes=core.local_memory_bytes,
               local_memory_read_bytes_per_cycle=core.local_memory_read_bytes_per_cycle,
@@ -62,7 +62,7 @@ def validate(config: ArchConfig) -> ArchConfig:
     _positive(errors, "crossbar", rows=xbar.rows, cols=xbar.cols,
               cell_bits=xbar.cell_bits, input_bits=xbar.input_bits,
               weight_bits=xbar.weight_bits,
-              dac_bits=xbar.dac_bits, adc_bits=xbar.adc_bits,
+              dac_bits=xbar.dac_bits,
               adcs_per_crossbar=xbar.adcs_per_crossbar,
               adc_cycles_per_sample=xbar.adc_cycles_per_sample)
     if xbar.bit_sliced and xbar.slices_per_weight > xbar.cols:
@@ -86,7 +86,7 @@ def validate(config: ArchConfig) -> ArchConfig:
             f"cols ({xbar.cols})"
         )
 
-    _positive(errors, "noc", hop_cycles=noc.hop_cycles, flit_bytes=noc.flit_bytes,
+    _positive(errors, "noc", hop_cycles=noc.hop_cycles,
               link_bytes_per_cycle=noc.link_bytes_per_cycle,
               sync_window=noc.sync_window)
     if noc.sync_window < 2:

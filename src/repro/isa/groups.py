@@ -83,10 +83,6 @@ class GroupTable:
             ) from None
 
     @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
     def crossbars_used(self) -> int:
         """Total physical crossbars claimed by all groups on this core."""
         return self._crossbars_used

@@ -348,10 +348,12 @@ BATCH_EXIT_JOB_FAILURES = 1
 BATCH_EXIT_FATAL = 2
 
 
-def _journaled_id(record: dict) -> str | None:
-    """The job id of a settled batch-journal record: its ``"id"``, else
-    (journals written before ids) derived from its ``"spec"``, else None."""
-    if "id" in record:
+def _journaled_id(record: dict, ids: dict) -> str | None:
+    """The job id of a settled batch-journal record: its ``"id"`` if that
+    is one of ``ids``, else derived from its ``"spec"`` (journals written
+    before ids, or before a configuration field their specs embed was
+    retired), else None."""
+    if record.get("id") in ids:
         return record["id"]
     try:
         return JobSpec.from_dict(record["spec"]).job_id()
@@ -401,7 +403,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             if "report" not in record and "error" not in record:
                 continue  # a summary trailer: settles nothing
             n_settled += 1
-            flags = settled.get(_journaled_id(record))
+            flags = settled.get(_journaled_id(record, settled))
             if flags is not None:
                 flags.append("error" in record)
     failures = 0

@@ -13,6 +13,9 @@ Restart semantics (the contract ``tests/test_serve.py`` pins):
 * a job with a journaled terminal state is **never re-run** — its
   result is served from the journal forever (idempotency by job id);
 * a job journaled ``queued`` is re-enqueued untouched;
+* a job whose journaled spec derives another id today (it embeds a
+  configuration tree with a field since retired) is also found by that
+  id, so resubmitting the same spec reaches the journaled job;
 * a job journaled ``running`` was in flight when the process died: it
   is re-enqueued with one unit of restart blame (``attempts`` += 1),
   and a job whose blame exceeds ``max_restarts`` is quarantined as
@@ -41,7 +44,9 @@ import threading
 import time
 from pathlib import Path
 
+from ..config.schema import _RETIRED_FIELDS
 from ..engine.journal import Journal, Span
+from ..engine.spec import JobSpec
 
 __all__ = ["JobStore", "JobRecord", "STATES", "TERMINAL_STATES",
            "UnknownJob"]
@@ -61,6 +66,19 @@ _COMPACT_FLOOR = 256
 
 class UnknownJob(KeyError):
     """The store holds no job with that id."""
+
+
+def _rederived_id(spec: dict) -> str | None:
+    """Today's id of a spec journaled with a since-retired configuration
+    field (its embedded tree hashed differently); None for any other."""
+    try:
+        config = spec["config"]
+        if any(retired & config.get(section, {}).keys()
+               for section, retired in _RETIRED_FIELDS.items()):
+            return JobSpec.from_dict(spec).job_id()
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    return None
 
 
 class JobRecord:
@@ -135,12 +153,18 @@ class JobStore:
         self.max_restarts = max_restarts
         self._lock = threading.RLock()
         self._records: dict[str, JobRecord] = {}
+        #: id re-derived from a journaled spec -> the id it was journaled by
+        self._aliases: dict[str, str] = {}
         self._closed = False
         events = 0  # well-formed events: the compaction trigger input
         for entry, span in Journal.replay(self.path):
             if "event" in entry:
                 events += 1
                 self._apply(entry, span)
+        for record in self._records.values():
+            job_id = _rederived_id(record.spec)
+            if job_id is not None and job_id not in self._records:
+                self._aliases.setdefault(job_id, record.id)
         #: jobs not in a terminal state: counted once here, then kept
         #: current by ``submit`` and ``_transition``.
         self._unsettled = sum(not r.terminal for r in self._records.values())
@@ -227,7 +251,7 @@ class JobStore:
         """
         with self._lock:
             self._check_open()
-            existing = self._records.get(job_id)
+            existing = self.get(job_id)
             if existing is not None:
                 return existing, False
             now = time.time()
@@ -287,14 +311,14 @@ class JobStore:
     # -- queries ----------------------------------------------------------
 
     def _require(self, job_id: str) -> JobRecord:
-        record = self._records.get(job_id)
+        record = self.get(job_id)
         if record is None:
             raise UnknownJob(job_id)
         return record
 
     def get(self, job_id: str) -> JobRecord | None:
         with self._lock:
-            return self._records.get(job_id)
+            return self._records.get(self._aliases.get(job_id, job_id))
 
     def jobs(self, state: str | None = None) -> list[JobRecord]:
         """Records in submission order, optionally filtered by state."""
