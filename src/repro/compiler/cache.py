@@ -7,7 +7,7 @@ policy, and batch experiments recompile per batch size.  The cache keys
 compilations on the *compiler-visible* part of the configuration so those
 repeats skip the whole frontend/mapping/codegen flow.
 
-Two normalizations make the key:
+Three normalizations make the key:
 
 * the ``sim`` section is dropped — frequency, trace and cycle limits only
   affect simulation;

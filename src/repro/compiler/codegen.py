@@ -58,7 +58,6 @@ from .tiling import (
     edge_requirements,
     edge_skews,
     n_tiles,
-    required_tile,
     tile_pixel_range,
 )
 
@@ -108,9 +107,11 @@ class _CodeGenerator:
         self.prec_regions: dict[tuple[str, int], Region] = {}
         self.flows: dict[int, FlowInfo] = {}
         self.flow_ids: dict[tuple, int] = {}
-        #: first producer tile a data flow carries (sharded consumers
-        #: slice the producer stream; message seq = tile - base).
-        self.flow_base: dict[tuple, int] = {}
+        #: producer -> its data flows as ``(consumer core, flow id, first
+        #: tile, end tile)``, in declaration order (sharded consumers slice
+        #: the producer stream; message seq = tile - first).
+        self.sends: dict[str, list[tuple[int, int, int, int]]] = {}
+        self.output_names = {s.name for s in pipeline.output_stages}
         self.programs: dict[int, Program] = {}
         # Token sharding of dynamic attention ops (attention_shards > 1):
         # stage -> shard cores (home first), per-shard tile ranges, and a
@@ -189,20 +190,13 @@ class _CodeGenerator:
         the previous shard's slice pulled (``required_tile`` is monotone,
         so the slices partition the producer stream).
         """
-        edge = stage.edges[edge_idx]
-        producer = self.stages[edge.producer]
+        req = self.reqs[(stage.name, edge_idx)]
         if stage.name in self.shard_groups and core is not None:
             t_lo, t_hi = self._shard_range_of(stage, core)
-            q_hi = required_tile(stage, edge, producer,
-                                 self.tile_pixels, t_hi - 1) + 1
-            if edge.full_input or t_lo == 0:
-                return 0, q_hi
-            q_lo = required_tile(stage, edge, producer,
-                                 self.tile_pixels, t_lo - 1) + 1
-            return q_lo, q_hi
-        last = n_tiles(stage, self.tile_pixels) - 1
-        return 0, required_tile(stage, edge, producer,
-                                self.tile_pixels, last) + 1
+            if stage.edges[edge_idx].full_input or t_lo == 0:
+                return 0, req[t_hi - 1] + 1
+            return req[t_lo - 1] + 1, req[t_hi - 1] + 1
+        return 0, req[-1] + 1
 
     def _tile_bytes(self, stage: Stage, tile: int) -> int:
         lo, hi = tile_pixel_range(stage, self.tile_pixels, tile)
@@ -441,7 +435,8 @@ class _CodeGenerator:
                     )
                     self.flows[next_id] = info
                     self.flow_ids[(stage.name, edge_idx, core)] = next_id
-                    self.flow_base[(stage.name, edge_idx, core)] = q_lo
+                    self.sends.setdefault(edge.producer, []).append(
+                        (core, next_id, q_lo, q_hi))
                     next_id += 1
             if stage.kind == "compute":
                 plan = self.placement.plan(stage.name)
@@ -552,17 +547,13 @@ class _CodeGenerator:
 
     def _new_input_tiles(self, stage: Stage, edge_idx: int, tile: int, *,
                          shard_first: bool = False, q_base: int = 0) -> range:
-        edge = stage.edges[edge_idx]
-        producer = self.stages[edge.producer]
-        req = required_tile(stage, edge, producer, self.tile_pixels, tile)
+        req = self.reqs[(stage.name, edge_idx)]
         if shard_first:
             # First tile a shard owns: pull everything from the start of
             # this core's slice of the producer stream (the whole stream
             # for a broadcast full-input edge).
-            return range(q_base, req + 1)
-        prev = (required_tile(stage, edge, producer, self.tile_pixels, tile - 1)
-                if tile > 0 else -1)
-        return range(prev + 1, req + 1)
+            return range(q_base, req[tile] + 1)
+        return range(req[tile - 1] + 1 if tile > 0 else 0, req[tile] + 1)
 
     def _emit_inputs(self, stage: Stage, tile: int) -> None:
         sharded = stage.name in self.shard_groups
@@ -603,13 +594,12 @@ class _CodeGenerator:
         """Byte range the matrix unit reads its input vectors from."""
         edge = stage.edges[0]
         producer = self.stages[edge.producer]
-        req = required_tile(stage, edge, producer, self.tile_pixels, tile)
         p_home = self.home[edge.producer]
         if producer.kind not in ("input", "cache") and p_home == core:
             region = self.out_regions[edge.producer]
         else:
             region = self.in_regions[(stage.name, 0, core)]
-        return region.range_of(req)
+        return region.range_of(self.reqs[(stage.name, 0)][tile])
 
     def _emit_compute(self, stage: Stage, tile: int) -> None:
         plan = self.placement.plan(stage.name)
@@ -722,8 +712,7 @@ class _CodeGenerator:
         if edge.full_input or stage.op in ("maxpool", "avgpool", "lrn"):
             # window/reduction ops read across slots: conservative full ring.
             return region.base, region.end
-        req = required_tile(stage, edge, producer, self.tile_pixels, tile)
-        return region.range_of(req)
+        return region.range_of(self.reqs[(stage.name, edge_idx)][tile])
 
     def _emit_aux(self, stage: Stage, tile: int) -> None:
         home = self.home[stage.name]
@@ -855,24 +844,13 @@ class _CodeGenerator:
         out_bytes = self._tile_bytes(stage, tile)
         out_lo, _ = out.range_of(tile, out_bytes)
 
-        for consumer in self.pipeline:
-            for edge_idx, edge in enumerate(consumer.edges):
-                if edge.producer != stage.name:
-                    continue
-                for core in self.receivers[consumer.name]:
-                    key = (consumer.name, edge_idx, core)
-                    if key not in self.flow_ids:
-                        continue  # co-resident
-                    base = self.flow_base[key]
-                    if not (base <= tile
-                            < base + self.flows[self.flow_ids[key]].n_messages):
-                        continue  # outside this core's slice of the stream
-                    program.append(TransferInst(
-                        op="SEND", peer=core, addr=out_lo, bytes=out_bytes,
-                        flow=self.flow_ids[key], seq=tile - base,
-                        layer=stage.name))
+        for core, flow, first, end in self.sends.get(stage.name, ()):
+            if first <= tile < end:  # else outside this core's slice
+                program.append(TransferInst(
+                    op="SEND", peer=core, addr=out_lo, bytes=out_bytes,
+                    flow=flow, seq=tile - first, layer=stage.name))
 
-        if stage in self.pipeline.output_stages:
+        if stage.name in self.output_names:
             program.append(TransferInst(
                 op="STORE", peer=0, addr=out_lo, bytes=out_bytes,
                 flow=0, seq=tile, layer=stage.name))

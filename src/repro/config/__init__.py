@@ -8,6 +8,7 @@ from .presets import (
     scaled,
     small_chip,
     tiny_chip,
+    with_param,
 )
 from .schema import (
     FIDELITIES,
@@ -42,6 +43,7 @@ __all__ = [
     "tiny_chip",
     "mnsim_like_chip",
     "scaled",
+    "with_param",
     "PRESETS",
     "get_preset",
 ]

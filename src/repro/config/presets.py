@@ -9,6 +9,7 @@ scaled-down variants used by tests and fast examples.
 from __future__ import annotations
 
 import dataclasses
+from typing import Any
 
 from .schema import (
     ArchConfig,
@@ -20,7 +21,8 @@ from .schema import (
 )
 from .validate import validate
 
-__all__ = ["paper_chip", "small_chip", "tiny_chip", "mnsim_like_chip", "PRESETS", "get_preset"]
+__all__ = ["paper_chip", "small_chip", "tiny_chip", "mnsim_like_chip", "PRESETS", "get_preset",
+           "with_param"]
 
 
 def paper_chip(*, rob_size: int = 8, mapping: str = "performance_first") -> ArchConfig:
@@ -117,3 +119,40 @@ def scaled(config: ArchConfig, *, cores: int | None = None,
     if crossbars_per_core is not None:
         core = dataclasses.replace(core, crossbars_per_core=crossbars_per_core)
     return validate(dataclasses.replace(config, chip=chip, core=core))
+
+
+def with_param(config: ArchConfig, path: str, value: Any) -> ArchConfig:
+    """Copy of ``config`` with one dotted field replaced.
+
+    ``"core.rob_size"`` addresses ``config.core.rob_size``; the special
+    path ``"chip.cores"`` rescales the mesh to a square of that many
+    cores.  A path that does not resolve raises :class:`ValueError`
+    naming the full dotted path and the valid keys at the segment that
+    failed, so a typo in a sweep grid dies loudly instead of as a bare
+    ``KeyError`` three frames deep.
+    """
+    if path == "chip.cores":
+        return scaled(config, cores=value)
+    parts = path.split(".")
+
+    def rebuild(node: Any, depth: int) -> Any:
+        if not dataclasses.is_dataclass(node):
+            where = ".".join(parts[:depth])
+            raise ValueError(
+                f"no configuration field {path!r}: {where!r} is a "
+                f"{type(node).__name__} leaf with no sub-fields"
+            )
+        valid = sorted(f.name for f in dataclasses.fields(node))
+        name = parts[depth]
+        if name not in valid:
+            where = ".".join(parts[:depth + 1])
+            raise ValueError(
+                f"no configuration field {path!r}: unknown segment "
+                f"{name!r} at {where!r}; valid keys here: {valid}"
+            )
+        if depth == len(parts) - 1:
+            return dataclasses.replace(node, **{name: value})
+        return dataclasses.replace(
+            node, **{name: rebuild(getattr(node, name), depth + 1)})
+
+    return validate(rebuild(config, 0))

@@ -98,9 +98,9 @@ class JobFailed(RuntimeError):
     """A job raised inside the engine (possibly in a worker process).
 
     ``kind`` is the original exception type name, ``message`` its first
-    line (empty messages fall back to the type name, matching
-    ``repro.explore``'s failure records), ``details`` the full traceback
-    text when the failure crossed a process boundary.
+    line (empty messages fall back to the type name), ``details`` the full
+    traceback text when the failure crossed a process boundary.
+    ``repro.tune`` records a failed point as ``f"{kind}: {message}"``.
     """
 
     def __init__(self, kind: str, message: str, details: str | None = None):
@@ -133,8 +133,8 @@ class JobTimeout(JobFailed):
 def _first_line(text: str, fallback: str) -> str:
     """First line of a message, falling back for empty messages.
 
-    The single definition of failure-record truncation — the engine paths
-    and ``repro.explore``'s grid records must stay in sync.
+    The single definition of failure-record truncation, shared by every
+    engine path.
     """
     return text.splitlines()[0] if text else fallback
 

@@ -1,23 +1,30 @@
-"""Exhaustive fast-tier design-space search over the compiler/core knobs.
+"""Exhaustive design-space search over dotted configuration paths.
 
-:class:`Tuner` explores the cross product of the knobs a deployment can
-actually turn — mapping policy, ROB capacity, attention shard count and
-shard-group placement — in three stages:
+:class:`Tuner` searches a grid ``{dotted configuration path: values}``;
+every point's configuration is built by :func:`~repro.config.with_param`.
+The default grid is the four knobs a deployment can actually turn —
+mapping policy, ROB capacity, attention shard count and shard-group
+placement.  A search runs in three stages:
 
-1. **Enumerate** every distinct candidate (shard knobs collapse for
-   networks with no shardable stage, placements collapse at one shard,
-   shard counts are capped at the chip's core count).
-2. **Measure** every candidate at ``fidelity="fast"`` through
+1. **Enumerate** every distinct point.  Before dedup, a point's two
+   shard paths are normalised (and nothing else): shard counts are
+   capped at the point's core count and collapse to 1 for a network
+   with no shardable stage, and placements collapse to ``"distance"``
+   at one shard.
+2. **Measure** every point at ``fidelity="fast"`` through
    :meth:`Engine.as_completed <repro.engine.Engine.as_completed>` —
    pool-parallel with ``workers > 1``, and compiled through the
    engine's compile cache (ROB size and fidelity share one entry per
    structure).  A fast run costs about what any cheaper scorer would,
    and is the only approximation gated against the cycle model, so
-   nothing is pruned unmeasured; bound a search by narrowing
-   ``rob_sizes`` / ``shard_counts`` / ``placements``.
+   nothing is pruned unmeasured; bound a search by narrowing the grid.
 3. **Re-verify** the ``top_k`` measured leaders at ``fidelity="cycle"``
    and measure both built-in mapping baselines at the base
    configuration, also at cycle fidelity.
+
+:meth:`Tuner.explore` is the measurement stage on its own: every point
+once at the engine's default fidelity, no re-verification and no
+baselines; :meth:`TuneReport.pareto` extracts its latency/energy front.
 
 Every measurement streams to a JSONL *journal* as it lands (same
 crash-safe discipline as ``pimsim batch``): ``tune(journal=...,
@@ -30,11 +37,15 @@ built-in mappings.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
-from ..config import SHARD_PLACEMENTS, ArchConfig
+from ..compiler.frontend import build_pipeline
+from ..config import SHARD_PLACEMENTS, ArchConfig, paper_chip, with_param
 from ..engine import Engine, JobFailed, JobSpec, resolve_engine
 from ..engine.journal import Journal
 from .costmodel import OBJECTIVES, CostEstimate
@@ -45,46 +56,50 @@ __all__ = ["Candidate", "Tuner", "TuneEntry", "TuneReport"]
 #: baselines against) the full set.
 MAPPINGS = ("utilization_first", "performance_first")
 
+#: the two paths a point is normalised on (module docstring, stage 1).
+SHARDS = "compiler.attention_shards"
+PLACEMENT = "compiler.shard_placement"
+
+#: the grid searched when none is given.
+DEFAULT_SPACE = {
+    "compiler.mapping": MAPPINGS,
+    "core.rob_size": (1, 4, 8, 16, 32),
+    SHARDS: (1, 2, 4, 8),
+    PLACEMENT: SHARD_PLACEMENTS,
+}
+
+#: how the default grid's paths render in a key; any other path renders
+#: as ``leaf=value``.
+_KEY_FORMATS = {"compiler.mapping": "{}", "core.rob_size": "rob{}",
+                SHARDS: "shards{}", PLACEMENT: "{}"}
+
+#: leaf name -> path of the default grid's knobs, the field names that
+#: files written before the grid took configuration paths carry.
+_LEGACY_FIELDS = {path.rpartition(".")[2]: path for path in _KEY_FORMATS}
+
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the design space: the four tuned knobs."""
+    """One point of the design space: ``(dotted path, value)`` pairs in
+    grid order."""
 
-    mapping: str
-    rob_size: int
-    attention_shards: int = 1
-    shard_placement: str = "distance"
+    params: tuple[tuple[str, Any], ...]
 
     def key(self) -> str:
         """Stable human-readable identity, e.g.
-        ``performance_first/rob16/shards4/load_aware``."""
-        return (f"{self.mapping}/rob{self.rob_size}/"
-                f"shards{self.attention_shards}/{self.shard_placement}")
+        ``performance_first/rob16/shards4/load_aware`` on the default
+        grid, ``cores=16/rob8`` on ``chip.cores`` x ``core.rob_size``."""
+        return "/".join(
+            _KEY_FORMATS.get(path, path.rpartition(".")[2] + "={}")
+            .format(value) for path, value in self.params)
 
     def to_dict(self) -> dict:
-        return {"mapping": self.mapping, "rob_size": self.rob_size,
-                "attention_shards": self.attention_shards,
-                "shard_placement": self.shard_placement}
+        return dict(self.params)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Candidate":
-        return cls(**data)
-
-    def spec(self, network, config: ArchConfig, *,
-             fidelity: str | None = None) -> JobSpec:
-        """The :class:`~repro.engine.JobSpec` measuring this candidate.
-
-        ``shard_placement`` travels in the configuration (it has no
-        per-job override field); the other knobs use the spec's override
-        fields so the engine's ``_resolve`` precedence applies.
-        """
-        cfg = config
-        if cfg.compiler.shard_placement != self.shard_placement:
-            cfg = cfg.with_shard_placement(self.shard_placement)
-        return JobSpec(network, config=cfg, mapping=self.mapping,
-                       rob_size=self.rob_size,
-                       attention_shards=self.attention_shards,
-                       fidelity=fidelity, tag=self.key())
+        return cls(tuple((_LEGACY_FIELDS.get(name, name), value)
+                         for name, value in data.items()))
 
 
 @dataclass
@@ -94,7 +109,8 @@ class TuneEntry:
     candidate: Candidate
     #: fast-fidelity measurement ``{"cycles", "energy_pj", "fidelity"}``.
     fast: dict | None = None
-    #: cycle-fidelity re-verification (top-k only).
+    #: cycle-fidelity measurement: the top-k re-verification of a tune,
+    #: or an exploration's one measurement at cycle fidelity.
     cycle: dict | None = None
     error: str | None = None
 
@@ -148,7 +164,30 @@ class TuneReport:
     @property
     def evaluated(self) -> int:
         return sum(1 for e in self.entries
-                   if e.fast is not None or e.error is not None)
+                   if e.measured is not None or e.error is not None)
+
+    def pareto(self) -> list[TuneEntry]:
+        """Measured entries no other measured entry beats on both cycles
+        and energy.
+
+        Entries tied on both contribute one representative — the first
+        in entry order — so a grid where many points collapse to the same
+        measurement yields a front without duplicates.  The front is
+        sorted by (cycles, energy), which are unique after dedup.
+        """
+        unique: dict[tuple, TuneEntry] = {}
+        for entry in self.entries:
+            meas = entry.measured
+            if meas is not None and entry.error is None:
+                unique.setdefault((meas["cycles"], meas["energy_pj"]), entry)
+        front: list[TuneEntry] = []
+        least_energy = math.inf
+        for (_, energy), entry in sorted(unique.items(),
+                                         key=lambda item: item[0]):
+            if energy < least_energy:  # nothing faster is as frugal
+                front.append(entry)
+                least_energy = energy
+        return front
 
     def summary(self) -> str:
         lines = [f"tune {self.network} (objective={self.objective}): "
@@ -262,67 +301,78 @@ class Tuner:
         Zoo model name or in-memory :class:`~repro.graph.Graph`.
     config:
         Base architecture configuration (``None``: the engine's
-        default).  Baselines and the winner's delta are reported
-        against it.
+        default).  Every point is a copy of it; baselines and the
+        winner's delta are reported against it.
+    space:
+        The grid, ``{dotted configuration path: values}`` (``None``:
+        :data:`DEFAULT_SPACE`).  Every point of it is measured, so it
+        bounds the search.
     objective:
         ``"latency"``, ``"energy"`` or ``"edp"``.
     top_k:
         How many measured leaders are re-verified at cycle fidelity.
-    rob_sizes / shard_counts / placements:
-        The knob grid — every point of it is measured, so these bound
-        the search.  Shard counts are capped at the chip's core count;
-        shard knobs collapse to 1/"distance" for networks without
-        shardable stages.
     engine / workers:
         Where and how wide measurements run.
     """
 
     def __init__(self, network, config: ArchConfig | None = None, *,
-                 objective: str = "latency", top_k: int = 2,
-                 rob_sizes: tuple = (1, 4, 8, 16, 32),
-                 shard_counts: tuple = (1, 2, 4, 8),
-                 placements: tuple = SHARD_PLACEMENTS,
-                 engine: Engine | None = None, workers: int = 1):
+                 space: dict | None = None, objective: str = "latency",
+                 top_k: int = 2, engine: Engine | None = None,
+                 workers: int | None = 1):
         if objective not in OBJECTIVES:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {objective!r}")
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        for placement in placements:
-            if placement not in SHARD_PLACEMENTS:
-                raise ValueError(
-                    f"placements must be drawn from {SHARD_PLACEMENTS}, "
-                    f"got {placement!r}")
         self.network = network
         self.config = config
+        self.space = {path: tuple(values) for path, values in
+                      (DEFAULT_SPACE if space is None else space).items()}
         self.objective = objective
         self.top_k = top_k
-        self.rob_sizes = tuple(rob_sizes)
-        self.shard_counts = tuple(shard_counts)
-        self.placements = tuple(placements)
         self.engine = engine
         self.workers = workers
 
     # -- candidate generation ------------------------------------------------
 
-    def candidates(self, base: ArchConfig, shardable: bool) -> list[Candidate]:
-        """The deduplicated knob grid for this network/chip."""
-        n_cores = base.chip.n_cores
-        shard_counts = sorted({min(s, n_cores) for s in self.shard_counts
-                               if s >= 1}) if shardable else [1]
-        out: list[Candidate] = []
-        seen: set = set()
-        for mapping in MAPPINGS:
-            for rob in self.rob_sizes:
-                for shards in shard_counts:
-                    placements = self.placements if shards > 1 \
-                        else ("distance",)
-                    for placement in placements:
-                        cand = Candidate(mapping, rob, shards, placement)
-                        if cand.key() not in seen:
-                            seen.add(cand.key())
-                            out.append(cand)
-        return out
+    def candidates(self, base: ArchConfig, shardable: bool,
+                   ) -> dict[Candidate, ArchConfig]:
+        """The grid's distinct points, normalised, each with its
+        configuration.
+
+        An unknown path raises :func:`~repro.config.with_param`'s
+        :class:`ValueError`, an invalid value its
+        :class:`~repro.config.ConfigError`.  The shard count is applied
+        last: it is capped at the core count the other paths built.
+        """
+        points: dict[Candidate, ArchConfig] = {}
+        for combo in itertools.product(*self.space.values()):
+            params = dict(zip(self.space, combo))
+            config = base
+            for path, value in params.items():
+                if path != SHARDS:
+                    config = with_param(config, path, value)
+            shards = min(params.get(SHARDS, config.compiler.attention_shards),
+                         config.chip.n_cores) if shardable else 1
+            if SHARDS in params:
+                params[SHARDS] = shards
+                config = with_param(config, SHARDS, shards)
+            if PLACEMENT in params and shards == 1:
+                params[PLACEMENT] = "distance"
+                config = with_param(config, PLACEMENT, "distance")
+            points.setdefault(Candidate(tuple(params.items())), config)
+        return points
+
+    def _grid(self, engine: Engine) -> tuple[ArchConfig,
+                                             dict[Candidate, ArchConfig]]:
+        """The base configuration and :meth:`candidates` for it."""
+        base = self.config or engine.config or paper_chip()
+        shardable = (SHARDS in self.space or PLACEMENT in self.space) and any(
+            stage.kind == "aux" and stage.shardable
+            for stage in build_pipeline(
+                engine.resolve_network(self.network),
+                operator_fusion=base.compiler.operator_fusion))
+        return base, self.candidates(base, shardable)
 
     # -- measurement helpers -------------------------------------------------
 
@@ -337,12 +387,12 @@ class Tuner:
                 "energy_pj": report.total_energy_pj,
                 "fidelity": report.fidelity}
 
-    def _measure(self, entries: list[TuneEntry], base: ArchConfig,
-                 fidelity: str, engine: Engine, write, seen: dict) -> int:
-        """Fill ``entry.fast`` or ``entry.cycle`` for every entry,
-        replaying journaled measurements and streaming fresh ones.
-        Returns how many came from the journal."""
-        slot = "fast" if fidelity == "fast" else "cycle"
+    def _measure(self, entries: list[TuneEntry], configs: dict,
+                 fidelity: str | None, engine: Engine, write,
+                 seen: dict) -> int:
+        """Fill ``entry.fast`` or ``entry.cycle`` (whichever fidelity ran)
+        for every entry, replaying journaled measurements and streaming
+        fresh ones.  Returns how many came from the journal."""
         resumed = 0
         to_run: list[TuneEntry] = []
         for entry in entries:
@@ -352,28 +402,46 @@ class Tuner:
                 continue
             resumed += 1
             if "report" in record:
-                setattr(entry, slot, record["report"])
+                setattr(entry, fidelity, record["report"])
             else:
                 entry.error = record["error"]
-        if to_run:
-            specs = [e.candidate.spec(self.network, base, fidelity=fidelity)
-                     for e in to_run]
-            for index, outcome in engine.as_completed(
-                    specs, workers=self.workers, errors="capture"):
-                entry = to_run[index]
-                record: dict = {"key": entry.candidate.key(),
-                                "candidate": entry.candidate.to_dict(),
-                                "fidelity": fidelity}
-                if isinstance(outcome, JobFailed):
-                    entry.error = f"{outcome.kind}: {outcome.message}"
-                    record["error"] = entry.error
-                else:
-                    setattr(entry, slot, self._measurement(outcome))
-                    record["report"] = getattr(entry, slot)
-                write(record)
+        specs = [JobSpec(self.network, config=configs[e.candidate],
+                         fidelity=fidelity, tag=e.candidate.key())
+                 for e in to_run]
+        for index, outcome in engine.as_completed(
+                specs, workers=self.workers, errors="capture"):
+            entry = to_run[index]
+            record: dict = {"key": entry.candidate.key(),
+                            "candidate": entry.candidate.to_dict(),
+                            "fidelity": fidelity}
+            if isinstance(outcome, JobFailed):
+                entry.error = f"{outcome.kind}: {outcome.message}"
+                record["error"] = entry.error
+            else:
+                record["report"] = self._measurement(outcome)
+                setattr(entry, outcome.fidelity, record["report"])
+            write(record)
         return resumed
 
-    # -- the run -------------------------------------------------------------
+    def _network_name(self) -> str:
+        return self.network if isinstance(self.network, str) \
+            else getattr(self.network, "name", "graph")
+
+    # -- the runs ------------------------------------------------------------
+
+    def explore(self) -> TuneReport:
+        """Measure every point once at the engine's default fidelity.
+
+        The search's measurement stage on its own: no cycle
+        re-verification, no baselines, no journal.  A point that fails
+        to compile or simulate is an errored entry.
+        """
+        engine = resolve_engine(self.engine)
+        _, points = self._grid(engine)
+        entries = [TuneEntry(candidate=cand) for cand in points]
+        self._measure(entries, points, None, engine, lambda record: None, {})
+        return TuneReport(network=self._network_name(),
+                          objective=self.objective, entries=entries)
 
     def tune(self, *, journal=None, resume: bool = False) -> TuneReport:
         """Run the search; returns the full :class:`TuneReport`.
@@ -394,18 +462,11 @@ class Tuner:
         """:meth:`tune` proper: ``seen`` are the journaled measurements
         to replay, ``write(record)`` journals a fresh one."""
         engine = resolve_engine(self.engine)
-        base_compiled, base = engine.compile_for(
-            JobSpec(self.network, config=self.config))
-        network_name = base_compiled.program.meta.get(
-            "network", self.network if isinstance(self.network, str)
-            else getattr(self.network, "name", "graph"))
-        shardable = any(stage.kind == "aux" and stage.shardable
-                        for stage in base_compiled.pipeline)
+        base, points = self._grid(engine)
 
         # 1-2. enumerate, measure every candidate at fast fidelity.
-        entries = [TuneEntry(candidate=cand)
-                   for cand in self.candidates(base, shardable)]
-        resumed = self._measure(entries, base, "fast", engine, write, seen)
+        entries = [TuneEntry(candidate=cand) for cand in points]
+        resumed = self._measure(entries, points, "fast", engine, write, seen)
 
         # 3. cycle-verify the measured leaders.
         measured = [e for e in entries if e.fast is not None
@@ -413,7 +474,7 @@ class Tuner:
         measured.sort(key=lambda e: (self._objective(e.fast),
                                      e.candidate.key()))
         top = measured[:self.top_k]
-        resumed += self._measure(top, base, "cycle", engine, write, seen)
+        resumed += self._measure(top, points, "cycle", engine, write, seen)
 
         # Baselines: both built-in mappings at the base configuration.
         baselines: dict[str, dict] = {}
@@ -432,9 +493,9 @@ class Tuner:
             baselines[mapping] = self._measurement(outcome)
             write({"baseline": mapping, "report": baselines[mapping]})
 
-        report = TuneReport(network=network_name, objective=self.objective,
-                            entries=entries, baselines=baselines,
-                            resumed=resumed)
+        report = TuneReport(network=self._network_name(),
+                            objective=self.objective, entries=entries,
+                            baselines=baselines, resumed=resumed)
 
         verified = [e for e in top if e.cycle is not None and e.error is None]
         if verified:
@@ -448,9 +509,7 @@ class Tuner:
                 base_obj = self._objective(meas)
                 if win_obj > 0:
                     report.speedups[mapping] = base_obj / win_obj
-            _, winner_cfg = engine.compile_for(
-                winner.candidate.spec(self.network, base))
-            report.config_delta = _config_delta(base, winner_cfg)
+            report.config_delta = _config_delta(base, points[winner.candidate])
 
         write({"summary": {
             "network": report.network, "objective": report.objective,

@@ -12,9 +12,9 @@ import pytest
 from repro import Engine, JobSpec, simulate
 from repro.config import ConfigError, small_chip, tiny_chip
 from repro.engine import JobFailed, default_engine
-from repro.explore import explore
 from repro.models import bert_tiny
 from repro.runner import compare_mappings, compare_with_baseline, sweep_rob
+from repro.tune import Tuner
 from tests.conftest import build_chain_net
 
 
@@ -466,10 +466,9 @@ class TestLegacyHelpersOnEngine:
         assert ours.baseline_comm_ratio == legacy.baseline_comm_ratio
 
     def test_explore_parity(self):
-        space = {"core.rob_size": [1, 8]}
-        legacy = explore("mlp", tiny_chip(), space)
+        space = {"core.rob_size": [1, 8], "chip.cores": [1, 4]}
+        legacy = Tuner("mlp", tiny_chip(), space=space).explore()
         with Engine() as eng:
-            ours = explore("mlp", tiny_chip(), space, engine=eng)
-        assert ([(p.params, p.latency, p.energy) for p in ours.points]
-                == [(p.params, p.latency, p.energy) for p in legacy.points])
-        assert ours.failures == legacy.failures
+            ours = Tuner("mlp", tiny_chip(), space=space,
+                         engine=eng).explore()
+        assert ours.to_dict() == legacy.to_dict()

@@ -1,14 +1,12 @@
-"""Tests for the design-space exploration API."""
+"""Tests for design-space exploration: ``with_param``, the Pareto front
+and :meth:`Tuner.explore <repro.tune.Tuner.explore>`, the search's
+measurement stage run on its own."""
 
 import pytest
 
-from repro.config import ConfigError, small_chip
-from repro.explore import (
-    ExplorationPoint,
-    explore,
-    pareto_front,
-    with_param,
-)
+from repro.config import ConfigError, small_chip, with_param
+from repro.engine import Engine
+from repro.tune import Candidate, TuneEntry, TuneReport, Tuner
 
 
 class TestWithParam:
@@ -51,15 +49,17 @@ class TestWithParam:
     def test_original_config_untouched(self):
         base = small_chip()
         with_param(base, "core.rob_size", 2)
-        assert base.core.rob_size != 2 or True
         assert base == small_chip()
 
 
 def _fake_point(latency, energy, **params):
-    class _Stub:
-        cycles = latency
-        total_energy_pj = energy
-    return ExplorationPoint(params=tuple(params.items()), report=_Stub())
+    return TuneEntry(candidate=Candidate(tuple(params.items())),
+                     fast={"cycles": latency, "energy_pj": energy,
+                           "fidelity": "fast"})
+
+
+def pareto_front(points):
+    return TuneReport("net", "latency", entries=list(points)).pareto()
 
 
 class TestParetoFront:
@@ -103,63 +103,84 @@ class TestParetoFront:
     def test_deterministic_across_orders(self):
         a, b, c = (_fake_point(10, 100.0), _fake_point(100, 10.0),
                    _fake_point(10, 100.0))
-        first = [(p.latency, p.energy) for p in pareto_front([a, b, c])]
-        second = [(p.latency, p.energy) for p in pareto_front([c, b, a])]
+        first = [(p.fast["cycles"], p.fast["energy_pj"])
+                 for p in pareto_front([a, b, c])]
+        second = [(p.fast["cycles"], p.fast["energy_pj"])
+                  for p in pareto_front([c, b, a])]
         assert first == second == [(10, 100.0), (100, 10.0)]
 
     def test_front_sorted_by_latency(self):
         pts = [_fake_point(100, 10.0), _fake_point(10, 100.0),
                _fake_point(50, 50.0)]
         front = pareto_front(pts)
-        latencies = [p.latency for p in front]
+        latencies = [p.fast["cycles"] for p in front]
         assert latencies == sorted(latencies)
+        # errored and unmeasured entries never reach the front
+        failed = TuneEntry(candidate=Candidate(()), error="CompileError: x")
+        assert pareto_front([failed, TuneEntry(Candidate(()))]) == []
 
 
 class TestExplore:
     @pytest.fixture(scope="class")
     def exploration(self):
-        return explore("mlp", small_chip(), {
+        return Tuner("mlp", small_chip(), space={
             "core.rob_size": [1, 8],
             "noc.hop_cycles": [2, 8],
-        })
+        }).explore()
 
     def test_full_grid_evaluated(self, exploration):
-        assert len(exploration.points) == 4
-        assert not exploration.failures
+        assert len(exploration.entries) == 4
+        assert all(e.error is None for e in exploration.entries)
+        # no re-verification and no baselines: one measurement per point
+        assert all((e.fast is None) != (e.cycle is None)
+                   for e in exploration.entries)
+        assert exploration.baselines == {} and exploration.winner is None
 
     def test_params_recorded(self, exploration):
-        combos = {p.params for p in exploration.points}
+        combos = {e.candidate.params for e in exploration.entries}
         assert (("core.rob_size", 1), ("noc.hop_cycles", 2)) in combos
+        assert exploration.entries[0].candidate.key() == "rob1/hop_cycles=2"
 
     def test_best_latency_is_minimum(self, exploration):
-        best = exploration.best_latency()
-        assert best.latency == min(p.latency for p in exploration.points)
+        best = exploration.pareto()[0]
+        assert best.measured["cycles"] == min(
+            e.measured["cycles"] for e in exploration.entries)
 
     def test_pareto_subset_of_points(self, exploration):
         front = exploration.pareto()
         assert front
-        ids = {id(p) for p in exploration.points}
-        assert all(id(p) in ids for p in front)
+        ids = {id(e) for e in exploration.entries}
+        assert all(id(e) in ids for e in front)
 
     def test_table_lists_all_points(self, exploration):
-        text = exploration.table()
-        assert text.count("rob_size=") == 4
-        assert "*" in text
+        text = exploration.summary()
+        assert text.count("hop_cycles=") == 4
+        assert "4 candidates, 4 measured" in text
 
     def test_infeasible_points_recorded_as_failures(self):
-        ex = explore("vgg16", small_chip(), {
+        ex = Tuner("vgg16", small_chip(), space={
             "core.crossbars_per_core": [2, 128],
-        })
-        assert ex.failures          # 2 crossbars/core cannot host vgg16
-        assert ex.points            # 128 can
-        assert "failed" in ex.table()
+        }).explore()
+        failed, measured = ex.entries
+        assert failed.error.startswith("CompileError: ")  # 2 cannot host
+        assert measured.error is None and measured.measured  # 128 can
+        assert "FAILED" in ex.summary()
+
+    def test_unknown_path_raises_before_anything_runs(self):
+        with Engine(small_chip()) as eng:
+            tuner = Tuner("mlp", space={"core.rob_size": [1],
+                                        "core.flux": [1]}, engine=eng)
+            with pytest.raises(ValueError, match="core.flux"):
+                tuner.explore()
+            assert eng.compile_stats()["misses"] == 0
 
 
 def test_explore_records_empty_exception_messages():
-    """A failing design point with an empty error message is recorded as a
-    failure (by exception type) instead of aborting the sweep."""
-    from repro.explore.space import _first_line
+    """A failing design point is recorded through the engine's failure
+    record: the message's first line, or the exception type when the
+    message is empty."""
+    from repro.engine.pool import job_failure
 
-    assert _first_line(ValueError("boom")) == "boom"
-    assert _first_line(ValueError()) == "ValueError"
-    assert _first_line(ValueError("a\nb")) == "a"
+    assert job_failure(ValueError("boom")).message == "boom"
+    assert job_failure(ValueError()).message == "ValueError"
+    assert job_failure(ValueError("a\nb")).message == "a"

@@ -14,20 +14,47 @@ one.
 Full-grid searches go through the module-scoped ``tune_full`` fixture
 (one journal per model, so every objective after the first replays the
 fast measurements); tests that only need a journal or a report shape
-pass narrowed ``rob_sizes`` / ``shard_counts`` to stay cheap.
+pass a narrowed ``space`` to stay cheap.  ``tests/fixtures/tune_parent/``
+holds a journal and a report written before the grid took dotted
+configuration paths.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.config import ConfigError, scaled, small_chip, validate
+from repro.config import ConfigError, scaled, small_chip, validate, with_param
 from repro.engine import Engine, JobSpec
 from repro.tune import Candidate, CostModel, TuneReport, Tuner
-from repro.tune.search import MAPPINGS, _read_tune_journal
+from repro.tune.search import DEFAULT_SPACE, MAPPINGS, _read_tune_journal
+
+#: ``pimsim tune lenet5 --preset small --top-k 1 --output journal.jsonl
+#: --report report.json``, as written when a candidate was four fields.
+PARENT_FILES = Path(__file__).parent / "fixtures" / "tune_parent"
+
+
+def _cand(mapping, rob_size, shards=1, placement="distance"):
+    """A point of the default grid."""
+    return Candidate(tuple(zip(DEFAULT_SPACE,
+                               (mapping, rob_size, shards, placement))))
+
+
+def _config(base, mapping, rob_size, shards=1, placement="distance"):
+    """``base`` at a point of the default grid, built as the tuner does."""
+    for path, value in _cand(mapping, rob_size, shards, placement).params:
+        base = with_param(base, path, value)
+    return base
+
+
+def _space(**narrowed):
+    """The default grid with some paths narrowed (leaf name -> values)."""
+    return {path: narrowed.get(path.rpartition(".")[2], values)
+            for path, values in DEFAULT_SPACE.items()}
 
 
 # -- rank-correlation helper (average ranks for ties) -------------------------
@@ -106,12 +133,12 @@ class TestCostModelRanking:
         for mapping in MAPPINGS:
             for rob in (1, 8, 32):
                 for shards in shard_options:
-                    cand = Candidate(mapping, rob, shards)
+                    config = _config(base, mapping, rob, shards)
                     compiled, cfg = engine.compile_for(
-                        cand.spec(model, base))
+                        JobSpec(model, config=config))
                     estimated.append(model_cost.estimate(compiled, cfg))
                     measured.append(engine.run(
-                        cand.spec(model, base, fidelity="fast")))
+                        JobSpec(model, config=config, fidelity="fast")))
         assert [e.cycles for e in estimated] \
             == [r.cycles for r in measured]
         assert [e.energy_pj for e in estimated] \
@@ -126,8 +153,9 @@ class TestCostModelRanking:
         base = small_chip()
         cycles = []
         for shards in (1, 2, 4):
-            cand = Candidate("performance_first", 8, shards)
-            compiled, cfg = engine.compile_for(cand.spec("vit_tiny", base))
+            compiled, cfg = engine.compile_for(JobSpec(
+                "vit_tiny", config=_config(base, "performance_first", 8,
+                                           shards)))
             cycles.append(CostModel().estimate(compiled, cfg).cycles)
         assert cycles[0] > cycles[1] > cycles[2]
 
@@ -137,23 +165,24 @@ class TestCostModelRanking:
         base = small_chip()
         cycles = []
         for shards in (1, 2, 4):
-            cand = Candidate("performance_first", 8, shards)
-            compiled, cfg = engine.compile_for(cand.spec("bert_tiny", base))
+            compiled, cfg = engine.compile_for(JobSpec(
+                "bert_tiny", config=_config(base, "performance_first", 8,
+                                            shards)))
             cycles.append(CostModel().estimate(compiled, cfg).cycles)
         assert cycles[0] >= cycles[1] >= cycles[2]
         assert cycles[0] > cycles[2]
 
     def test_estimate_reports_per_core(self, engine):
-        compiled, cfg = engine.compile_for(
-            Candidate("performance_first", 8).spec("vit_tiny", small_chip()))
+        compiled, cfg = engine.compile_for(JobSpec(
+            "vit_tiny", config=_config(small_chip(), "performance_first", 8)))
         est = CostModel().estimate(compiled, cfg)
         assert set(est.per_core_cycles) == set(compiled.program.programs)
         assert est.cycles == max(est.per_core_cycles.values())
         assert est.energy_pj > 0
 
     def test_objective_scalars(self, engine):
-        compiled, cfg = engine.compile_for(
-            Candidate("performance_first", 8).spec("mlp", small_chip()))
+        compiled, cfg = engine.compile_for(JobSpec(
+            "mlp", config=_config(small_chip(), "performance_first", 8)))
         est = CostModel().estimate(compiled, cfg)
         assert est.objective("latency") == float(est.cycles)
         assert est.objective("energy") == est.energy_pj
@@ -170,16 +199,16 @@ class TestLoadAwarePlacement:
         contended = validate(scaled(small_chip(), cores=9))
         cycles = {}
         for placement in ("distance", "load_aware"):
-            cand = Candidate("performance_first", 8, 4, placement)
-            cycles[placement] = engine.run(
-                cand.spec("vit_tiny", contended, fidelity="fast")).cycles
+            config = _config(contended, "performance_first", 8, 4, placement)
+            cycles[placement] = engine.run(JobSpec(
+                "vit_tiny", config=config, fidelity="fast")).cycles
         assert cycles["load_aware"] < cycles["distance"]
 
     def test_distance_default_matches_explicit(self, engine):
         base = small_chip()
-        explicit = Candidate("performance_first", 8, 4, "distance")
-        compiled_explicit, _ = engine.compile_for(
-            explicit.spec("vit_tiny", base))
+        compiled_explicit, _ = engine.compile_for(JobSpec(
+            "vit_tiny",
+            config=_config(base, "performance_first", 8, 4, "distance")))
         compiled_default, _ = engine.compile_for(
             JobSpec("vit_tiny", config=base, mapping="performance_first",
                     rob_size=8, attention_shards=4))
@@ -196,31 +225,53 @@ class TestLoadAwarePlacement:
 
 class TestCandidates:
     def test_key_and_round_trip(self):
-        cand = Candidate("performance_first", 16, 4, "load_aware")
+        cand = _cand("performance_first", 16, 4, "load_aware")
         assert cand.key() == "performance_first/rob16/shards4/load_aware"
         assert Candidate.from_dict(cand.to_dict()) == cand
+        # the four-field dict of files written before paths: same point
+        assert Candidate.from_dict({
+            "mapping": "performance_first", "rob_size": 16,
+            "attention_shards": 4, "shard_placement": "load_aware",
+        }) == cand
+        # any other path renders as leaf=value, in grid order
+        assert Candidate((("chip.cores", 16), ("core.rob_size", 8),
+                          ("noc.hop_cycles", 2))).key() \
+            == "cores=16/rob8/hop_cycles=2"
 
     def test_shards_capped_at_core_count(self):
-        tuner = Tuner("vit_tiny", shard_counts=(1, 8, 64))
+        tuner = Tuner("vit_tiny", space=_space(attention_shards=(1, 8, 64)))
         cands = tuner.candidates(validate(scaled(small_chip(), cores=4)),
                                  shardable=True)
-        assert max(c.attention_shards for c in cands) == 4
+        assert max(dict(c.params)["compiler.attention_shards"]
+                   for c in cands) == 4
+        # the cap is the point's own core count
+        tuner = Tuner("vit_tiny", space={"chip.cores": (4, 16),
+                                         "compiler.attention_shards": (8,)})
+        points = tuner.candidates(small_chip(), shardable=True)
+        assert [c.key() for c in points] == ["cores=4/shards4",
+                                             "cores=16/shards8"]
+        assert [cfg.compiler.attention_shards for cfg in points.values()] \
+            == [4, 8]
 
     def test_non_shardable_network_collapses_shard_knobs(self):
         tuner = Tuner("vgg8")
         cands = tuner.candidates(small_chip(), shardable=False)
-        assert {c.attention_shards for c in cands} == {1}
-        assert {c.shard_placement for c in cands} == {"distance"}
+        assert {dict(c.params)["compiler.attention_shards"]
+                for c in cands} == {1}
+        assert {dict(c.params)["compiler.shard_placement"]
+                for c in cands} == {"distance"}
         # 2 mappings x 5 ROB sizes, nothing else
         assert len(cands) == 10
 
     def test_placements_collapse_at_one_shard(self):
-        tuner = Tuner("vit_tiny", shard_counts=(1, 4))
-        cands = tuner.candidates(small_chip(), shardable=True)
-        singles = [c for c in cands if c.attention_shards == 1]
-        assert all(c.shard_placement == "distance" for c in singles)
-        sharded = [c for c in cands if c.attention_shards == 4]
-        assert {c.shard_placement for c in sharded} \
+        tuner = Tuner("vit_tiny", space=_space(attention_shards=(1, 4)))
+        cands = [dict(c.params)
+                 for c in tuner.candidates(small_chip(), shardable=True)]
+        singles = [c for c in cands if c["compiler.attention_shards"] == 1]
+        assert all(c["compiler.shard_placement"] == "distance"
+                   for c in singles)
+        sharded = [c for c in cands if c["compiler.attention_shards"] == 4]
+        assert {c["compiler.shard_placement"] for c in sharded} \
             == {"distance", "load_aware"}
 
     def test_bad_arguments_rejected(self):
@@ -228,8 +279,10 @@ class TestCandidates:
             Tuner("mlp", objective="goodness")
         with pytest.raises(ValueError, match="top_k"):
             Tuner("mlp", top_k=0)
-        with pytest.raises(ValueError, match="placements"):
-            Tuner("mlp", placements=("random",))
+        # checked even where the placement would collapse away
+        tuner = Tuner("mlp", space=_space(shard_placement=("random",)))
+        with pytest.raises(ConfigError, match="shard_placement"):
+            tuner.candidates(small_chip(), shardable=False)
 
 
 # -- the tuner ----------------------------------------------------------------
@@ -294,10 +347,9 @@ class TestTuner:
             section, _, leaf = path.partition(".")
             assert delta["base"] == getattr(
                 getattr(base, section), leaf)
-        winner = report.winner
-        if winner.rob_size != base.core.rob_size:
-            assert report.config_delta["core.rob_size"]["tuned"] \
-                == winner.rob_size
+        rob_size = dict(report.winner.params)["core.rob_size"]
+        if rob_size != base.core.rob_size:
+            assert report.config_delta["core.rob_size"]["tuned"] == rob_size
 
     def test_zero_recompile_after_round_one(self):
         """Pinned: compile misses == unique program structures (mapping x
@@ -306,7 +358,8 @@ class TestTuner:
         compiles nothing at all."""
         with Engine(small_chip()) as eng:
             tuner = Tuner("vit_tiny", small_chip(), top_k=1,
-                          rob_sizes=(8, 16), shard_counts=(1, 4),
+                          space=_space(rob_size=(8, 16),
+                                       attention_shards=(1, 4)),
                           engine=eng, workers=1)
             tuner.tune()
             stats = eng.compile_stats()
@@ -320,7 +373,7 @@ class TestTuner:
 
     def test_objective_edp_picks_a_winner(self, engine):
         tuner = Tuner("mlp", small_chip(), objective="edp", top_k=1,
-                      rob_sizes=(8, 16), engine=engine)
+                      space=_space(rob_size=(8, 16)), engine=engine)
         report = tuner.tune()
         assert report.objective == "edp"
         assert report.winner is not None
@@ -332,7 +385,8 @@ class TestJournal:
         journal = tmp_path / "tune.jsonl"
         with Engine(small_chip()) as eng:
             tuner = Tuner("vit_tiny", small_chip(), top_k=1,
-                          rob_sizes=(8,), shard_counts=(1, 4),
+                          space=_space(rob_size=(8,),
+                                       attention_shards=(1, 4)),
                           engine=eng)
             first = tuner.tune(journal=journal)
         lines = [json.loads(line)
@@ -345,7 +399,8 @@ class TestJournal:
 
         with Engine(small_chip()) as eng:
             tuner = Tuner("vit_tiny", small_chip(), top_k=1,
-                          rob_sizes=(8,), shard_counts=(1, 4),
+                          space=_space(rob_size=(8,),
+                                       attention_shards=(1, 4)),
                           engine=eng)
             second = tuner.tune(journal=journal, resume=True)
         assert second.resumed == 9  # every measurement replayed
@@ -358,7 +413,7 @@ class TestJournal:
         journal.write_text('{"key": "torn-and-unfinish')  # no newline
         with Engine(small_chip()) as eng:
             tuner = Tuner("mlp", small_chip(), top_k=1,
-                          rob_sizes=(8,), engine=eng)
+                          space=_space(rob_size=(8,)), engine=eng)
             tuner.tune(journal=journal, resume=True)
         lines = journal.read_text().splitlines()
         assert lines[0] == '{"key": "torn-and-unfinish'
@@ -396,15 +451,17 @@ class TestJournal:
         journal = tmp_path / "old.jsonl"
         journal.write_text("\n".join(json.dumps(r) for r in [
             {"key": key, "fidelity": "fast", "report": old,
-             "candidate": Candidate("performance_first", 32, 4,
-                                    "load_aware").to_dict()},
+             "candidate": {"mapping": "performance_first", "rob_size": 32,
+                           "attention_shards": 4,
+                           "shard_placement": "load_aware"}},
             {"baseline": "utilization_first", "report": baseline},
             {"summary": {"network": "vit_tiny", "objective": "latency",
                          "considered": 70, "pruned": 66, "evaluated": 4,
                          "resumed": 0, "winner": key}},
         ]) + "\n")
-        report = Tuner("vit_tiny", small_chip(), top_k=1, rob_sizes=(32,),
-                       shard_counts=(4,), placements=("load_aware",),
+        report = Tuner("vit_tiny", small_chip(), top_k=1,
+                       space=_space(rob_size=(32,), attention_shards=(4,),
+                                    shard_placement=("load_aware",)),
                        engine=engine).tune(journal=journal, resume=True)
         assert report.resumed == 2
         replayed = next(e for e in report.entries
@@ -416,7 +473,7 @@ class TestJournal:
 class TestTuneReport:
     def test_json_round_trip(self, engine):
         tuner = Tuner("vit_tiny", small_chip(), top_k=1,
-                      rob_sizes=(8,), shard_counts=(1, 4),
+                      space=_space(rob_size=(8,), attention_shards=(1, 4)),
                       engine=engine)
         report = tuner.tune()
         restored = TuneReport.from_json(report.to_json())
@@ -428,26 +485,30 @@ class TestTuneReport:
     def test_loads_a_report_written_before_exhaustive_search(self):
         """``budget`` and the per-entry estimate / estimated_objective /
         pruned keys of cost-model era files are ignored."""
-        cand = Candidate("performance_first", 32, 4, "load_aware")
+        legacy = {"mapping": "performance_first", "rob_size": 32,
+                  "attention_shards": 4, "shard_placement": "load_aware"}
         fast = {"cycles": 42296, "energy_pj": 7428631.7, "fidelity": "fast"}
         old = {
             "network": "vit_tiny", "objective": "latency", "budget": 4,
             "entries": [
-                {"candidate": cand.to_dict(), "fast": fast,
+                {"candidate": legacy, "fast": fast,
                  "estimate": {"cycles": 11344, "energy_pj": 2303105.9,
                               "flow_cycles": 8216},
                  "estimated_objective": 11344.0},
-                {"candidate": Candidate("utilization_first", 1).to_dict(),
+                {"candidate": {"mapping": "utilization_first",
+                               "rob_size": 1, "attention_shards": 1,
+                               "shard_placement": "distance"},
                  "estimate": {"cycles": 99999, "energy_pj": 1.0,
                               "flow_cycles": 1},
                  "estimated_objective": 99999.0, "pruned": True},
             ],
-            "baselines": {}, "winner": cand.to_dict(),
+            "baselines": {}, "winner": legacy,
             "winner_measured": {**fast, "fidelity": "cycle"},
             "speedups": {}, "config_delta": {}, "resumed": 0,
         }
         report = TuneReport.from_dict(old)
-        assert report.winner == cand
+        assert report.winner == _cand("performance_first", 32, 4,
+                                      "load_aware")
         assert (report.considered, report.evaluated) == (2, 1)
         assert report.entries[0].fast == fast
         assert "not measured" in report.summary()
@@ -455,7 +516,7 @@ class TestTuneReport:
 
     def test_save_load(self, engine, tmp_path):
         tuner = Tuner("mlp", small_chip(), top_k=1,
-                      rob_sizes=(8,), engine=engine)
+                      space=_space(rob_size=(8,)), engine=engine)
         report = tuner.tune()
         path = tmp_path / "report.json"
         report.save(path)
@@ -463,7 +524,7 @@ class TestTuneReport:
 
     def test_summary_readable(self, engine):
         tuner = Tuner("mlp", small_chip(), top_k=1,
-                      rob_sizes=(1, 8), engine=engine)
+                      space=_space(rob_size=(1, 8)), engine=engine)
         report = tuner.tune()
         text = report.summary()
         assert "4 candidates, 4 measured" in text
@@ -502,3 +563,38 @@ class TestTuneCLI:
                      "--sizes", "1,8", "--fidelity", "fast"]) == 0
         out = capsys.readouterr().out
         assert "normalized" in out
+
+
+class TestParentFiles:
+    """Files written before the grid took configuration paths."""
+
+    def test_resume_runs_no_measurement(self, engine, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        shutil.copy(PARENT_FILES / "journal.jsonl", journal)
+        before = journal.read_text().splitlines()
+        report = Tuner("lenet5", small_chip(), top_k=1,
+                       engine=engine).tune(journal=journal, resume=True)
+        # 10 fast + 1 cycle + 2 baselines, all replayed
+        assert report.resumed == 13
+        after = journal.read_text().splitlines()
+        assert after[:-1] == before
+        assert json.loads(after[-1])["summary"]["resumed"] == 13
+
+    def test_report_loads(self):
+        report = TuneReport.load(PARENT_FILES / "report.json")
+        assert (report.considered, report.evaluated) == (10, 10)
+        assert report.winner == _cand("performance_first", 32)
+        assert report.winner.key() \
+            == "performance_first/rob32/shards1/distance"
+        assert {e.candidate.key() for e in report.entries} \
+            == {_cand(m, r).key() for m in MAPPINGS
+                for r in DEFAULT_SPACE["core.rob_size"]}
+
+    def test_loaded_winner_equals_a_fresh_run(self, engine):
+        parent = TuneReport.load(PARENT_FILES / "report.json")
+        fresh = Tuner("lenet5", small_chip(), top_k=1, engine=engine).tune()
+        assert fresh.winner == parent.winner
+        assert fresh.winner_measured == parent.winner_measured
+        assert fresh.baselines == parent.baselines
+        assert [e.to_dict() for e in fresh.entries] \
+            == [e.to_dict() for e in parent.entries]
