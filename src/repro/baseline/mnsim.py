@@ -15,10 +15,11 @@ synchronized-communication simulator on identical crossbar configurations:
 * **idealized memory** — network input is free (no global-memory port
   arbitration).
 
-The baseline reuses the real compiler's placement and tiling, so compute
-work matches the cycle-accurate run and any latency difference is due to
-the communication and execution model — exactly the comparison the paper
-makes.  (Unlike the open-source MNSIM2.0 the paper had to work around, this
+The baseline reuses the real compiler's placement, tiling, stage homes
+(``placement.stage_homes``) and work-item order (``tiling.work_items``),
+so compute work matches the cycle-accurate run and any latency difference
+is due to the communication and execution model — exactly the comparison
+the paper makes.  (Unlike the open-source MNSIM2.0 the paper had to work around, this
 reimplementation also handles ``concat``, so the unmodified networks run.)
 
 The schedule is an analytic list-scheduling recurrence, not an event
@@ -35,7 +36,8 @@ import math
 from dataclasses import dataclass, field
 
 from ..compiler import Pipeline, build_pipeline, map_network, n_tiles
-from ..compiler.tiling import compute_levels, edge_requirements
+from ..compiler.placement import stage_homes
+from ..compiler.tiling import compute_levels, edge_requirements, work_items
 from ..config import ArchConfig, validate
 from ..graph import Graph
 
@@ -110,21 +112,7 @@ def run_baseline(graph: Graph, config: ArchConfig, *,
     reqs = edge_requirements(pipeline, config.compiler.tile_pixels)
     tile_pixels = config.compiler.tile_pixels
     hop = config.noc.hop_cycles
-
-    # Home core per stage (same policy as the code generator).
-    home: dict[str, int | None] = {}
-    for stage in pipeline:
-        if stage.kind == "input":
-            home[stage.name] = None
-        elif stage.kind == "compute":
-            home[stage.name] = placement.plan(stage.name).home_core
-        else:
-            chosen = None
-            for edge in stage.edges:
-                chosen = home.get(edge.producer)
-                if chosen is not None:
-                    break
-            home[stage.name] = 0 if chosen is None else chosen
+    home = stage_homes(pipeline, placement)
 
     def hops_between(a: int | None, b: int | None) -> int:
         if a is None or b is None or a == b:
@@ -133,38 +121,28 @@ def run_baseline(graph: Graph, config: ArchConfig, *,
         br, bc = config.core_xy(b)
         return abs(ar - br) + abs(ac - bc)
 
-    done: dict[tuple[str, int], int] = {}
+    # idealized memory: network input is free
+    done: dict[tuple[str, int], int] = {
+        (stage.name, tile): 0 for stage in pipeline if stage.kind == "input"
+        for tile in range(n_tiles(stage, tile_pixels))}
     core_free: dict[int, int] = {}
     layer_compute: dict[str, int] = {}
     layer_comm: dict[str, int] = {}
     finish = 0
-
-    # Work items in the same global (level, topo, tile) order the real
-    # code generator uses, so co-resident stages interleave on their core
-    # instead of one stage monopolizing it (a list-scheduling artifact a
-    # stage-major sweep would introduce).
-    levels = compute_levels(pipeline, tile_pixels, reqs=reqs)
-    items: list[tuple[int, int, int, object]] = []
-    tile_compute: dict[str, int] = {}
-    for stage in pipeline:
-        nt = n_tiles(stage, tile_pixels)
-        if stage.kind == "input":
-            for tile in range(nt):
-                done[(stage.name, tile)] = 0  # idealized: input is free
-            continue
-        plan = placement.plans.get(stage.name)
-        tile_compute[stage.name] = _tile_compute_cycles(
-            stage, plan, config, pe_parallelism)
-        for tile in range(nt):
-            items.append((levels[stage.name][tile], stage.topo_index,
-                          tile, stage))
-    items.sort(key=lambda it: (it[0], it[1], it[2]))
+    tile_compute = {
+        stage.name: _tile_compute_cycles(
+            stage, placement.plans.get(stage.name), config, pe_parallelism)
+        for stage in pipeline if stage.kind != "input"}
 
     link_bw = config.noc.link_bytes_per_cycle
     act_bytes = config.compiler.activation_bytes
     stage_by_name = {s.name: s for s in pipeline.stages}
 
-    for _level, _topo, tile, stage in items:
+    # Work items in the code generator's emission order, so co-resident
+    # stages interleave on their core instead of one stage monopolizing
+    # it (a list-scheduling artifact a stage-major sweep would introduce).
+    levels = compute_levels(pipeline, tile_pixels, reqs=reqs)
+    for stage, tile in work_items(pipeline, levels):
         my_home = home[stage.name]
         compute = tile_compute[stage.name]
         ready = 0

@@ -52,13 +52,14 @@ from ..isa import (
 )
 from .allocator import AllocatorSet, Region
 from .frontend import CompileError, Pipeline, Stage, shard_tile_ranges
-from .placement import Placement, StagePlan, assign_shard_groups
+from .placement import Placement, StagePlan, assign_shard_groups, stage_homes
 from .tiling import (
     compute_levels,
     edge_requirements,
     edge_skews,
     n_tiles,
     tile_pixel_range,
+    work_items,
 )
 
 __all__ = ["generate_code", "ACC_BYTES"]
@@ -77,6 +78,25 @@ class _GroupRef:
     rows: int
 
 
+@dataclass(frozen=True)
+class _Port:
+    """How one receiver core acquires one input edge of a stage.
+
+    ``op`` is ``"LOAD"`` (global memory into an input ring), ``"RECV"``
+    (data flow ``flow`` from the producer's home ``peer`` into an input
+    ring) or ``None`` (co-resident: ``region`` is the producer's output
+    ring, read in place).  ``q_lo`` is the first producer tile the core
+    pulls — the start of its slice of the stream when the consumer is
+    token-sharded — and RECV sequence numbers count from it.
+    """
+
+    region: Region
+    op: str | None
+    peer: int
+    flow: int
+    q_lo: int
+
+
 class _CodeGenerator:
     def __init__(self, pipeline: Pipeline, placement: Placement, config) -> None:
         self.pipeline = pipeline
@@ -93,20 +113,24 @@ class _CodeGenerator:
                                      reqs=self.reqs)
         self.skews = edge_skews(pipeline, self.tile_pixels, reqs=self.reqs,
                                 levels=self.levels)
-        self.home: dict[str, int | None] = {}
+        self.home: dict[str, int | None] = stage_homes(pipeline, placement)
         self.receivers: dict[str, list[int]] = {}
         self.allocs = AllocatorSet(config.core.local_memory_bytes)
         self.group_tables: dict[int, GroupTable] = {}
         #: (stage, core, copy) -> [(row block, group)], ascending row block.
         self.copy_groups: dict[tuple[str, int, int],
                                list[tuple[int, _GroupRef]]] = {}
-        self.in_regions: dict[tuple[str, int, int], Region] = {}
+        #: (stage, receiver core) -> one port per input edge.
+        self.ports: dict[tuple[str, int], list[_Port]] = {}
         self.out_regions: dict[str, Region] = {}
         self.acc_regions: dict[tuple[str, int], Region] = {}
         self.part_regions: dict[tuple[str, int, int], Region] = {}
-        self.prec_regions: dict[tuple[str, int], Region] = {}
+        #: (stage, core) -> (staging ring, flow) of the core's gather to
+        #: the stage's home: split-weight partial sums (the ring is on the
+        #: home core) or a token shard's output tiles (the ring is on the
+        #: shard core).
+        self.gathers: dict[tuple[str, int], tuple[Region, int]] = {}
         self.flows: dict[int, FlowInfo] = {}
-        self.flow_ids: dict[tuple, int] = {}
         #: producer -> its data flows as ``(consumer core, flow id, first
         #: tile, end tile)``, in declaration order (sharded consumers slice
         #: the producer stream; message seq = tile - first).
@@ -119,25 +143,8 @@ class _CodeGenerator:
         self.shard_groups: dict[str, list[int]] = {}
         self.shard_ranges: dict[str, list[tuple[int, int]]] = {}
         self.shard_owner: dict[str, list[int]] = {}
-        self.sout_regions: dict[tuple[str, int], Region] = {}
 
     # ------------------------------------------------------------------ setup
-
-    def _assign_homes(self) -> None:
-        """Home core per stage; aux stages land on their first producer's
-        home (free local handoff for that input)."""
-        for stage in self.pipeline:
-            if stage.kind == "input":
-                self.home[stage.name] = None
-            elif stage.kind == "compute":
-                self.home[stage.name] = self.placement.plan(stage.name).home_core
-            else:
-                home = None
-                for edge in stage.edges:
-                    home = self.home.get(edge.producer)
-                    if home is not None:
-                        break
-                self.home[stage.name] = 0 if home is None else home
 
     def _assign_shards(self) -> None:
         """Shard groups for dynamic attention ops (after homes are known):
@@ -180,24 +187,6 @@ class _CodeGenerator:
             return self.home[stage.name]
         return cores[self.shard_owner[stage.name][tile]]
 
-    def _edge_need_range(self, stage: Stage, edge_idx: int,
-                         core: int) -> tuple[int, int]:
-        """Producer-tile range ``[q_lo, q_hi)`` one receiver core consumes.
-
-        Unsharded consumers (and every full-input edge — operand B of a
-        sharded matmul is broadcast whole to each shard) start at tile 0;
-        a sharded consumer's element-wise edge starts past the last tile
-        the previous shard's slice pulled (``required_tile`` is monotone,
-        so the slices partition the producer stream).
-        """
-        req = self.reqs[(stage.name, edge_idx)]
-        if stage.name in self.shard_groups and core is not None:
-            t_lo, t_hi = self._shard_range_of(stage, core)
-            if stage.edges[edge_idx].full_input or t_lo == 0:
-                return 0, req[t_hi - 1] + 1
-            return req[t_lo - 1] + 1, req[t_hi - 1] + 1
-        return 0, req[-1] + 1
-
     def _tile_bytes(self, stage: Stage, tile: int) -> int:
         lo, hi = tile_pixel_range(stage, self.tile_pixels, tile)
         return (hi - lo) * stage.out_channels * self.act_bytes
@@ -217,11 +206,12 @@ class _CodeGenerator:
         return px * stage.alloc_channels * self.act_bytes
 
     def _edge_window(self, stage: Stage, edge_idx: int) -> int:
-        """Credit window / input-ring depth for one consumer edge.
+        """Input-ring depth for one consumer edge.
 
         Structural skew (skip connections, branch joins) plus the
         configured ``sync_window`` of slack; full-input consumers buffer
-        the producer's entire output.
+        the producer's entire output.  A RECV port's credit window is
+        this depth capped at the messages its core receives (:meth:`_wire`).
         """
         edge = stage.edges[edge_idx]
         producer = self.stages[edge.producer]
@@ -333,24 +323,80 @@ class _CodeGenerator:
             return stage.out_channels * self.config.crossbar.slices_per_weight
         return plan.col_cells_on(core)
 
-    def _allocate(self) -> None:
-        """Reserve all local-memory regions, deterministically."""
+    def _flow(self, src: int, dst: int, stage: Stage, n_messages: int,
+              nbytes: int, window: int, kind: str = "data") -> int:
+        """Declare the next flow; ids count up in declaration order."""
+        flow_id = len(self.flows)
+        self.flows[flow_id] = FlowInfo(
+            flow_id=flow_id, src_core=src, dst_core=dst, layer=stage.name,
+            n_messages=n_messages, bytes_per_message=nbytes, window=window,
+            kind=kind)
+        return flow_id
+
+    def _gather(self, stage: Stage, src: int, ring_core: int, name: str,
+                nbytes: int, n_messages: int, kind: str) -> None:
+        """A gather from ``src`` to the stage's home: a ping-pong staging
+        ring on ``ring_core`` and the flow that fills it (partial sums,
+        ring on the home core) or drains it (token shards, ring on the
+        shard core), whose credit window is the ring's depth."""
+        ring = self.allocs.core(ring_core).alloc(name, nbytes, 2)
+        self.gathers[(stage.name, src)] = (ring, self._flow(
+            src, self.home[stage.name], stage, n_messages, nbytes,
+            ring.slots, kind))
+
+    def _wire(self) -> None:
+        """Reserve every local-memory region and declare every flow, one
+        stage at a time, deterministically.
+
+        Each (stage, edge, receiver core) gets a :class:`_Port`: a
+        ``LOAD`` port an input ring, a co-resident port the producer's
+        output ring, and a ``RECV`` port an input ring plus a data flow
+        whose credit window is the ring's live slots for this core's
+        stream.  Every cross-core gather gets its staging ring and flow
+        together (:meth:`_gather`).
+        """
         for stage in self.pipeline:
             if stage.kind == "input":
                 continue
-            # input rings
+            sharded = stage.name in self.shard_groups
             for edge_idx, edge in enumerate(stage.edges):
                 producer = self.stages[edge.producer]
                 p_home = self.home[edge.producer]
+                load = producer.kind in ("input", "cache")
                 slot_bytes = self._nominal_tile_bytes(producer)
                 slots = self._edge_window(stage, edge_idx)
+                req = self.reqs[(stage.name, edge_idx)]
                 for core in self.receivers[stage.name]:
-                    if producer.kind not in ("input", "cache") and p_home == core:
-                        continue  # co-resident: read the producer's out ring
+                    ports = self.ports.setdefault((stage.name, core), [])
+                    if not load and p_home == core:
+                        ports.append(_Port(self.out_regions[edge.producer],
+                                           None, p_home, 0, 0))
+                        continue
+                    # Strided consumers may never touch the producer's
+                    # last rows (e.g. 1x1 stride-2 projections) and a
+                    # shard core only consumes its token slice, which
+                    # starts past the previous shard's (``required_tile``
+                    # is monotone, so the slices partition the stream; a
+                    # full-input edge is broadcast whole to every shard):
+                    # only ship what this core needs.
+                    q_lo, q_hi = 0, req[-1] + 1
+                    if sharded:
+                        t_lo, t_hi = self._shard_range_of(stage, core)
+                        q_hi = req[t_hi - 1] + 1
+                        if t_lo and not edge.full_input:
+                            q_lo = req[t_lo - 1] + 1
                     region = self.allocs.core(core).alloc(
                         f"in:{stage.name}:{edge_idx}", slot_bytes, slots)
-                    self.in_regions[(stage.name, edge_idx, core)] = region
-            # compute scratch
+                    if load:
+                        ports.append(_Port(region, "LOAD", 0, 0, q_lo))
+                        continue
+                    flow = self._flow(p_home, core, stage, q_hi - q_lo,
+                                      slot_bytes, min(q_hi - q_lo, slots))
+                    self.sends.setdefault(edge.producer, []).append(
+                        (core, flow, q_lo, q_hi))
+                    ports.append(_Port(region, "RECV", p_home, flow, q_lo))
+            home = self.home[stage.name]
+            # compute scratch, and the partial-sum gathers of split weights
             if stage.kind == "compute":
                 plan = self.placement.plan(stage.name)
                 cpp = stage.compute_per_pixel
@@ -375,112 +421,33 @@ class _CodeGenerator:
                             self.allocs.core(core).alloc(
                                 f"part:{stage.name}:{copy}",
                                 copy_px * cpp * max_gcols * ACC_BYTES, slots))
-                home = self.home[stage.name]
                 for partner in plan.cores:
                     if partner == home:
                         continue
                     cells = self._cells_on(stage, partner)
-                    self.prec_regions[(stage.name, partner)] = (
-                        self.allocs.core(home).alloc(
-                            f"prec:{stage.name}:{partner}",
-                            px * cpp * cells * ACC_BYTES, 2))
-            # shard-output staging rings (token-sharded dynamic ops):
-            # a finished tile parks here until its partial-gather SEND
-            # drains it to the home core's output ring.
-            if stage.name in self.shard_groups:
-                for core in self.shard_groups[stage.name]:
-                    if core == self.home[stage.name]:
+                    self._gather(stage, partner, home,
+                                 f"prec:{stage.name}:{partner}",
+                                 px * cpp * cells * ACC_BYTES,
+                                 n_tiles(stage, self.tile_pixels), "partial")
+            # Token-sharded dynamic ops: a shard's finished tile parks in
+            # its staging ring until the gather SEND drains it to the home
+            # core's output ring (the split-conv gather pattern, minus the
+            # VADD — token slices are disjoint, not partial sums).
+            if sharded:
+                for core, (t_lo, t_hi) in zip(self.shard_groups[stage.name],
+                                              self.shard_ranges[stage.name]):
+                    if core == home:
                         continue
-                    self.sout_regions[(stage.name, core)] = (
-                        self.allocs.core(core).alloc(
-                            f"sout:{stage.name}",
-                            self._nominal_tile_bytes(stage), 2))
+                    self._gather(stage, core, core, f"sout:{stage.name}",
+                                 self._nominal_tile_bytes(stage),
+                                 t_hi - t_lo, "shard")
             # output ring on the home core (cache stages have none: the
             # buffer lives in global memory; consumers LOAD it back)
             if stage.kind == "cache":
                 continue
-            home = self.home[stage.name]
             self.out_regions[stage.name] = self.allocs.core(home).alloc(
                 f"out:{stage.name}", self._nominal_tile_bytes(stage),
                 self._out_ring_slots(stage))
-
-    def _declare_flows(self) -> None:
-        """Flow ids for every remote producer->consumer-core stream and
-        every partial-gather stream."""
-        next_id = 0
-        for stage in self.pipeline:
-            if stage.kind == "input":
-                continue
-            for edge_idx, edge in enumerate(stage.edges):
-                producer = self.stages[edge.producer]
-                if producer.kind in ("input", "cache"):
-                    continue  # global-memory LOADs need no flow
-                p_home = self.home[edge.producer]
-                for core in self.receivers[stage.name]:
-                    if p_home == core:
-                        continue
-                    # Strided consumers may never touch the producer's
-                    # last rows (e.g. 1x1 stride-2 projections) and a
-                    # shard core only consumes its token slice: only
-                    # ship what this core needs.
-                    q_lo, q_hi = self._edge_need_range(stage, edge_idx, core)
-                    needed = q_hi - q_lo
-                    window = min(needed, self._edge_window(stage, edge_idx))
-                    info = FlowInfo(
-                        flow_id=next_id, src_core=p_home, dst_core=core,
-                        layer=stage.name,
-                        n_messages=needed,
-                        bytes_per_message=self._nominal_tile_bytes(producer),
-                        window=window,
-                    )
-                    self.flows[next_id] = info
-                    self.flow_ids[(stage.name, edge_idx, core)] = next_id
-                    self.sends.setdefault(edge.producer, []).append(
-                        (core, next_id, q_lo, q_hi))
-                    next_id += 1
-            if stage.kind == "compute":
-                plan = self.placement.plan(stage.name)
-                home = self.home[stage.name]
-                px = min(self.tile_pixels, stage.out_pixels)
-                for partner in plan.cores:
-                    if partner == home:
-                        continue
-                    cells = self._cells_on(stage, partner)
-                    info = FlowInfo(
-                        flow_id=next_id, src_core=partner, dst_core=home,
-                        layer=stage.name,
-                        n_messages=n_tiles(stage, self.tile_pixels),
-                        bytes_per_message=px * stage.compute_per_pixel
-                        * cells * ACC_BYTES,
-                        window=2,  # matches the prec ping-pong staging ring
-                        kind="partial",
-                    )
-                    self.flows[next_id] = info
-                    self.flow_ids[(stage.name, "partial", partner)] = next_id
-                    next_id += 1
-            if stage.name in self.shard_groups:
-                # Partial gathers of a token-sharded dynamic op: each
-                # shard streams its finished output tiles to the home
-                # core, which owns the stage's output ring (the split-conv
-                # gather pattern, minus the VADD — token slices are
-                # disjoint, not partial sums).
-                home = self.home[stage.name]
-                cores = self.shard_groups[stage.name]
-                for s, core in enumerate(cores):
-                    if core == home:
-                        continue
-                    t_lo, t_hi = self.shard_ranges[stage.name][s]
-                    info = FlowInfo(
-                        flow_id=next_id, src_core=core, dst_core=home,
-                        layer=stage.name,
-                        n_messages=t_hi - t_lo,
-                        bytes_per_message=self._nominal_tile_bytes(stage),
-                        window=2,  # matches the sout ping-pong staging ring
-                        kind="shard",
-                    )
-                    self.flows[next_id] = info
-                    self.flow_ids[(stage.name, "shard", core)] = next_id
-                    next_id += 1
 
     def _program(self, core: int) -> Program:
         if core not in self.programs:
@@ -490,23 +457,12 @@ class _CodeGenerator:
     # -------------------------------------------------------------- emission
 
     def generate(self) -> ChipProgram:
-        self._assign_homes()
         self._assign_shards()
         self._assign_receivers()
         self._build_groups()
-        self._allocate()
-        self._declare_flows()
+        self._wire()
 
-        items: list[tuple[int, int, int, Stage]] = []
-        for stage in self.pipeline:
-            if stage.kind == "input":
-                continue
-            for tile in range(n_tiles(stage, self.tile_pixels)):
-                items.append((self.levels[stage.name][tile],
-                              stage.topo_index, tile, stage))
-        items.sort(key=lambda it: (it[0], it[1], it[2]))
-
-        for _level, _topo, tile, stage in items:
+        for stage, tile in work_items(self.pipeline, self.levels):
             self._emit_inputs(stage, tile)
             if stage.kind == "compute":
                 self._emit_compute(stage, tile)
@@ -545,60 +501,37 @@ class _CodeGenerator:
             chip.meta["kv_capacity"] = self.pipeline.extent_capacity
         return chip
 
-    def _new_input_tiles(self, stage: Stage, edge_idx: int, tile: int, *,
-                         shard_first: bool = False, q_base: int = 0) -> range:
-        req = self.reqs[(stage.name, edge_idx)]
-        if shard_first:
-            # First tile a shard owns: pull everything from the start of
-            # this core's slice of the producer stream (the whole stream
-            # for a broadcast full-input edge).
-            return range(q_base, req[tile] + 1)
-        return range(req[tile - 1] + 1 if tile > 0 else 0, req[tile] + 1)
-
     def _emit_inputs(self, stage: Stage, tile: int) -> None:
+        """LOAD / RECV the producer tiles this tile needs first.
+
+        A core's first tile pulls from its port's ``q_lo`` (the whole
+        stream so far, or its token slice of it); every later tile pulls
+        the tiles past the previous tile's requirement.
+        """
         sharded = stage.name in self.shard_groups
         for core in self.receivers[stage.name]:
-            first = False
+            first = 0
             if sharded:
-                t_lo, t_hi = self._shard_range_of(stage, core)
-                if not t_lo <= tile < t_hi:
+                first, t_hi = self._shard_range_of(stage, core)
+                if not first <= tile < t_hi:
                     continue  # another shard's token slice
-                first = tile == t_lo
             program = self._program(core)
-            for edge_idx, edge in enumerate(stage.edges):
-                producer = self.stages[edge.producer]
-                p_home = self.home[edge.producer]
-                if producer.kind not in ("input", "cache") and p_home == core:
+            for edge_idx, port in enumerate(self.ports[(stage.name, core)]):
+                if port.op is None:
                     continue
-                region = self.in_regions[(stage.name, edge_idx, core)]
-                # Matches the flow declaration's base (LOAD edges have no
-                # flow but slice the gmem stream the same way).
-                q_base = (self._edge_need_range(stage, edge_idx, core)[0]
-                          if sharded else 0)
-                for q in self._new_input_tiles(stage, edge_idx, tile,
-                                               shard_first=first,
-                                               q_base=q_base):
-                    nbytes = self._tile_bytes(producer, q)
-                    addr = region.slot(q)
-                    if producer.kind in ("input", "cache"):
-                        program.append(TransferInst(
-                            op="LOAD", peer=0, addr=addr, bytes=nbytes,
-                            flow=0, seq=q, layer=stage.name))
-                    else:
-                        program.append(TransferInst(
-                            op="RECV", peer=p_home, addr=addr, bytes=nbytes,
-                            flow=self.flow_ids[(stage.name, edge_idx, core)],
-                            seq=q - q_base, layer=stage.name))
+                producer = self.stages[stage.edges[edge_idx].producer]
+                req = self.reqs[(stage.name, edge_idx)]
+                start = port.q_lo if tile == first else req[tile - 1] + 1
+                for q in range(start, req[tile] + 1):
+                    program.append(TransferInst(
+                        op=port.op, peer=port.peer, addr=port.region.slot(q),
+                        bytes=self._tile_bytes(producer, q), flow=port.flow,
+                        seq=q - port.q_lo if port.op == "RECV" else q,
+                        layer=stage.name))
 
     def _input_src(self, stage: Stage, core: int, tile: int) -> tuple[int, int]:
         """Byte range the matrix unit reads its input vectors from."""
-        edge = stage.edges[0]
-        producer = self.stages[edge.producer]
-        p_home = self.home[edge.producer]
-        if producer.kind not in ("input", "cache") and p_home == core:
-            region = self.out_regions[edge.producer]
-        else:
-            region = self.in_regions[(stage.name, 0, core)]
+        region = self.ports[(stage.name, core)][0].region
         return region.range_of(self.reqs[(stage.name, 0)][tile])
 
     def _emit_compute(self, stage: Stage, tile: int) -> None:
@@ -647,7 +580,7 @@ class _CodeGenerator:
                 nbytes = ppx * cells_core * ACC_BYTES
                 program.append(TransferInst(
                     op="SEND", peer=home, addr=acc.base, bytes=nbytes,
-                    flow=self.flow_ids[(stage.name, "partial", core)],
+                    flow=self.gathers[(stage.name, core)][1],
                     seq=tile, layer=stage.name))
 
         # -- home: gather partials, post-ops, writeback -----------------------
@@ -658,12 +591,11 @@ class _CodeGenerator:
                 continue
             cells = self._cells_on(stage, partner)
             nbytes = ppx * cells * ACC_BYTES
-            prec = self.prec_regions[(stage.name, partner)]
+            prec, flow = self.gathers[(stage.name, partner)]
             prec_lo, _ = prec.range_of(tile, nbytes)
             program.append(TransferInst(
                 op="RECV", peer=partner, addr=prec_lo, bytes=nbytes,
-                flow=self.flow_ids[(stage.name, "partial", partner)],
-                seq=tile, layer=stage.name))
+                flow=flow, seq=tile, layer=stage.name))
             program.append(VectorInst(
                 op="VADD", src1=prec_lo, src2=acc.base, dst=acc.base,
                 length=ppx * cells, src_bytes=nbytes, dst_bytes=nbytes,
@@ -702,14 +634,8 @@ class _CodeGenerator:
     def _aux_input_range(self, stage: Stage, edge_idx: int, core: int,
                          tile: int) -> tuple[int, int]:
         """Byte range holding the input an aux op reads for this tile."""
-        edge = stage.edges[edge_idx]
-        producer = self.stages[edge.producer]
-        p_home = self.home[edge.producer]
-        if producer.kind not in ("input", "cache") and p_home == core:
-            region = self.out_regions[edge.producer]
-        else:
-            region = self.in_regions[(stage.name, edge_idx, core)]
-        if edge.full_input or stage.op in ("maxpool", "avgpool", "lrn"):
+        region = self.ports[(stage.name, core)][edge_idx].region
+        if stage.edges[edge_idx].full_input or stage.op in ("maxpool", "avgpool", "lrn"):
             # window/reduction ops read across slots: conservative full ring.
             return region.base, region.end
         return region.range_of(self.reqs[(stage.name, edge_idx)][tile])
@@ -729,7 +655,7 @@ class _CodeGenerator:
         if exec_core == home:
             out_lo, _ = out.range_of(tile, out_bytes)
         else:
-            sout = self.sout_regions[(stage.name, exec_core)]
+            sout, flow_id = self.gathers[(stage.name, exec_core)]
             out_lo, _ = sout.range_of(tile, out_bytes)
         length = px * ch if len(stage.out_shape) == 3 else stage.out_elements
 
@@ -809,7 +735,6 @@ class _CodeGenerator:
         if exec_core != home:
             # Partial gather: the shard's finished token slice streams to
             # the home core's output ring, which then distributes as usual.
-            flow_id = self.flow_ids[(stage.name, "shard", exec_core)]
             t_lo, _t_hi = self._shard_range_of(stage, exec_core)
             program.append(TransferInst(
                 op="SEND", peer=home, addr=out_lo, bytes=out_bytes,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .frontend import CompileError, Pipeline, Stage
 from .tiling import WeightTiling, n_tiles
 
-__all__ = ["Slice", "StagePlan", "Placement", "assign_shard_groups"]
+__all__ = ["Slice", "StagePlan", "Placement", "assign_shard_groups",
+           "stage_homes"]
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,27 @@ class Placement:
                 f"{'SPLIT' if plan.is_split() else ''}"
             )
         return "\n".join(lines)
+
+
+def stage_homes(pipeline: Pipeline,
+                placement: Placement) -> dict[str, int | None]:
+    """Home core per stage: ``None`` for network inputs, the plan's home
+    for compute stages, and for every other stage its first placed
+    producer's home (a free local handoff for that input), else core 0."""
+    homes: dict[str, int | None] = {}
+    for stage in pipeline:
+        if stage.kind == "input":
+            homes[stage.name] = None
+        elif stage.kind == "compute":
+            homes[stage.name] = placement.plan(stage.name).home_core
+        else:
+            home = None
+            for edge in stage.edges:
+                home = homes.get(edge.producer)
+                if home is not None:
+                    break
+            homes[stage.name] = 0 if home is None else home
+    return homes
 
 
 def assign_shard_groups(pipeline: Pipeline, placement: Placement, config,

@@ -28,6 +28,7 @@ __all__ = [
     "tile_pixel_range",
     "required_tile",
     "compute_levels",
+    "work_items",
 ]
 
 
@@ -198,6 +199,19 @@ def compute_levels(pipeline: Pipeline, tile_pixels: int, *,
             mine.append(level)
         levels[stage.name] = mine
     return levels
+
+
+def work_items(pipeline: Pipeline,
+               levels: dict[str, list[int]]) -> list[tuple[Stage, int]]:
+    """Every non-input ``(stage, tile)`` item in global (level, topo, tile)
+    order — the order the code generator emits, so co-resident stages
+    interleave on their core in pipelined rounds.  ``levels`` is
+    :func:`compute_levels`' table."""
+    items = [(level, stage.topo_index, tile, stage)
+             for stage in pipeline if stage.kind != "input"
+             for tile, level in enumerate(levels[stage.name])]
+    items.sort(key=lambda it: it[:3])
+    return [(stage, tile) for _level, _topo, tile, stage in items]
 
 
 def edge_skews(pipeline: Pipeline, tile_pixels: int, *,

@@ -109,6 +109,14 @@ class JobFailed(RuntimeError):
         self.message = message
         self.details = details
 
+    def to_dict(self) -> dict:
+        """The failure record batch journals and the serve store write:
+        ``kind`` and ``message``, plus ``details`` when there are any."""
+        record = {"kind": self.kind, "message": self.message}
+        if self.details:
+            record["details"] = self.details
+        return record
+
 
 class JobPoisoned(JobFailed):
     """The job repeatedly crashed its worker and was quarantined.

@@ -447,10 +447,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                 "spec": spec_dict}
                 if isinstance(outcome, JobFailed):
                     failures += 1
-                    record["error"] = {"kind": outcome.kind,
-                                       "message": outcome.message}
-                    if outcome.details:
-                        record["error"]["details"] = outcome.details
+                    record["error"] = outcome.to_dict()
                 else:
                     record["report"] = outcome.to_dict()
                 emit(record)

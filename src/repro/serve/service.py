@@ -334,7 +334,7 @@ class ServeService:
             return
         except Exception as exc:
             failure = job_failure(exc)
-            self.store.settle(job_id, "failed", error=_error_dict(failure))
+            self.store.settle(job_id, "failed", error=failure.to_dict())
             return
         with self._cv:
             self._inflight[job_id] = future
@@ -350,10 +350,10 @@ class ServeService:
                                   report=future.result().to_dict())
             elif isinstance(exc, JobTimeout):
                 self.store.settle(job_id, "timeout",
-                                  error=_error_dict(exc))
+                                  error=exc.to_dict())
             elif isinstance(exc, JobPoisoned):
                 self.store.settle(job_id, "poisoned",
-                                  error=_error_dict(exc))
+                                  error=exc.to_dict())
             elif isinstance(exc, PoolUnavailable) and (
                     self._draining or self._terminated or self._closed):
                 # The *server* abandoned the job (drain deadline, close);
@@ -361,17 +361,8 @@ class ServeService:
                 self.store.requeue(job_id)
             else:
                 self.store.settle(job_id, "failed",
-                                  error=_error_dict(job_failure(exc)))
+                                  error=job_failure(exc).to_dict())
         finally:
             with self._cv:
                 self._inflight.pop(job_id, None)
                 self._cv.notify_all()
-
-
-def _error_dict(failure) -> dict:
-    error = {"kind": getattr(failure, "kind", type(failure).__name__),
-             "message": getattr(failure, "message", str(failure))}
-    details = getattr(failure, "details", None)
-    if details:
-        error["details"] = details
-    return error

@@ -87,6 +87,34 @@ class TestFlowAccounting:
             assert len(addrs) <= max(info.window, 1)
 
 
+def test_credit_window_equals_the_receiver_rings_live_slots():
+    """A flow's credit window is exactly the ring slots its messages cycle
+    through, on every golden compile point: a ``data`` flow's RECVs land
+    in ``min(window, n_messages)`` distinct input-ring slots; ``partial``
+    and ``shard`` gathers have window 2 and cycle through
+    ``min(2, n_messages)`` slots of their ping-pong staging ring (the
+    home core's RECV side for partial sums, the shard core's SEND side
+    for token slices).  Flows with no messages carry no instruction."""
+    from _compile_digests import compile_points
+
+    checked, violations = 0, []
+    for key, chip in compile_points():
+        recvs = chip.recvs_by_flow()
+        staged = {"data": recvs, "partial": recvs,
+                  "shard": chip.sends_by_flow()}
+        for fid, info in chip.flows.items():
+            insts = staged[info.kind].get(fid, [])
+            if info.kind != "data" and info.window != 2:
+                violations.append((key, fid, info.kind, "window", info.window))
+            want = min(info.window, info.n_messages)
+            got = len({inst.addr for inst in insts})
+            if got != want:
+                violations.append((key, fid, info.kind, want, got))
+            checked += 1
+    assert checked > 0
+    assert violations == []
+
+
 class TestLayerAccounting:
     def test_every_compute_stage_has_mvms(self, compiled):
         chip = compiled.program

@@ -256,3 +256,19 @@ class TestFaultToleranceParity:
             assert isinstance(out[1], JobPoisoned)
             assert out[2].cycles > 0 and out[2].fidelity == "fast"
             assert engine.pool_stats()["poisoned"] == 1
+
+
+@pytest.mark.parametrize("fidelity", ["cycle", "fast"])
+@pytest.mark.xfail(strict=True, raises=DeadlockError,
+                   reason="known counterexample to the deadlock-freedom "
+                          "argument (DESIGN.md 'Windowed synchronized "
+                          "transfers'); cause not yet diagnosed")
+def test_vit_tiny_imagenet_on_the_small_chip_completes(fidelity):
+    """The deadlock-freedom argument does not hold for every DAG the
+    frontend accepts: this job deadlocks at cycle 276,844 at both
+    fidelities.  Strict, so the fix of the ring / window sizing has to
+    flip it."""
+    with Engine(small_chip()) as engine:
+        report = engine.run(JobSpec("vit_tiny", config=small_chip(),
+                                    imagenet=True, fidelity=fidelity))
+    assert report.cycles > 0

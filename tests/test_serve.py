@@ -376,6 +376,27 @@ class TestServeService:
         assert done.state == "done"
         assert done.report["cycles"] > 0
 
+    def test_failure_record_matches_pimsim_batch(self, service, tmp_path,
+                                                 capsys):
+        """A job failing the same way leaves the same ``error`` dict in the
+        serve store as on its ``pimsim batch`` line (``JobFailed.to_dict``
+        in both; each ran in a pool worker, so ``details`` is the same
+        traceback)."""
+        failing = {"network": "vgg8", "config": "tiny"}  # no room on 4 cores
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([failing, {**failing, "rob_size": 1}]))
+        assert main(["batch", str(jobs), "--workers", "2"]) == 1
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines() if line]
+        batch_error = next(r["error"] for r in lines if r.get("index") == 0)
+        record, _created = service.submit(JobSpec.from_dict(failing))
+        failed = wait_until(lambda: service.store.get(record.id).terminal
+                            and service.store.get(record.id))
+        assert failed.state == "failed"
+        assert failed.error == batch_error
+        assert batch_error["kind"] == "CompileError"
+        assert "Traceback" in batch_error["details"]
+
     def test_resubmission_is_idempotent_never_reruns(self, service):
         record, _created = service.submit(spec_with(rob_size=2))
         wait_until(lambda: service.store.get(record.id).terminal)
