@@ -16,7 +16,7 @@ synchronized-communication simulator on identical crossbar configurations:
   arbitration).
 
 The baseline reuses the real compiler's placement, tiling, stage homes
-(``placement.stage_homes``) and work-item order (``tiling.work_items``),
+(``placement.stage_homes``) and work-item order (``tiling.dependences``),
 so compute work matches the cycle-accurate run and any latency difference
 is due to the communication and execution model — exactly the comparison
 the paper makes.  (Unlike the open-source MNSIM2.0 the paper had to work around, this
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..compiler import Pipeline, build_pipeline, map_network, n_tiles
 from ..compiler.placement import stage_homes
-from ..compiler.tiling import compute_levels, edge_requirements, work_items
+from ..compiler.tiling import dependences
 from ..config import ArchConfig, validate
 from ..graph import Graph
 
@@ -109,8 +109,8 @@ def run_baseline(graph: Graph, config: ArchConfig, *,
     pipeline: Pipeline = build_pipeline(
         graph, operator_fusion=config.compiler.operator_fusion)
     placement = map_network(pipeline, config)
-    reqs = edge_requirements(pipeline, config.compiler.tile_pixels)
     tile_pixels = config.compiler.tile_pixels
+    deps = dependences(pipeline, tile_pixels)
     hop = config.noc.hop_cycles
     home = stage_homes(pipeline, placement)
 
@@ -136,25 +136,23 @@ def run_baseline(graph: Graph, config: ArchConfig, *,
 
     link_bw = config.noc.link_bytes_per_cycle
     act_bytes = config.compiler.activation_bytes
-    stage_by_name = {s.name: s for s in pipeline.stages}
 
     # Work items in the code generator's emission order, so co-resident
     # stages interleave on their core instead of one stage monopolizing
     # it (a list-scheduling artifact a stage-major sweep would introduce).
-    levels = compute_levels(pipeline, tile_pixels, reqs=reqs)
-    for stage, tile in work_items(pipeline, levels):
+    for stage, tile in deps.order:
         my_home = home[stage.name]
         compute = tile_compute[stage.name]
         ready = 0
         for edge_idx, edge in enumerate(stage.edges):
             hops = hops_between(home[edge.producer], my_home)
-            producer = stage_by_name[edge.producer]
+            producer = pipeline.stage(edge.producer)
             tile_bytes = (min(tile_pixels, producer.out_pixels)
                           * producer.out_channels * act_bytes)
             # Ideal-async transmission: pure wire latency plus uncontended
             # serialization — no arbitration, no backpressure, no sync.
             wire = hop * hops + (math.ceil(tile_bytes / link_bw) if hops else 0)
-            req = reqs[(stage.name, edge_idx)][tile]
+            req = deps.req[(stage.name, edge_idx)][tile]
             ready = max(ready, done[(edge.producer, req)] + wire)
             layer_comm[stage.name] = layer_comm.get(stage.name, 0) + wire
         start = max(ready, core_free.get(my_home, 0))

@@ -17,10 +17,11 @@ from .pipeline import CompilationResult, compile_network
 from .placement import Placement, Slice, StagePlan, assign_shard_groups
 from .stepwise import StepTemplate, StepwiseError, compile_step_template
 from .tiling import (
+    Dependences,
     WeightTiling,
-    compute_levels,
+    dependences,
     n_tiles,
-    required_tile,
+    tile_interval,
     tile_pixel_range,
     weight_tiling,
 )
@@ -51,8 +52,9 @@ __all__ = [
     "weight_tiling",
     "n_tiles",
     "tile_pixel_range",
-    "required_tile",
-    "compute_levels",
+    "tile_interval",
+    "Dependences",
+    "dependences",
     "generate_code",
     "ACC_BYTES",
     "AllocatorSet",

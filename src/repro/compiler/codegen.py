@@ -1,7 +1,7 @@
 """Code generation: placement + pipeline -> per-core instruction streams.
 
 The generator walks *work items* — (stage, output tile) pairs — in a global
-dependency-level order (:func:`~repro.compiler.tiling.compute_levels`) and
+dependency-level order (:func:`~repro.compiler.tiling.dependences`) and
 emits, on every participating core:
 
 1. input acquisition — ``RECV`` new producer tiles (or ``LOAD`` from global
@@ -53,14 +53,7 @@ from ..isa import (
 from .allocator import AllocatorSet, Region
 from .frontend import CompileError, Pipeline, Stage, shard_tile_ranges
 from .placement import Placement, StagePlan, assign_shard_groups, stage_homes
-from .tiling import (
-    compute_levels,
-    edge_requirements,
-    edge_skews,
-    n_tiles,
-    tile_pixel_range,
-    work_items,
-)
+from .tiling import dependences, n_tiles, tile_pixel_range
 
 __all__ = ["generate_code", "ACC_BYTES"]
 
@@ -107,12 +100,7 @@ class _CodeGenerator:
         self.window = config.noc.sync_window
 
         self.stages = {s.name: s for s in pipeline.stages}
-        # One dependence analysis per compile, shared by the three tables.
-        self.reqs = edge_requirements(pipeline, self.tile_pixels)
-        self.levels = compute_levels(pipeline, self.tile_pixels,
-                                     reqs=self.reqs)
-        self.skews = edge_skews(pipeline, self.tile_pixels, reqs=self.reqs,
-                                levels=self.levels)
+        self.deps = dependences(pipeline, self.tile_pixels)
         self.home: dict[str, int | None] = stage_homes(pipeline, placement)
         self.receivers: dict[str, list[int]] = {}
         self.allocs = AllocatorSet(config.core.local_memory_bytes)
@@ -218,7 +206,7 @@ class _CodeGenerator:
         p_tiles = n_tiles(producer, self.tile_pixels)
         if edge.full_input:
             return p_tiles
-        skew = self.skews.get((stage.name, edge_idx), 0)
+        skew = self.deps.skews.get((stage.name, edge_idx), 0)
         # +4: the in-order-retire ROB lets a sender dispatch a few items
         # past a credit-blocked SEND before jamming; the window must cover
         # that lookahead on top of the structural skew.
@@ -231,30 +219,17 @@ class _CodeGenerator:
         consumers are covered by their flow window (the SEND holds the
         slot via WAR hazards), co-resident consumers read the ring
         directly, so the depth must span the level-order distance between
-        the producer writing a tile and the consumer's item that reads it.
+        the producer writing a tile and the consumer's item that reads it
+        (``deps.lags``).
         """
-        nt = n_tiles(stage, self.tile_pixels)
         home = self.home[stage.name]
-        lv_p = self.levels[stage.name]
         depth = max(2, self.window)
-        for consumer in self.pipeline:
-            for edge_idx, edge in enumerate(consumer.edges):
-                if edge.producer != stage.name:
-                    continue
-                if home not in self.receivers[consumer.name]:
-                    depth = max(depth, self._edge_window(consumer, edge_idx))
-                    continue
-                if edge.full_input:
-                    return nt
-                req = self.reqs[(consumer.name, edge_idx)]
-                lv_c = self.levels[consumer.name]
-                # max producer item ordered (by level) before consumer item t
-                p = 0
-                for t, req_t in enumerate(req):
-                    while p < nt and lv_p[p] <= lv_c[t]:
-                        p += 1
-                    depth = max(depth, (p - 1) - req_t + 2)
-        return min(nt, depth)
+        for consumer, edge_idx in self.deps.consumers[stage.name]:
+            if home in self.receivers[consumer.name]:
+                depth = max(depth, self.deps.lags[(consumer.name, edge_idx)])
+            else:
+                depth = max(depth, self._edge_window(consumer, edge_idx))
+        return min(n_tiles(stage, self.tile_pixels), depth)
 
     def _build_groups(self) -> None:
         """Define crossbar groups per (stage, core, copy, row block)."""
@@ -365,7 +340,7 @@ class _CodeGenerator:
                 load = producer.kind in ("input", "cache")
                 slot_bytes = self._nominal_tile_bytes(producer)
                 slots = self._edge_window(stage, edge_idx)
-                req = self.reqs[(stage.name, edge_idx)]
+                req = self.deps.req[(stage.name, edge_idx)]
                 for core in self.receivers[stage.name]:
                     ports = self.ports.setdefault((stage.name, core), [])
                     if not load and p_home == core:
@@ -375,7 +350,7 @@ class _CodeGenerator:
                     # Strided consumers may never touch the producer's
                     # last rows (e.g. 1x1 stride-2 projections) and a
                     # shard core only consumes its token slice, which
-                    # starts past the previous shard's (``required_tile``
+                    # starts past the previous shard's (``deps.req``
                     # is monotone, so the slices partition the stream; a
                     # full-input edge is broadcast whole to every shard):
                     # only ship what this core needs.
@@ -462,7 +437,7 @@ class _CodeGenerator:
         self._build_groups()
         self._wire()
 
-        for stage, tile in work_items(self.pipeline, self.levels):
+        for stage, tile in self.deps.order:
             self._emit_inputs(stage, tile)
             if stage.kind == "compute":
                 self._emit_compute(stage, tile)
@@ -520,7 +495,7 @@ class _CodeGenerator:
                 if port.op is None:
                     continue
                 producer = self.stages[stage.edges[edge_idx].producer]
-                req = self.reqs[(stage.name, edge_idx)]
+                req = self.deps.req[(stage.name, edge_idx)]
                 start = port.q_lo if tile == first else req[tile - 1] + 1
                 for q in range(start, req[tile] + 1):
                     program.append(TransferInst(
@@ -532,7 +507,7 @@ class _CodeGenerator:
     def _input_src(self, stage: Stage, core: int, tile: int) -> tuple[int, int]:
         """Byte range the matrix unit reads its input vectors from."""
         region = self.ports[(stage.name, core)][0].region
-        return region.range_of(self.reqs[(stage.name, 0)][tile])
+        return region.range_of(self.deps.req[(stage.name, 0)][tile])
 
     def _emit_compute(self, stage: Stage, tile: int) -> None:
         plan = self.placement.plan(stage.name)
@@ -638,7 +613,7 @@ class _CodeGenerator:
         if stage.edges[edge_idx].full_input or stage.op in ("maxpool", "avgpool", "lrn"):
             # window/reduction ops read across slots: conservative full ring.
             return region.base, region.end
-        return region.range_of(self.reqs[(stage.name, edge_idx)][tile])
+        return region.range_of(self.deps.req[(stage.name, edge_idx)][tile])
 
     def _emit_aux(self, stage: Stage, tile: int) -> None:
         home = self.home[stage.name]

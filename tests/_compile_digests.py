@@ -14,6 +14,16 @@ blocker sweep — where the tables already were absolute indices.
 
 Re-record (ONLY from a commit known to emit the same programs) with
 ``cd tests && PYTHONPATH=../src python _compile_digests.py``.
+
+``python tests/_compile_digests.py --wide OUT`` (``PYTHONPATH=src``, from
+the repo root) writes the wider parent/change check instead: one stream
+digest per point of :func:`wide_points` — every zoo network x both
+mappings x attention shards 1-4 x both shard placements on the small
+chip, ``gpt_tiny``'s step template at extents 1 / 3 / 7, the test nets
+of ``conftest.py`` on the tiny chip, ``compiler.tile_pixels`` 1 and 4
+for lenet5 / vgg8 / resnet18, and ``run_baseline`` of every zoo network
+on the small and mnsim presets.  Run it from two trees (or under two
+``PYTHONHASHSEED`` values) and ``cmp`` the files; nothing is committed.
 """
 
 from __future__ import annotations
@@ -21,14 +31,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Iterator
 
-from repro.config import small_chip
+from repro.config import SHARD_PLACEMENTS, get_preset, small_chip, with_param
 from repro.engine import Engine, JobSpec
 from repro.isa import ChipProgram
 
-__all__ = ["GOLDEN", "WINDOWS", "compile_points", "digests"]
+__all__ = ["GOLDEN", "WINDOWS", "compile_points", "digests", "wide_points"]
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_digests.json"
 WINDOWS = (1, 2, 8, 32)
@@ -89,6 +100,58 @@ def digests() -> dict[str, dict[str, str]]:
             for key, chip in compile_points()}
 
 
+def wide_points() -> Iterator[tuple[str, str]]:
+    """``(key, digest)`` per point of the wide check (module docstring)."""
+    from conftest import build_branch_net, build_chain_net, build_residual_net
+
+    from repro.baseline import run_baseline
+    from repro.models import MODELS, build_model
+
+    engine = Engine(small_chip())
+    for net in MODELS:
+        for mapping in _MAPPINGS:
+            for shards in (1, 2, 3, 4):
+                for placement in SHARD_PLACEMENTS:
+                    config = small_chip().with_shard_placement(placement)
+                    yield (f"small/{net}/{mapping}/shards{shards}/{placement}",
+                           _stream_digest(engine.compile_for(JobSpec(
+                               net, config=config, mapping=mapping,
+                               attention_shards=shards))[0].program))
+    template = engine.step_template("gpt_tiny")
+    for extent in (1, 3, 7):
+        yield (f"small/gpt_tiny/template/extent{extent}",
+               _stream_digest(template.resolve(extent)))
+    tiny = Engine(get_preset("tiny"))
+    for build in (build_chain_net, build_residual_net, build_branch_net):
+        graph = build()
+        yield (f"tiny/{graph.name}",
+               _stream_digest(tiny.compile_for(JobSpec(graph))[0].program))
+    for net in ("lenet5", "vgg8", "resnet18"):
+        for tile_pixels in (1, 4):
+            config = with_param(small_chip(), "compiler.tile_pixels",
+                                tile_pixels)
+            yield (f"small/{net}/tile_pixels{tile_pixels}",
+                   _stream_digest(engine.compile_for(
+                       JobSpec(net, config=config))[0].program))
+    for preset in ("small", "mnsim"):
+        for net in MODELS:
+            result = run_baseline(build_model(net), get_preset(preset))
+            record = (result.cycles, sorted(result.layer_comm.items()),
+                      sorted(result.layer_compute.items()),
+                      sorted(result.meta.items()))
+            yield (f"baseline/{preset}/{net}",
+                   hashlib.sha256(repr(record).encode()).hexdigest())
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    if sys.argv[1:2] == ["--wide"] and len(sys.argv) == 3:
+        wide = dict(wide_points())
+        Path(sys.argv[2]).write_text(
+            json.dumps(wide, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(wide)} digests to {sys.argv[2]}")
+    elif len(sys.argv) == 1:
+        GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True)
+                          + "\n")
+        print(f"wrote {GOLDEN}")
+    else:
+        sys.exit("usage: _compile_digests.py [--wide OUT]")

@@ -115,6 +115,42 @@ def test_credit_window_equals_the_receiver_rings_live_slots():
     assert violations == []
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="input rings are sized from the highest producer "
+                          "tile an item reads, not from the span it holds at "
+                          "once (ROADMAP item 1)")
+def test_every_input_ring_holds_the_tiles_one_item_reads():
+    """A ``RECV`` / ``LOAD`` port's ring must hold every producer tile one
+    consumer item reads at once, ``max_t(req_t - lo_t + 1)`` slots;
+    otherwise the item's first tiles are overwritten by its last ones
+    (silent aliasing: no hazard, no deadlock, wrong data).  Known to fail
+    on lenet5 ``conv1`` (LOAD 8 < 15) and ``conv2`` (RECV 9 < 11),
+    alexnet ``conv1`` (LOAD 8 < 12) and vit_tiny ``patch_embed``
+    (LOAD 8 < 16) on the small chip."""
+    from repro.compiler import build_pipeline, map_network
+    from repro.compiler.codegen import _CodeGenerator
+    from repro.config import small_chip
+
+    config = small_chip()
+    short = []
+    for net in ("lenet5", "alexnet", "vit_tiny"):
+        pipeline = build_pipeline(build_model(net))
+        gen = _CodeGenerator(pipeline, map_network(pipeline, config), config)
+        gen.generate()
+        deps = gen.deps
+        for (stage, core), ports in gen.ports.items():
+            for edge_idx, port in enumerate(ports):
+                if port.op is None:
+                    continue
+                key = (stage, edge_idx)
+                span = max(hi - lo + 1
+                           for lo, hi in zip(deps.lo[key], deps.req[key]))
+                if port.region.slots < span:
+                    short.append((net, stage, core, port.op,
+                                  port.region.slots, span))
+    assert short == []
+
+
 class TestLayerAccounting:
     def test_every_compute_stage_has_mvms(self, compiled):
         chip = compiled.program

@@ -4,13 +4,13 @@ import pytest
 
 from repro.compiler import (
     build_pipeline,
-    compute_levels,
+    dependences,
     n_tiles,
-    required_tile,
+    tile_interval,
     tile_pixel_range,
     weight_tiling,
 )
-from repro.compiler.tiling import WeightTiling, edge_requirements, edge_skews
+from repro.compiler.tiling import WeightTiling
 
 
 class TestWeightTiling:
@@ -79,7 +79,7 @@ class TestRequiredTile:
         for stage in pipe:
             for edge in stage.edges:
                 producer = pipe.stage(edge.producer)
-                reqs = [required_tile(stage, edge, producer, 4, t)
+                reqs = [tile_interval(stage, edge, producer, 4, t)[1]
                         for t in range(n_tiles(stage, 4))]
                 assert reqs == sorted(reqs)
 
@@ -88,14 +88,14 @@ class TestRequiredTile:
         conv2 = pipe.stage("conv2")
         producer = pipe.stage(conv2.edges[0].producer)
         last = n_tiles(conv2, 4) - 1
-        assert required_tile(conv2, conv2.edges[0], producer, 4, last) \
+        assert tile_interval(conv2, conv2.edges[0], producer, 4, last)[1] \
             == n_tiles(producer, 4) - 1
 
     def test_full_input_edge_requires_everything(self, chain_net):
         pipe = build_pipeline(chain_net)
         fc = pipe.stage("fc1")
         producer = pipe.stage(fc.edges[0].producer)
-        assert required_tile(fc, fc.edges[0], producer, 4, 0) \
+        assert tile_interval(fc, fc.edges[0], producer, 4, 0)[1] \
             == n_tiles(producer, 4) - 1
 
     def test_halo_requires_one_extra_row(self, chain_net):
@@ -103,7 +103,7 @@ class TestRequiredTile:
         pipe = build_pipeline(chain_net)
         conv2 = pipe.stage("conv2")
         producer = pipe.stage(conv2.edges[0].producer)
-        req0 = required_tile(conv2, conv2.edges[0], producer, 8, 0)
+        req0 = tile_interval(conv2, conv2.edges[0], producer, 8, 0)[1]
         assert req0 >= 0
         # producer is 8x8 = 8 tiles of 8px (one row each); conv2 is pooled
         # to 4x4 so its tile 0 spans 2 output rows -> needs rows 0..4
@@ -116,24 +116,24 @@ class TestRequiredTile:
                 producer = pipe.stage(edge.producer)
                 tp = n_tiles(producer, 4)
                 for t in range(n_tiles(stage, 4)):
-                    req = required_tile(stage, edge, producer, 4, t)
+                    req = tile_interval(stage, edge, producer, 4, t)[1]
                     assert 0 <= req < tp
 
 
 class TestLevels:
     def test_input_levels_are_tile_indices(self, chain_net):
-        levels = compute_levels(build_pipeline(chain_net), 4)
+        levels = dependences(build_pipeline(chain_net), 4).levels
         assert levels["input"] == list(range(len(levels["input"])))
 
     def test_strictly_increasing_per_stage(self, residual_net):
-        levels = compute_levels(build_pipeline(residual_net), 4)
+        levels = dependences(build_pipeline(residual_net), 4).levels
         for per_stage in levels.values():
             assert all(b > a for a, b in zip(per_stage, per_stage[1:]))
 
     def test_every_dependency_has_smaller_level(self, residual_net):
         pipe = build_pipeline(residual_net)
-        levels = compute_levels(pipe, 4)
-        reqs = edge_requirements(pipe, 4)
+        levels = dependences(pipe, 4).levels
+        reqs = dependences(pipe, 4).req
         for stage in pipe:
             if stage.kind == "input":
                 continue
@@ -144,14 +144,14 @@ class TestLevels:
 
     def test_levels_cover_all_stages(self, branch_net):
         pipe = build_pipeline(branch_net)
-        levels = compute_levels(pipe, 4)
+        levels = dependences(pipe, 4).levels
         assert set(levels) == {s.name for s in pipe}
 
 
 class TestSkews:
     def test_chain_edges_have_small_skew(self, chain_net):
         pipe = build_pipeline(chain_net)
-        skews = edge_skews(pipe, 4)
+        skews = dependences(pipe, 4).skews
         conv2_skew = skews[("conv2", 0)]
         assert 0 <= conv2_skew <= n_tiles(pipe.stage("conv1"), 4)
 
@@ -159,7 +159,7 @@ class TestSkews:
         """The identity shortcut bypasses two convs: its skew must cover
         the halo lag accumulated along the main path."""
         pipe = build_pipeline(residual_net)
-        skews = edge_skews(pipe, 4)
+        skews = dependences(pipe, 4).skews
         join = pipe.stage("join")
         main_idx = next(i for i, e in enumerate(join.edges)
                         if e.producer == "main2")
@@ -170,10 +170,10 @@ class TestSkews:
 
     def test_skews_nonnegative(self, branch_net):
         pipe = build_pipeline(branch_net)
-        for value in edge_skews(pipe, 4).values():
+        for value in dependences(pipe, 4).skews.values():
             assert value >= 0
 
     def test_input_edges_not_windowed(self, chain_net):
         pipe = build_pipeline(chain_net)
-        skews = edge_skews(pipe, 4)
+        skews = dependences(pipe, 4).skews
         assert ("conv1", 0) not in skews  # producer is the input stage

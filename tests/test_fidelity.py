@@ -27,7 +27,13 @@ import pytest
 from repro import Engine, JobSpec, simulate
 from repro.arch import run_program
 from repro.compiler import compile_network, compile_step_template
-from repro.config import ConfigError, small_chip, tiny_chip, validate
+from repro.config import (
+    ConfigError,
+    small_chip,
+    tiny_chip,
+    validate,
+    with_param,
+)
 from repro.engine import JobPoisoned
 from repro.models import build_model
 from repro.sim import DeadlockError
@@ -262,7 +268,9 @@ class TestFaultToleranceParity:
 @pytest.mark.xfail(strict=True, raises=DeadlockError,
                    reason="known counterexample to the deadlock-freedom "
                           "argument (DESIGN.md 'Windowed synchronized "
-                          "transfers'); cause not yet diagnosed")
+                          "transfers'): rings are sized from the highest "
+                          "producer tile an item reads, not the lowest "
+                          "(ROADMAP item 1)")
 def test_vit_tiny_imagenet_on_the_small_chip_completes(fidelity):
     """The deadlock-freedom argument does not hold for every DAG the
     frontend accepts: this job deadlocks at cycle 276,844 at both
@@ -271,4 +279,19 @@ def test_vit_tiny_imagenet_on_the_small_chip_completes(fidelity):
     with Engine(small_chip()) as engine:
         report = engine.run(JobSpec("vit_tiny", config=small_chip(),
                                     imagenet=True, fidelity=fidelity))
+    assert report.cycles > 0
+
+
+@pytest.mark.xfail(strict=True, raises=DeadlockError,
+                   reason="second counterexample, same cause: rings are sized "
+                          "from the highest producer tile an item reads, not "
+                          "the lowest (ROADMAP item 1)")
+def test_resnet18_with_one_pixel_tiles_on_the_small_chip_completes():
+    """resnet18 with ``compiler.tile_pixels=1`` deadlocks on the small
+    chip (the fast tier stops at cycle 344,454).  Fast tier only: the
+    cycle tier deadlocks one cycle later, a fidelity gap of its own."""
+    config = with_param(small_chip(), "compiler.tile_pixels", 1)
+    with Engine(config) as engine:
+        report = engine.run(JobSpec("resnet18", config=config,
+                                    fidelity="fast"))
     assert report.cycles > 0

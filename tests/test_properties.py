@@ -149,18 +149,21 @@ def test_stride_one_padding_same_keeps_size(h, k, p):
 @given(st.integers(2, 64), st.integers(1, 32))
 @settings(max_examples=30)
 def test_required_tile_monotone_for_random_chain(size, tile_pixels):
-    from repro.compiler import build_pipeline, n_tiles, required_tile
+    from repro.compiler import build_pipeline, n_tiles, tile_interval
     from tests.conftest import build_chain_net
     pipe = build_pipeline(build_chain_net(size=max(4, size - size % 2)))
     for stage in pipe:
         for edge in stage.edges:
             producer = pipe.stage(edge.producer)
-            last = -1
+            last = last_lo = -1
             for t in range(n_tiles(stage, tile_pixels)):
-                req = required_tile(stage, edge, producer, tile_pixels, t)
+                lo, req = tile_interval(stage, edge, producer, tile_pixels, t)
                 assert req >= last
                 assert 0 <= req < n_tiles(producer, tile_pixels)
+                assert lo <= req
+                assert lo >= last_lo
                 last = req
+                last_lo = lo
 
 
 # -- simulator determinism / fifo order ----------------------------------------------
