@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import ArchConfig, validate
-from ..isa import ChipProgram
+from ..isa import ChipProgram, ProgramError
 from ..sim import AllOf, DeadlockError, Simulator
 from .core import CoreModel
 from .energy import EnergyMeter
@@ -75,6 +75,11 @@ class ChipModel:
 
     def __init__(self, program: ChipProgram, config: ArchConfig) -> None:
         validate(config)
+        # Cores address their cost and blocker tables by ``inst.index``,
+        # which only ``Program.seal()`` assigns.
+        for core_id, core_program in program.programs.items():
+            if not core_program.sealed:
+                raise ProgramError(f"core {core_id}: program is not sealed")
         self.program = program
         self.config = config
         self.sim = Simulator()

@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING, Generator
 from ..isa import N_REGISTERS, Program, ScalarInst
 from ..sim import Event, Fifo
 from .rob import ReorderBuffer, RobEntry
-from .units import MatrixUnit, ScalarUnit, TransferUnit, VectorUnit
+from .units import (MatrixUnit, ScalarUnit, TransferUnit, VectorUnit,
+                    instruction_costs)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chip import ChipModel
@@ -51,6 +52,18 @@ class CoreBase:
     :meth:`stats`), ``start()`` and ``_send_done(token)``, the completion
     of one drained SEND.
 
+    ``costs`` is the program's :func:`~repro.arch.units.instruction_costs`
+    table, built once per run; both tiers time and charge every
+    instruction from it.
+
+    Of the three stall counters only ``rob_stall_cycles`` measures
+    compiled programs.  ``queue_stall_cycles`` is never incremented
+    (unit queues are unbounded, see ``_UnitBase``), so it is always 0,
+    and ``hazard_stall_cycles`` counts only branch waits at dispatch, so
+    it is 0 on every compiled (straight-line) program.  ``stats()`` keeps
+    both because the per-core report contract and the e2e tables read
+    them.
+
     A core copies the chip-level parts it uses and keeps no reference to
     the chip, so a finished model holds no core <-> chip cycle.
     """
@@ -64,7 +77,7 @@ class CoreBase:
         self.trace = chip.trace
         self.core_id = program.core
         self.program = program
-        self.groups = program.groups
+        self.costs = instruction_costs(program, chip.config)
         self.regs = [0] * N_REGISTERS
         self.halted = Event(chip.sim, f"core{self.core_id}.halted")
         self.halt_time: int | None = None
@@ -156,9 +169,9 @@ class CoreModel(CoreBase):
         super().__init__(chip, program)
         rob_size = chip.config.core.rob_size
         # Straight-line programs carry a static hazard table (cached on
-        # the sealed program, amortized across sweeps/repeat runs);
-        # branchy programs fall back to the ROB's window scan.
-        static = program.static_blockers(rob_size) if program.sealed else None
+        # the program, amortized across sweeps/repeat runs); branchy
+        # programs (``None``) fall back to the ROB's window scan.
+        static = program.static_blockers(rob_size)
         self.rob = ReorderBuffer(chip.sim, rob_size,
                                  f"core{self.core_id}.rob",
                                  static_blockers=static)

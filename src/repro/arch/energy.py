@@ -26,7 +26,11 @@ class EnergyMeter:
         self.pj[category] += picojoules
 
     # The per-category charges below update ``pj`` directly rather than
-    # going through :meth:`add` — they run once or more per instruction.
+    # going through :meth:`add`.  ``mvm`` / ``vector_*`` / ``scalar_op`` /
+    # ``local_mem`` are the reference the per-instruction cost table
+    # (:func:`repro.arch.units.instruction_costs`) is tested against; the
+    # simulator charges those terms from the table.  ``global_mem`` and
+    # ``noc_traffic`` are charged live, as the traffic moves.
 
     def mvm(self, energy_cfg, rows: int, cols: int, dac_phases: int,
             count: int) -> None:

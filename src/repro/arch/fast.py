@@ -39,20 +39,21 @@ blocker or at the retirement frontier — blocks in real simulated time,
 which can floor a *later* transfer's start at that wait's end where the
 cycle-accurate core would have started it earlier.
 ``tools/check_fidelity.py`` bounds the resulting total-cycle deviation at
-2% across the whole model zoo.  The walker deliberately inlines the unit
-loops' latency and energy arithmetic (:mod:`repro.arch.units`);
-``tests/test_fidelity.py`` (``TestBreakdownEqual``) is the gate that
-keeps the two copies equal — per energy category, per-core unit
-busy/ops/ROB stalls and per-layer busy cycles — so edit either side only
-with that test green.
+2% across the whole model zoo.
+
+Latencies and energy come from the core's
+:func:`~repro.arch.units.instruction_costs` table, the one the
+cycle-accurate units read; the walker owns only the start-cycle
+recurrences.  ``tests/test_fidelity.py`` (``TestBreakdownEqual``) checks
+both tiers agree per energy category, per-core unit busy/ops/ROB stalls
+and per-layer busy cycles.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Generator
 
-from ..isa import VECTOR_SPECIAL_OPS, MvmInst, Program, ScalarInst, VectorInst
+from ..isa import MvmInst, Program, ScalarInst, VectorInst
 from ..sim import AnalyticWindow, PendingCompletion
 from .chip import ChipModel, RawResult
 from .core import CoreBase, CoreModel
@@ -119,16 +120,13 @@ class FastCore(CoreBase):
         decode+dispatch fill, stalled to the retirement frontier when
         the ROB is full; units: serialized per unit — the matrix unit
         frees after 1 issue cycle, children overlap — floored by the
-        oldest-blocker completion max).  Latency and energy arithmetic
-        is the unit loops' (gated by ``tests/test_fidelity.py``, see the
-        module docstring); it is inlined here because this loop runs
-        once per instruction.
+        oldest-blocker completion max).  Latencies and energy terms come
+        from the core's cost table (``self.costs``).
         """
         sim = self.sim
         flows = self.flows
         gmem = self.gmem
-        cfg = self.config
-        core_cfg = cfg.core
+        core_cfg = self.config.core
         rob_size = core_cfg.rob_size
         blockers_tab = self.program.static_blockers(rob_size)
         # Ring sizing and index masking match the ROB's static table
@@ -138,28 +136,8 @@ class FastCore(CoreBase):
 
         fetch_width = core_cfg.fetch_width
         single_issue = fetch_width == 1
-        read_bw = core_cfg.local_memory_read_bytes_per_cycle
-        write_bw = core_cfg.local_memory_write_bytes_per_cycle
-        lanes = core_cfg.vector_lanes
-        v_issue = core_cfg.vector_issue_cycles
-        special_cycles = core_cfg.vector_special_cycles_per_element
-        scalar_latency = max(1, core_cfg.scalar_cycles)
-        mvm_cycles = cfg.crossbar.mvm_cycles()
-        act_bytes = cfg.compiler.activation_bytes
-        dac_phases = cfg.crossbar.dac_phases
-        groups = self.groups.groups if self.groups is not None else {}
-        special = VECTOR_SPECIAL_OPS
-
-        e = cfg.energy
-        e_xbar = e.xbar_read_pj_per_cell
-        e_dac = e.dac_pj_per_conversion
-        e_adc = e.adc_pj_per_sample
-        e_vector = e.vector_pj_per_element
-        e_special = e.vector_special_pj_per_element
-        e_mac = e.vector_mac_pj
-        e_lmem = e.local_mem_pj_per_byte
-        energy = self.energy
-        pj = energy.pj
+        costs = self.costs
+        pj = self.energy.pj
 
         matrix = self.units["matrix"]
         vector = self.units["vector"]
@@ -233,20 +211,12 @@ class FastCore(CoreBase):
                 if bmax > start:
                     start = bmax
                 matrix_free = start + 1  # 1 MVM issue/cycle, children overlap
-                count = inst.count
-                group = groups[inst.group]
-                in_bytes = count * group.rows * act_bytes
-                out_bytes = inst.dst_bytes
-                stream = -(-in_bytes // read_bw) + -(-out_bytes // write_bw)
-                latency = count * mvm_cycles
-                if stream > latency:
-                    latency = stream
+                latency, xbar, dac, adc, local_mem = costs[index]
                 ring[index & mask] = start + latency
-                rows = group.rows
-                pj["xbar"] += e_xbar * rows * group.cols * count
-                pj["dac"] += e_dac * rows * dac_phases * count
-                pj["adc"] += e_adc * group.cols * dac_phases * count
-                pj["local_mem"] += e_lmem * (in_bytes + out_bytes)
+                pj["xbar"] += xbar
+                pj["dac"] += dac
+                pj["adc"] += adc
+                pj["local_mem"] += local_mem
                 matrix.busy_cycles += latency
                 matrix.ops += 1
                 layer = inst.layer
@@ -260,29 +230,11 @@ class FastCore(CoreBase):
                     start = vector_free
                 if bmax > start:
                     start = bmax
-                length = inst.length
-                if inst.n_sources == 2:
-                    read_bytes = inst.src_bytes + (inst.src2_bytes
-                                                   or inst.src_bytes)
-                else:
-                    read_bytes = inst.src_bytes
-                op = inst.op
-                if op == "VMATMUL":
-                    e_elem = e_mac
-                    alu = -(-length // lanes)
-                elif op in special:
-                    e_elem = e_special
-                    alu = -(-length * special_cycles // lanes)
-                else:
-                    e_elem = e_vector
-                    alu = -(-length // lanes)
-                stream = max(-(-read_bytes // read_bw),
-                             -(-inst.dst_bytes // write_bw))
-                latency = v_issue + (alu if alu > stream else stream)
+                latency, vector_pj, local_mem = costs[index]
                 vector_free = start + latency
                 ring[index & mask] = vector_free
-                pj["vector"] += e_elem * length
-                pj["local_mem"] += e_lmem * (read_bytes + inst.dst_bytes)
+                pj["vector"] += vector_pj
+                pj["local_mem"] += local_mem
                 vector.busy_cycles += latency
                 vector.ops += 1
                 layer = inst.layer
@@ -296,14 +248,15 @@ class FastCore(CoreBase):
                     start = scalar_free
                 if bmax > start:
                     start = bmax
-                scalar_free = start + scalar_latency
+                latency, scalar_pj = costs[index]
+                scalar_free = start + latency
                 ring[index & mask] = scalar_free
                 self.execute_scalar(inst)
-                energy.scalar_op(e)
-                scalar.busy_cycles += scalar_latency
+                pj["scalar"] += scalar_pj
+                scalar.busy_cycles += latency
                 scalar.ops += 1
                 layer = inst.layer
-                s_layers[layer] = s_layers.get(layer, 0) + scalar_latency
+                s_layers[layer] = s_layers.get(layer, 0) + latency
                 in_run = True
                 continue
 
@@ -324,11 +277,12 @@ class FastCore(CoreBase):
                 start = now
             op = inst.op
             nbytes = inst.bytes
+            cycles, local_mem = costs[index]
             if op == "SEND":
-                busy_until = start + math.ceil(nbytes / read_bw)
+                busy_until = start + cycles  # drain local memory
                 if busy_until > now:
                     yield busy_until - now
-                energy.local_mem(e, nbytes)
+                pj["local_mem"] += local_mem
                 transfer.ops += 1
                 pending = PendingCompletion(
                     sim, f"core{self.core_id}.send{index}")
@@ -343,14 +297,14 @@ class FastCore(CoreBase):
                 yield start - now
             if op == "RECV":
                 yield from flows[inst.flow].recv(inst.seq)
-                yield math.ceil(nbytes / write_bw)  # fill local memory
+                yield cycles  # fill local memory
             elif op == "LOAD":
                 yield from gmem.access(self.core_id, nbytes, write=False)
-                yield math.ceil(nbytes / write_bw)
+                yield cycles
             else:  # STORE
-                yield math.ceil(nbytes / read_bw)
+                yield cycles
                 yield from gmem.access(self.core_id, nbytes, write=True)
-            energy.local_mem(e, nbytes)
+            pj["local_mem"] += local_mem
             done = sim.now
             ring[index & mask] = done
             elapsed = done - start
@@ -396,8 +350,7 @@ class FastChipModel(ChipModel):
             # Tracing wants per-instruction events; shared-ADC domains
             # arbitrate a Resource the recurrences cannot fold.
             return CoreModel(self, program)
-        if not program.sealed \
-                or program.static_blockers(cfg.core.rob_size) is None:
+        if program.static_blockers(cfg.core.rob_size) is None:
             return CoreModel(self, program)  # branchy: ROB window scan
         return FastCore(self, program)
 

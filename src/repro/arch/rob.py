@@ -12,13 +12,13 @@ to explain the ROB-size plateau of Fig. 4.
 Hazard queries return the *oldest* conflicting entry, so a blocked unit
 can wait on exactly the entry that blocks it (via :meth:`ready_event`)
 and re-probe only when that entry completes, rather than being woken by
-every completion in the window.  Sealed straight-line programs — every
+every completion in the window.  Straight-line programs — every
 compiled program — answer them from the precomputed table of
 :meth:`repro.isa.Program.static_blockers` (per instruction, the relative
 lags of its blockers, oldest first: instruction ``i``'s blockers sit in
-ring slots ``i - lag``); branchy or unsealed hand-assembled programs fall
-back to a program-order :meth:`Instruction.conflicts_with` scan of the
-window.  Both answer identically (pinned by the randomized oracle in
+ring slots ``i - lag``); branchy hand-assembled programs fall back to a
+program-order :meth:`Instruction.conflicts_with` scan of the window.
+(The chip simulates sealed programs only.)  Both answer identically (pinned by the randomized oracle in
 ``tests/test_rob_scoreboard.py`` and the ``tests/golden/`` traces).
 
 This module is on the per-instruction hot path of every simulation, so

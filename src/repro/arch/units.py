@@ -1,4 +1,5 @@
-"""The four execution units of a core (Fig. 2b/2c).
+"""The four execution units of a core (Fig. 2b/2c), and the cost table
+both fidelity tiers time them with.
 
 * :class:`MatrixUnit` — drives crossbar groups; MVMs to *different* groups
   proceed concurrently (each group has its own converters), optionally
@@ -15,6 +16,14 @@
 * :class:`ScalarUnit` — timing of register ALU ops; their architectural
   effect is the core's shared ``execute_scalar``.
 
+:func:`instruction_costs` is the one place an instruction's latency and
+MVM / vector / scalar / local-memory energy are computed.  Each core
+builds the table once per run (``CoreBase.costs``); these units and the
+fast walker (:mod:`repro.arch.fast`) read ``costs[inst.index]`` and
+add its energy terms to the meter.  Global-memory, NoC and leakage
+energy keep their own sites (:mod:`repro.arch.noc`,
+:class:`~repro.arch.chip.ChipModel`).
+
 Each unit pulls ROB entries from its issue queue, executes, charges energy
 and per-layer busy time, and marks the entry done.  A unit keeps no
 reference to its core or chip: it copies the few fields its callbacks need
@@ -26,12 +35,6 @@ Issue-side hazard enforcement: a unit asks the ROB for the *oldest*
 in-flight conflicting entry and waits on exactly that entry's completion
 event (``ReorderBuffer.ready_event``), re-probing after each wake,
 instead of being woken by every completion in the window.
-
-The fast-fidelity walker (:mod:`repro.arch.fast`) deliberately inlines
-the latency and energy arithmetic of the loops below, because it runs
-once per instruction; ``tests/test_fidelity.py`` (``TestBreakdownEqual``)
-gates the two copies against each other per energy category, per core
-and per layer, so a change to either must keep that test green.
 
 The hot loops are also frame-free on their fast paths: queue pops use
 the nonblocking ``Fifo.try_get`` (falling into the blocking coroutine
@@ -48,14 +51,106 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING, Generator
 
-from ..isa import MvmInst, VECTOR_SPECIAL_OPS
+from ..isa import (VECTOR_SPECIAL_OPS, MvmInst, Program, TransferInst,
+                   VectorInst)
 from ..sim import Fifo, Resource
 from .rob import RobEntry
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..config import ArchConfig
     from .core import CoreModel
 
-__all__ = ["MatrixUnit", "VectorUnit", "TransferUnit", "ScalarUnit"]
+__all__ = ["MatrixUnit", "VectorUnit", "TransferUnit", "ScalarUnit",
+           "instruction_costs"]
+
+
+def instruction_costs(program: Program, config: "ArchConfig") -> list:
+    """Latency and energy of each instruction of a sealed program, in one
+    pass; entry ``i`` is the instruction whose ``index`` is ``i``:
+
+    * MVM: ``(latency, xbar, dac, adc, local_mem pJ)``;
+    * vector: ``(latency, vector, local_mem pJ)`` — plain ops retire
+      ``vector_lanes`` elements per cycle, ``VECTOR_SPECIAL_OPS`` take
+      ``vector_special_cycles_per_element`` per element and ``VMATMUL``'s
+      ``length`` counts multiply-accumulates;
+    * transfer: ``(cycles, local_mem pJ)`` of the local-memory leg — the
+      drain before a SEND / STORE, the fill after a RECV / LOAD;
+    * scalar ALU op: ``(latency, scalar pJ)``; control: ``None`` (it
+      resolves at dispatch and reaches no unit).
+
+    Each term is :class:`~repro.arch.energy.EnergyMeter`'s expression in
+    its multiplication order, so sums stay bit-comparable to it.  Equal
+    cost-relevant fields share one tuple (as in
+    :meth:`~repro.isa.Program.static_blockers`); the table is built per
+    run and not kept on the program.
+    """
+    core = config.core
+    e = config.energy
+    read_bw = core.local_memory_read_bytes_per_cycle
+    write_bw = core.local_memory_write_bytes_per_cycle
+    lanes = core.vector_lanes
+    mvm_cycles = config.crossbar.mvm_cycles()
+    act_bytes = config.compiler.activation_bytes
+    phases = config.crossbar.dac_phases
+    # Programs without MVMs may carry no group table at all.
+    groups = program.groups.groups if program.groups is not None else {}
+    scalar = (max(1, core.scalar_cycles), e.scalar_pj_per_op)
+    shared: dict[tuple, tuple] = {}
+    out: list[tuple | None] = []
+    for inst in program.instructions:
+        cls = type(inst)
+        if cls is MvmInst:
+            key = (inst.group, inst.count, inst.dst_bytes)
+        elif cls is VectorInst:
+            key = (inst.op, inst.length, inst.src_bytes, inst.src2_bytes,
+                   inst.dst_bytes)
+        elif cls is TransferInst:
+            key = (inst.op, inst.bytes)
+        else:
+            out.append(None if inst.is_control else scalar)
+            continue
+        cost = shared.get(key)
+        if cost is None:
+            if cls is MvmInst:
+                count = inst.count
+                group = groups[inst.group]
+                rows, cols = group.rows, group.cols
+                in_bytes = count * rows * act_bytes
+                out_bytes = inst.dst_bytes
+                stream = -(-in_bytes // read_bw) + -(-out_bytes // write_bw)
+                cost = (max(count * mvm_cycles, stream),
+                        e.xbar_read_pj_per_cell * rows * cols * count,
+                        e.dac_pj_per_conversion * rows * phases * count,
+                        e.adc_pj_per_sample * cols * phases * count,
+                        e.local_mem_pj_per_byte * (in_bytes + out_bytes))
+            elif cls is VectorInst:
+                length = inst.length
+                read_bytes = inst.src_bytes
+                if inst.n_sources == 2:
+                    read_bytes += inst.src2_bytes or inst.src_bytes
+                if inst.op == "VMATMUL":
+                    e_elem = e.vector_mac_pj
+                    alu = -(-length // lanes)
+                elif inst.op in VECTOR_SPECIAL_OPS:
+                    e_elem = e.vector_special_pj_per_element
+                    alu = -(-length * core.vector_special_cycles_per_element
+                            // lanes)
+                else:
+                    e_elem = e.vector_pj_per_element
+                    alu = -(-length // lanes)
+                stream = max(-(-read_bytes // read_bw),
+                             -(-inst.dst_bytes // write_bw))
+                cost = (core.vector_issue_cycles + max(alu, stream),
+                        e_elem * length,
+                        e.local_mem_pj_per_byte
+                        * (read_bytes + inst.dst_bytes))
+            else:
+                bw = read_bw if inst.op in ("SEND", "STORE") else write_bw
+                cost = (math.ceil(inst.bytes / bw),
+                        e.local_mem_pj_per_byte * inst.bytes)
+            shared[key] = cost
+        out.append(cost)
+    return out
 
 
 class _UnitBase:
@@ -122,20 +217,7 @@ class MatrixUnit(_UnitBase):
         domains = core.config.core.shared_adc_domains
         self._adc = (Resource(core.sim, domains,
                               f"core{core.core_id}.adc") if domains else None)
-        # Per-config constants of the MVM latency model, hoisted off the
-        # per-instruction path.
-        cfg = core.config
-        # Programs without MVMs may carry no group table at all.
-        self._groups = core.groups.groups if core.groups is not None else {}
-        self._mvm_cycles = cfg.crossbar.mvm_cycles()
-        self._act_bytes = cfg.compiler.activation_bytes
-        self._read_bw = cfg.core.local_memory_read_bytes_per_cycle
-        self._write_bw = cfg.core.local_memory_write_bytes_per_cycle
-        self._dac_phases = cfg.crossbar.dac_phases
-        self._e_xbar = cfg.energy.xbar_read_pj_per_cell
-        self._e_dac = cfg.energy.dac_pj_per_conversion
-        self._e_adc = cfg.energy.adc_pj_per_sample
-        self._e_lmem = cfg.energy.local_mem_pj_per_byte
+        self._costs = core.costs
         self._pj = core.energy.pj
 
     def _loop(self, core: "CoreModel") -> Generator:
@@ -164,38 +246,21 @@ class MatrixUnit(_UnitBase):
                 self.sim.spawn(self._execute(entry), child_name)
             yield 1
 
-    def _latency(self, inst: MvmInst) -> tuple[int, int, int, "object"]:
-        """(cycles, local-memory bytes in, bytes out, group) of one MVM."""
-        count = inst.count
-        group = self._groups[inst.group]
-        in_bytes = count * group.rows * self._act_bytes
-        out_bytes = inst.dst_bytes
-        stream = -(-in_bytes // self._read_bw) + -(-out_bytes // self._write_bw)
-        return max(count * self._mvm_cycles, stream), in_bytes, out_bytes, group
-
     def _begin(self, entry: RobEntry) -> None:
-        """Frame-free MVM execution, phase 1: compute latency and schedule
-        completion (the no-ADC twin of :meth:`_execute`)."""
-        latency, in_bytes, out_bytes, group = self._latency(entry.inst)
-        self.sim.call_after(latency, self._finish,
-                            (entry, self.sim.now, in_bytes, out_bytes, group))
+        """Frame-free MVM execution, phase 1: schedule completion after
+        the MVM's latency (the no-ADC twin of :meth:`_execute`)."""
+        cost = self._costs[entry.inst.index]
+        self.sim.call_after(cost[0], self._finish,
+                            (entry, self.sim.now, cost))
 
     def _finish(self, args) -> None:
-        """Frame-free MVM execution, phase 2: charge energy and complete.
-
-        The inlined charges mirror ``EnergyMeter.mvm`` + ``local_mem``
-        term by term, in the same multiplication order (float sums must
-        stay bit-comparable to the seed's)."""
-        entry, start, in_bytes, out_bytes, group = args
-        rows = group.rows
-        cols = group.cols
-        count = entry.inst.count
-        phases = self._dac_phases
+        """Frame-free MVM execution, phase 2: charge energy and complete."""
+        entry, start, (_latency, xbar, dac, adc, local_mem) = args
         pj = self._pj
-        pj["xbar"] += self._e_xbar * rows * cols * count
-        pj["dac"] += self._e_dac * rows * phases * count
-        pj["adc"] += self._e_adc * cols * phases * count
-        pj["local_mem"] += self._e_lmem * (in_bytes + out_bytes)
+        pj["xbar"] += xbar
+        pj["dac"] += dac
+        pj["adc"] += adc
+        pj["local_mem"] += local_mem
         self._account(entry, start)
 
     def _execute(self, entry: RobEntry) -> Generator:
@@ -203,53 +268,25 @@ class MatrixUnit(_UnitBase):
         adc = self._adc
         if not adc.try_acquire():
             yield from adc.acquire()
-        latency, in_bytes, out_bytes, group = self._latency(entry.inst)
-        yield latency
+        cost = self._costs[entry.inst.index]
+        yield cost[0]
         adc.release()
-        self._finish((entry, start, in_bytes, out_bytes, group))
+        self._finish((entry, start, cost))
 
 
 class VectorUnit(_UnitBase):
-    """SIMD unit with a per-op cost model.
+    """SIMD unit: one operation at a time.
 
-    Plain element-wise ops retire ``vector_lanes`` elements per cycle at
-    ``vector_pj_per_element``.  Two op classes cost differently (the
-    attention extension):
-
-    * ``VECTOR_SPECIAL_OPS`` (softmax / layernorm / gelu) run an exp /
-      rsqrt / erf micro-pipeline per element:
-      ``vector_special_cycles_per_element`` cycles of ALU time and
-      ``vector_special_pj_per_element`` of energy per element;
-    * ``VMATMUL`` — the dynamic activation x activation product that
-      cannot live in crossbars — counts ``length`` multiply-accumulates
-      (``vector_lanes`` MACs/cycle, ``vector_mac_pj`` each).
-
-    All other opcodes keep the exact seed arithmetic (order included),
-    so CNN simulations stay bit-identical to the golden recordings.
-    Note ``VSOFTMAX`` predates this model but joins the special class —
-    softmax *is* an exp pipeline, and the seed's 1-element/cycle cost
-    undercharged it; no zoo network or golden trace emits it, but
-    hand-built graphs with a standalone softmax stage will report higher
-    (more faithful) latency/energy than under the seed.
+    ``VSOFTMAX`` is costed as a ``VECTOR_SPECIAL_OPS`` exp pipeline;
+    hand-built graphs with a standalone softmax stage (no zoo network or
+    golden trace emits one) report higher, more faithful latency and
+    energy than the seed's 1-element/cycle cost.
     """
 
     name = "vector"
 
     def _loop(self, core: "CoreModel") -> Generator:
-        cfg = core.config
-        lanes = cfg.core.vector_lanes
-        issue = cfg.core.vector_issue_cycles
-        special_cycles = cfg.core.vector_special_cycles_per_element
-        read_bw = cfg.core.local_memory_read_bytes_per_cycle
-        write_bw = cfg.core.local_memory_write_bytes_per_cycle
-        # Inlined energy charges mirror ``EnergyMeter.vector_op`` /
-        # ``vector_special_op`` / ``vector_macs`` term by term, in the
-        # same multiplication order (bit-comparable sums).
-        e_vector = cfg.energy.vector_pj_per_element
-        e_special = cfg.energy.vector_special_pj_per_element
-        e_mac = cfg.energy.vector_mac_pj
-        e_lmem = cfg.energy.local_mem_pj_per_byte
-        special = VECTOR_SPECIAL_OPS
+        costs = core.costs
         pj = core.energy.pj
         queue = self.queue
         rob = core.rob
@@ -261,29 +298,11 @@ class VectorUnit(_UnitBase):
             while blocker is not None:
                 yield rob.ready_event(blocker)
                 blocker = rob.oldest_conflict(entry)
-            inst = entry.inst
             start = self.sim.now
-            length = inst.length
-            if inst.n_sources == 2:
-                read_bytes = inst.src_bytes + (inst.src2_bytes
-                                               or inst.src_bytes)
-            else:
-                read_bytes = inst.src_bytes
-            op = inst.op
-            if op == "VMATMUL":
-                e_elem = e_mac           # length counts MACs
-                alu = -(-length // lanes)
-            elif op in special:
-                e_elem = e_special
-                alu = -(-length * special_cycles // lanes)
-            else:
-                e_elem = e_vector
-                alu = -(-length // lanes)
-            stream = max(-(-read_bytes // read_bw),
-                         -(-inst.dst_bytes // write_bw))
-            yield issue + max(alu, stream)
-            pj["vector"] += e_elem * length
-            pj["local_mem"] += e_lmem * (read_bytes + inst.dst_bytes)
+            latency, vector, local_mem = costs[entry.inst.index]
+            yield latency
+            pj["vector"] += vector
+            pj["local_mem"] += local_mem
             self._account(entry, start)
 
 
@@ -305,10 +324,8 @@ class TransferUnit(_UnitBase):
     name = "transfer"
 
     def _loop(self, core: "CoreModel") -> Generator:
-        cfg = core.config
-        read_bw = cfg.core.local_memory_read_bytes_per_cycle
-        write_bw = cfg.core.local_memory_write_bytes_per_cycle
-        energy = core.energy
+        costs = core.costs
+        pj = core.energy.pj
         flows = core.flows
         gmem = core.gmem
         send_queue = core.send_queue
@@ -324,23 +341,24 @@ class TransferUnit(_UnitBase):
                 blocker = rob.oldest_conflict(entry)
             inst = entry.inst
             start = self.sim.now
+            cycles, local_mem = costs[inst.index]
             if inst.op == "SEND":
-                yield math.ceil(inst.bytes / read_bw)  # drain local memory
-                energy.local_mem(cfg.energy, inst.bytes)
+                yield cycles  # drain local memory
+                pj["local_mem"] += local_mem
                 self.ops += 1
                 ok = send_queue(inst.flow).try_put((entry, self.sim.now, inst))
                 assert ok  # send queues are unbounded
                 continue
             if inst.op == "RECV":
                 yield from flows[inst.flow].recv(inst.seq)
-                yield math.ceil(inst.bytes / write_bw)  # fill local memory
+                yield cycles  # fill local memory
             elif inst.op == "LOAD":
                 yield from gmem.access(self.core_id, inst.bytes, write=False)
-                yield math.ceil(inst.bytes / write_bw)
+                yield cycles
             else:  # STORE
-                yield math.ceil(inst.bytes / read_bw)
+                yield cycles
                 yield from gmem.access(self.core_id, inst.bytes, write=True)
-            energy.local_mem(cfg.energy, inst.bytes)
+            pj["local_mem"] += local_mem
             self._account(entry, start)
 
 
@@ -348,9 +366,8 @@ class ScalarUnit(_UnitBase):
     name = "scalar"
 
     def _loop(self, core: "CoreModel") -> Generator:
-        cfg = core.config
-        latency = max(1, cfg.core.scalar_cycles)
-        energy = core.energy
+        costs = core.costs
+        pj = core.energy.pj
         execute = core.execute_scalar
         queue = self.queue
         rob = core.rob
@@ -364,8 +381,9 @@ class ScalarUnit(_UnitBase):
                 blocker = rob.oldest_conflict(entry)
             inst = entry.inst
             start = self.sim.now
+            latency, scalar = costs[inst.index]
             yield latency
             execute(inst)
-            energy.scalar_op(cfg.energy)
+            pj["scalar"] += scalar
             self._account(entry, start)
 

@@ -25,12 +25,18 @@ __all__ = ["encoder_block", "vit_tiny", "bert_tiny"]
 
 
 def encoder_block(b: GraphBuilder, name: str, dim: int, heads: int,
-                  *, mlp_ratio: int = 4) -> str:
+                  *, mlp_ratio: int = 4,
+                  kv_cache: tuple[int, int] | None = None) -> str:
     """Append one pre-LN transformer encoder block; returns its output.
 
     Expects the builder's current node to be a ``(dim, tokens, 1)`` token
     map.  Structure: LN -> multi-head self-attention -> residual add ->
     LN -> MLP (1x1 conv, gelu, 1x1 conv) -> residual add.
+
+    ``kv_cache=(tokens, max_tokens)`` routes the K and V projections
+    through ``kv_cache`` buffers of that extent and capacity, so the
+    queries keep the input's token count while keys and values span the
+    cache (the decode block, :func:`repro.models.decode.decode_block`).
     """
     if dim % heads:
         raise ValueError(f"{name}: dim={dim} not divisible by heads={heads}")
@@ -39,6 +45,12 @@ def encoder_block(b: GraphBuilder, name: str, dim: int, heads: int,
     q = b.conv(dim, kernel=1, after=ln1, name=f"{name}_q")
     k = b.conv(dim, kernel=1, after=ln1, name=f"{name}_k")
     v = b.conv(dim, kernel=1, after=ln1, name=f"{name}_v")
+    if kv_cache is not None:
+        tokens, max_tokens = kv_cache
+        k = b.kv_cache(tokens, max_tokens=max_tokens, after=k,
+                       name=f"{name}_kcache")
+        v = b.kv_cache(tokens, max_tokens=max_tokens, after=v,
+                       name=f"{name}_vcache")
     scores = b.matmul(q, k, transpose_b=True, heads=heads,
                       scale=(dim // heads) ** -0.5, name=f"{name}_scores")
     attn = b.softmax(heads=heads, after=scores, name=f"{name}_attn")

@@ -20,6 +20,7 @@ continuous-batching schedulers exploit.
 from __future__ import annotations
 
 from ..graph import Graph, GraphBuilder
+from .attention import encoder_block
 
 __all__ = ["decode_block", "gpt_tiny"]
 
@@ -30,33 +31,12 @@ def decode_block(b: GraphBuilder, name: str, dim: int, heads: int,
     """Append one pre-LN decode block; returns its output node name.
 
     Expects the builder's current node to be the step's ``(dim, 1, 1)``
-    hidden state.  Structure mirrors
-    :func:`repro.models.attention.encoder_block` with the K/V
-    projections routed through ``kv_cache`` buffers, so queries are
-    seq-1 while keys/values span the whole cache.
+    hidden state.  It is :func:`repro.models.attention.encoder_block`
+    with the K/V projections routed through ``kv_cache`` buffers, so
+    queries are seq-1 while keys/values span the whole cache.
     """
-    if dim % heads:
-        raise ValueError(f"{name}: dim={dim} not divisible by heads={heads}")
-    inp = b.current
-    ln1 = b.layernorm(after=inp, name=f"{name}_ln1")
-    q = b.conv(dim, kernel=1, after=ln1, name=f"{name}_q")
-    k = b.conv(dim, kernel=1, after=ln1, name=f"{name}_k")
-    v = b.conv(dim, kernel=1, after=ln1, name=f"{name}_v")
-    kc = b.kv_cache(kv_tokens, max_tokens=max_kv_tokens, after=k,
-                    name=f"{name}_kcache")
-    vc = b.kv_cache(kv_tokens, max_tokens=max_kv_tokens, after=v,
-                    name=f"{name}_vcache")
-    scores = b.matmul(q, kc, transpose_b=True, heads=heads,
-                      scale=(dim // heads) ** -0.5, name=f"{name}_scores")
-    attn = b.softmax(heads=heads, after=scores, name=f"{name}_attn")
-    ctx = b.matmul(attn, vc, heads=heads, name=f"{name}_ctx")
-    proj = b.conv(dim, kernel=1, after=ctx, name=f"{name}_proj")
-    res1 = b.add(proj, inp, name=f"{name}_res1")
-    b.layernorm(after=res1, name=f"{name}_ln2")
-    b.conv(dim * mlp_ratio, kernel=1, name=f"{name}_mlp1")
-    b.gelu(name=f"{name}_gelu")
-    mlp = b.conv(dim, kernel=1, name=f"{name}_mlp2")
-    return b.add(mlp, res1, name=f"{name}_res2")
+    return encoder_block(b, name, dim, heads, mlp_ratio=mlp_ratio,
+                         kv_cache=(kv_tokens, max_kv_tokens))
 
 
 def gpt_tiny(num_classes: int = 10, *, dim: int = 32, depth: int = 2,

@@ -17,11 +17,14 @@ from repro.isa import (
     GroupTable,
     MvmInst,
     Program,
+    ProgramError,
     ScalarInst,
     TransferInst,
     VectorInst,
 )
 from repro.sim import DeadlockError
+
+FIDELITIES = ["cycle", "fast"]
 
 
 def single_core_chip(instructions, *, groups=None, config=None):
@@ -184,15 +187,13 @@ class TestMatrixUnit:
         assert raw.energy_pj["adc"] > 0
         assert raw.energy_pj["dac"] > 0
 
-    def test_mvm_energy_matches_energy_meter(self):
-        """The matrix unit's inlined per-instruction charges must equal
-        what :class:`EnergyMeter` computes for the same MVM — the hot
-        path hand-copies the formulas, this pins the copies together
-        (and the no-ADC callback path to the ADC coroutine path, which
-        share the charge site)."""
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_mvm_energy_matches_energy_meter(self, fidelity):
+        """An MVM's charges, read from the cost table by either tier,
+        must equal what :class:`EnergyMeter` computes for the same MVM."""
         from repro.arch.energy import EnergyMeter
 
-        config = tiny_chip()
+        config = tiny_chip().with_fidelity(fidelity)
         table = GroupTable(core=0)
         table.define("l", 0, 0, 2, 64, 128)
         inst = MvmInst(group=0, src=0, src_bytes=64, dst=256,
@@ -245,13 +246,14 @@ class TestVectorUnit:
         assert raw.energy_pj["vector"] == pytest.approx(
             config.energy.vector_pj_per_element * 64)
 
-    def test_vector_energy_matches_energy_meter(self):
-        """The vector unit's inlined charges must equal
-        :meth:`EnergyMeter.vector_op` for the same instruction (the hot
-        loop hand-copies the formula — this pins the copy)."""
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_vector_energy_matches_energy_meter(self, fidelity):
+        """A vector op's charges, read from the cost table by either
+        tier, must equal :meth:`EnergyMeter.vector_op` for the same
+        instruction."""
         from repro.arch.energy import EnergyMeter
 
-        config = tiny_chip()
+        config = tiny_chip().with_fidelity(fidelity)
         inst = VectorInst(op="VADD", src1=0, src2=512, dst=1024,
                           dst_bytes=256, src_bytes=256, length=64)
         raw = run_single([inst], config=config)
@@ -261,12 +263,13 @@ class TestVectorUnit:
         assert raw.energy_pj["vector"] == reference.pj["vector"]
         assert raw.energy_pj["local_mem"] == reference.pj["local_mem"]
 
-    def test_vmatmul_energy_matches_energy_meter(self):
-        """The inlined VMATMUL MAC-stream charge must equal
-        :meth:`EnergyMeter.vector_macs` (pins the hand-copied formula)."""
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_vmatmul_energy_matches_energy_meter(self, fidelity):
+        """The VMATMUL MAC-stream charge in the cost table must equal
+        :meth:`EnergyMeter.vector_macs`, at either tier."""
         from repro.arch.energy import EnergyMeter
 
-        config = tiny_chip()
+        config = tiny_chip().with_fidelity(fidelity)
         inst = VectorInst(op="VMATMUL", src1=0, src2=512, dst=4096,
                           length=2048, src_bytes=128, src2_bytes=1024,
                           dst_bytes=256)
@@ -278,13 +281,18 @@ class TestVectorUnit:
         assert raw.energy_pj["vector"] == reference.pj["vector"]
         assert raw.energy_pj["local_mem"] == reference.pj["local_mem"]
 
-    @pytest.mark.parametrize("op", ["VSOFTMAX", "VLAYERNORM", "VGELU"])
-    def test_special_op_energy_matches_energy_meter(self, op):
-        """The inlined transcendental-op charge must equal
-        :meth:`EnergyMeter.vector_special_op` (pins the hand copy)."""
+    # The cycle-tier cases keep the bare opcode as their id.
+    @pytest.mark.parametrize("op,fidelity", [
+        pytest.param(op, fidelity,
+                     id=op if fidelity == "cycle" else f"{op}-{fidelity}")
+        for fidelity in FIDELITIES
+        for op in ("VSOFTMAX", "VLAYERNORM", "VGELU")])
+    def test_special_op_energy_matches_energy_meter(self, op, fidelity):
+        """The transcendental-op charge in the cost table must equal
+        :meth:`EnergyMeter.vector_special_op`, at either tier."""
         from repro.arch.energy import EnergyMeter
 
-        config = tiny_chip()
+        config = tiny_chip().with_fidelity(fidelity)
         inst = VectorInst(op=op, src1=0, dst=4096, length=96,
                           src_bytes=96, dst_bytes=96)
         raw = run_single([inst], config=config)
@@ -384,6 +392,17 @@ class TestTransferAndRob:
                                   dst_bytes=256, count=1, layer="mylayer")],
                          groups=table, config=config)
         assert raw.layer_busy["mylayer"]["matrix"] > 0
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_unsealed_program_is_rejected(self, fidelity):
+        """Cost and blocker tables are addressed by ``inst.index``, which
+        only ``Program.seal()`` assigns: the chip refuses anything else."""
+        program = Program(core=0, groups=GroupTable(core=0))
+        program.append(ScalarInst(op="LI", rd=1, imm=1))
+        chip = ChipProgram(network="unsealed", programs={0: program})
+        with pytest.raises(ProgramError,
+                           match="core 0: program is not sealed"):
+            run_program(chip, tiny_chip().with_fidelity(fidelity))
 
     def test_leakage_integrated_over_runtime(self):
         config = tiny_chip()

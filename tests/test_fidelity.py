@@ -6,9 +6,10 @@ processes with one analytic walker (``repro.arch.fast``).  Its contract:
 * total cycles within 2% of cycle-accurate on every zoo model (the CI
   gate ``tools/check_fidelity.py`` sweeps the full zoo; here a
   representative cross-section runs under pytest);
-* below the totals the two tiers agree *exactly*: the walker inlines
-  the unit loops' latency/energy arithmetic, and this file is the gate
-  that keeps the two copies equal — every energy category (float
+* below the totals the two tiers agree *exactly*: both read each
+  instruction's latency and energy from one cost table
+  (``repro.arch.units.instruction_costs``), and this file gates what
+  they schedule differently — every energy category (float
   reassociation only), per-core unit busy/ops/ROB-stall cycles and
   per-layer busy cycles, via ``tools/check_fidelity.py``'s
   ``breakdown_mismatches`` (the CI gate prints the same comparison);

@@ -8,9 +8,9 @@ model — CNNs, transformers (unsharded and token-sharded), and the
 autoregressive decode path — in both modes and fails if fast-mode total
 cycles deviate from cycle-accurate by more than ``TOLERANCE`` anywhere.
 
-Below the totals the two tiers inline the same latency/energy
-arithmetic (``repro.arch.units`` loops vs the ``repro.arch.fast``
-walker), so the breakdown must agree *exactly*:
+Below the totals the two tiers read one latency/energy table
+(``repro.arch.units.instruction_costs``: the unit loops and the
+``repro.arch.fast`` walker), so the breakdown must agree *exactly*:
 :func:`breakdown_mismatches` compares every energy category (float
 reassociation only), per-core unit busy cycles / op counts / ROB stall
 cycles and per-layer busy cycles, and any difference fails the gate.
