@@ -4,6 +4,8 @@
 hardware described by the architecture configuration, loads the compiled
 chip program, runs the event kernel to completion and returns a
 :class:`RawResult` with cycles, energy and per-layer/per-core activity.
+It has no tier branch: :meth:`ChipModel._make_core` reads
+``config.sim.fidelity`` and picks each core's model.
 
 Deadlocks (a protocol bug, e.g. hand-written programs with unmatched
 transfers) are detected when the event wheel drains with cores still
@@ -19,6 +21,7 @@ from ..isa import ChipProgram, ProgramError
 from ..sim import AllOf, DeadlockError, Simulator
 from .core import CoreModel
 from .energy import EnergyMeter
+from .fast import FastCore
 from .flows import FlowChannel
 from .noc import GlobalMemory, MeshNoc
 
@@ -102,8 +105,17 @@ class ChipModel:
         self._finished = False
 
     def _make_core(self, program):
-        """Core-model factory; the fast-fidelity chip overrides this to
-        substitute analytic walker cores where they apply."""
+        """The one per-core tier decision: an analytic walker core where
+        the configuration asks for the fast tier and the recurrences
+        apply, a cycle-accurate core everywhere else."""
+        cfg = self.config
+        # Tracing wants per-instruction events, shared-ADC domains
+        # arbitrate a Resource the recurrences cannot fold, and a branchy
+        # program has no static blocker table (its ROB scans a window).
+        if (cfg.sim.fidelity == "fast" and not cfg.sim.trace
+                and not cfg.core.shared_adc_domains
+                and program.static_blockers(cfg.core.rob_size) is not None):
+            return FastCore(self, program)
         return CoreModel(self, program)
 
     def _merged_layer_busy(self) -> dict[str, dict[str, int]]:
@@ -173,6 +185,14 @@ class ChipModel:
         trace = self.trace
         if trace is not None and trace.truncated:
             meta["trace_truncated"] = True
+        if self.config.sim.fidelity == "fast":  # cycle reports: unmarked
+            meta["fidelity"] = "fast"
+            meta["analytic_runs"] = sum(
+                core.analytic_runs for core in self.cores.values()
+                if type(core) is FastCore)
+            meta["fallback_events"] = sum(
+                core.fallback_events if type(core) is FastCore
+                else core.issued for core in self.cores.values())
         return RawResult(
             cycles=cycles,
             energy_pj=self.energy.to_dict(),
@@ -199,15 +219,7 @@ class ChipModel:
 
 def run_program(program: ChipProgram, config: ArchConfig, *,
                 max_cycles: int | None = None) -> RawResult:
-    """Simulate a compiled chip program to completion.
-
-    ``config.sim.fidelity`` selects the execution mode: ``"cycle"``
-    (default) is the bit-exact event-driven model; ``"fast"`` dispatches
-    to the batched analytic executor (:mod:`repro.arch.fast`,
-    ROADMAP 3a), which is bounded-error on cycles (gated at 2% by
-    ``tools/check_fidelity.py``) but substantially faster.
-    """
-    if config.sim.fidelity == "fast":
-        from .fast import FastChipModel
-        return FastChipModel(program, config).run(max_cycles=max_cycles)
+    """Simulate a compiled chip program to completion (at the tier
+    ``config.sim.fidelity`` names; :meth:`ChipModel._make_core` applies
+    it core by core)."""
     return ChipModel(program, config).run(max_cycles=max_cycles)

@@ -1,7 +1,8 @@
-"""Fast-fidelity chip model: batched analytic core execution (ROADMAP 3a).
+"""Fast-fidelity core: batched analytic core execution (ROADMAP 3a).
 
-:func:`~repro.arch.chip.run_program` dispatches here when
-``config.sim.fidelity == "fast"``.  The chip keeps the real event kernel,
+:meth:`~repro.arch.chip.ChipModel._make_core` builds a :class:`FastCore`
+when ``config.sim.fidelity == "fast"``; :func:`~repro.arch.chip.run_program`
+has no tier branch.  The chip keeps the real event kernel,
 flow channels, mesh NoC and global memory — everything cross-core stays
 event-driven — but each straight-line core's five kernel processes (the
 issue loop and four execution units) collapse into ONE walker generator:
@@ -28,9 +29,8 @@ issue loop and four execution units) collapse into ONE walker generator:
 state, counters, scalar ALU, SEND drainer and the per-core ``stats()``
 contract — and differ only in how they time instructions.  Cores the
 recurrences cannot cover — branchy programs (no static blocker table),
-shared-ADC arbitration, or instruction tracing — fall back to
-``CoreModel`` inside the same chip, so mixed chips stay exact where they
-must be.
+shared-ADC arbitration, or instruction tracing — get a ``CoreModel``
+inside the same chip, so mixed chips stay exact where they must be.
 
 Accuracy: compute timing is computed retroactively (it never depends on
 the walker's real position in simulated time), with one deviation
@@ -55,10 +55,9 @@ from typing import Generator
 
 from ..isa import MvmInst, Program, ScalarInst, VectorInst
 from ..sim import AnalyticWindow, PendingCompletion
-from .chip import ChipModel, RawResult
-from .core import CoreBase, CoreModel
+from .core import CoreBase
 
-__all__ = ["FastChipModel", "FastCore"]
+__all__ = ["FastCore"]
 
 
 class _AnalyticUnit:
@@ -93,7 +92,7 @@ class FastCore(CoreBase):
     cost (every decode step builds a fresh chip).
     """
 
-    def __init__(self, chip: "FastChipModel", program: Program) -> None:
+    def __init__(self, chip, program: Program) -> None:
         super().__init__(chip, program)
         self.units = {name: _AnalyticUnit(name)
                       for name in ("matrix", "vector", "transfer", "scalar")}
@@ -338,33 +337,3 @@ class FastCore(CoreBase):
         self.rob.occupancy_peak = min(issued, rob_size)
         self.halt_time = sim.now
         self.halted.notify()
-
-
-class FastChipModel(ChipModel):
-    """The fast-fidelity chip: walker cores where the analytic
-    recurrences apply, cycle-accurate cores everywhere else."""
-
-    def _make_core(self, program: Program):
-        cfg = self.config
-        if cfg.sim.trace or cfg.core.shared_adc_domains:
-            # Tracing wants per-instruction events; shared-ADC domains
-            # arbitrate a Resource the recurrences cannot fold.
-            return CoreModel(self, program)
-        if program.static_blockers(cfg.core.rob_size) is None:
-            return CoreModel(self, program)  # branchy: ROB window scan
-        return FastCore(self, program)
-
-    def _collect(self) -> RawResult:
-        raw = super()._collect()
-        runs = 0
-        fallback = 0
-        for core in self.cores.values():
-            if type(core) is FastCore:
-                runs += core.analytic_runs
-                fallback += core.fallback_events
-            else:
-                fallback += core.issued
-        raw.meta["fidelity"] = "fast"
-        raw.meta["analytic_runs"] = runs
-        raw.meta["fallback_events"] = fallback
-        return raw

@@ -86,8 +86,8 @@ surface:
   cannot cover (branchy programs, shared-ADC arbitration, tracing) fall
   back to the cycle-accurate core inside the same chip.
 
-Precedence mirrors ``timeout``: ``JobSpec.fidelity`` beats
-``Engine(fidelity=...)`` beats the configuration's ``sim.fidelity``.
+``JobSpec.fidelity`` beats the configuration's ``sim.fidelity``; the
+engine holds no default of its own.
 Reports carry ``report.fidelity`` plus (fast mode only) the
 ``analytic_runs`` / ``fallback_events`` counters, through batch JSONL
 and the HTTP service alike.  CLI: ``--fidelity fast`` on ``pimsim

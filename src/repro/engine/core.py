@@ -39,7 +39,7 @@ from ..compiler import (
     config_fingerprint,
     repeat_chip_program,
 )
-from ..config import FIDELITIES, ArchConfig, ConfigError, paper_chip, validate
+from ..config import ArchConfig, paper_chip, validate
 from ..graph import Graph, with_kv_extent
 from ..graph.serialize import graph_digest
 from ..models import build_model
@@ -83,23 +83,17 @@ class Engine:
         is killed (worker respawned in place) and fails with
         :class:`~repro.engine.JobTimeout`.  ``JobSpec.timeout``
         overrides it per job.  ``None`` (default): no timeout.
-    fidelity:
-        Default execution fidelity for jobs that do not carry their own
-        (``"cycle"`` or ``"fast"``).  ``JobSpec.fidelity`` overrides it
-        per job, exactly like ``timeout``; ``None`` (default) defers to
-        the configuration's ``sim.fidelity``.
+
+    A job's execution fidelity is its ``JobSpec.fidelity``, else its
+    configuration's ``sim.fidelity``; the engine holds no default of its
+    own, so serial and pooled runs read the tier from the same place.
     """
 
     def __init__(self, config: ArchConfig | None = None, *,
                  workers: int | None = None,
                  max_retries: int = 1,
-                 job_timeout: float | None = None,
-                 fidelity: str | None = None):
-        if fidelity is not None and fidelity not in FIDELITIES:
-            raise ConfigError(
-                f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
+                 job_timeout: float | None = None):
         self._config = config
-        self._fidelity = fidelity
         self._default_workers = workers
         self._max_retries = max_retries
         self._job_timeout = job_timeout
@@ -163,8 +157,8 @@ class Engine:
     def _resolve(self, spec: JobSpec) -> tuple[Graph, ArchConfig]:
         """The one place a spec becomes ``(canonical graph, configuration)``:
         the spec's configuration (else the engine's, else the paper chip)
-        with the spec's overrides applied, fidelity last (spec beats
-        engine beats ``sim.fidelity``)."""
+        with the spec's overrides applied, fidelity last (the spec's
+        beats ``sim.fidelity``)."""
         config = spec.config or self.config or paper_chip()
         if spec.mapping is not None:
             config = config.with_mapping(spec.mapping)
@@ -173,23 +167,10 @@ class Engine:
         if spec.attention_shards is not None:
             config = validate(
                 config.with_attention_shards(spec.attention_shards))
-        fidelity = spec.fidelity or self._fidelity
-        if fidelity is not None and fidelity != config.sim.fidelity:
-            config = validate(config.with_fidelity(fidelity))
+        if spec.fidelity is not None and spec.fidelity != config.sim.fidelity:
+            config = validate(config.with_fidelity(spec.fidelity))
         return (self.resolve_network(spec.network, imagenet=spec.imagenet),
                 config)
-
-    def _stamp_fidelity(self, spec: JobSpec) -> JobSpec:
-        """Materialize the engine-level fidelity default into a spec.
-
-        Pooled workers rebuild an ``Engine(config)`` from the
-        configuration alone, so an engine-level default must ride the
-        spec across the process boundary (the pool's ``default_timeout``
-        plays the same role for ``timeout``).
-        """
-        if self._fidelity is None or spec.fidelity is not None:
-            return spec
-        return replace(spec, fidelity=self._fidelity)
 
     # -- one job -------------------------------------------------------------
 
@@ -264,6 +245,8 @@ class Engine:
         drive a compile-once :class:`DecodeSession` and return one
         aggregated report (``meta["decode"]``).
         """
+        if spec.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {spec.batch!r}")
         if spec.decode_steps is not None:
             if spec.batch > 1:
                 raise ValueError("decode specs cannot also set batch > 1")
@@ -371,7 +354,6 @@ class Engine:
         (its ``workers`` argument; the last pool's width after a
         ``close()``; all CPUs otherwise).
         """
-        spec = self._stamp_fidelity(spec)
         # A concurrent map() may replace the pool between our read and
         # the pool-level submit; retry against the replacement rather
         # than surfacing a spurious "pool is closed" on a healthy engine.
@@ -405,7 +387,6 @@ class Engine:
         pool = self._ensure_pool(lanes)
         lanes = min(lanes, pool.size)
         entries: list[Future | JobFailed] = []
-        specs = [self._stamp_fidelity(spec) for spec in specs]
         for i, spec in enumerate(specs):
             try:
                 entries.append(pool.submit(spec, worker=i % lanes))

@@ -79,8 +79,7 @@ class JobSpec:
     kv_tokens: int | None = None
     #: execution fidelity override: ``"cycle"`` (bit-exact) or ``"fast"``
     #: (batched analytic executor, bounded-error); ``None`` falls back to
-    #: the engine default, then the configuration's ``sim.fidelity``
-    #: (same precedence as ``timeout``).  Appended last so job ids of
+    #: the configuration's ``sim.fidelity``.  Appended last so job ids of
     #: specs that never set it are unchanged.
     fidelity: str | None = None
 

@@ -367,7 +367,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     Each line is ``{"index": i, "id": ..., "spec": {...}, "report":
     {...}}`` (or ``"error"`` instead of ``"report"``), so a single line
     fully describes and reproduces its experiment — specs that relied on
-    the engine's ``--preset`` / ``--fidelity`` defaults are emitted with
+    the ``--preset`` / ``--fidelity`` defaults are emitted with
     them made explicit, and ``id`` is :meth:`JobSpec.job_id` of that
     emitted spec.  Lines stream in completion order; ``index`` maps each
     back to its position in the spec file.
@@ -392,9 +392,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return BATCH_EXIT_FATAL
     preset = get_preset(args.preset)
-    ids = [replace(spec, config=spec.config or preset,
-                   fidelity=spec.fidelity or args.fidelity).job_id()
-           for spec in specs]
+    # what runs: each spec with the --fidelity default (its own wins)
+    runs = [replace(spec, fidelity=spec.fidelity or args.fidelity)
+            for spec in specs]
+    ids = [replace(run, config=run.config or preset).job_id()
+           for run in runs]
     #: job id -> one "it failed" flag per settled journal record
     settled: dict[str, list[bool]] = {job_id: [] for job_id in ids}
     n_settled = 0
@@ -431,16 +433,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             print(json.dumps(record), flush=True)
     try:
         with Engine(preset, max_retries=args.max_retries,
-                    job_timeout=args.timeout,
-                    fidelity=args.fidelity) as engine:
+                    job_timeout=args.timeout) as engine:
             for position, outcome in engine.as_completed(
-                    [specs[index] for index in pending],
+                    [runs[index] for index in pending],
                     workers=args.workers, errors="capture"):
                 index = pending[position]
                 spec_dict = specs[index].to_dict()
                 spec_dict.setdefault("config", args.preset)
                 if args.fidelity is not None:
-                    # like the preset: make the engine-level default
+                    # like the preset: make the --fidelity default
                     # explicit so the JSONL line reproduces standalone
                     spec_dict.setdefault("fidelity", args.fidelity)
                 record: dict = {"index": index, "id": ids[index],
@@ -572,17 +573,19 @@ def _cmd_decode(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     config = _load_config(args)
-    with Engine(config, fidelity=args.fidelity) as engine:
+    with Engine(config) as engine:
         if args.mix:
-            mix = engine.serve_mix(load_specs(args.mix),
-                                   workers=args.workers)
+            mix = engine.serve_mix(
+                [replace(spec, fidelity=spec.fidelity or args.fidelity)
+                 for spec in load_specs(args.mix)], workers=args.workers)
             print(mix.summary())
             if args.json:
                 Path(args.json).write_text(mix.to_json())
                 print(f"mix report written to {args.json}")
             return 0
         report = engine.run(JobSpec(args.model, decode_steps=args.steps,
-                                    kv_tokens=args.kv_tokens))
+                                    kv_tokens=args.kv_tokens,
+                                    fidelity=args.fidelity))
         print(report.summary())
         stats = step_latency_stats(report)
         print(f"  decode  : {stats['steps']} steps, per-step "

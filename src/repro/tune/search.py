@@ -23,7 +23,7 @@ placement.  A search runs in three stages:
    configuration, also at cycle fidelity.
 
 :meth:`Tuner.explore` is the measurement stage on its own: every point
-once at the engine's default fidelity, no re-verification and no
+once at the configuration's fidelity, no re-verification and no
 baselines; :meth:`TuneReport.pareto` extracts its latency/energy front.
 
 Every measurement streams to a JSONL *journal* as it lands (same
@@ -430,7 +430,7 @@ class Tuner:
     # -- the runs ------------------------------------------------------------
 
     def explore(self) -> TuneReport:
-        """Measure every point once at the engine's default fidelity.
+        """Measure every point once at the configuration's fidelity.
 
         The search's measurement stage on its own: no cycle
         re-verification, no baselines, no journal.  A point that fails

@@ -9,7 +9,6 @@ import dataclasses
 import pytest
 
 from repro.arch import ChipModel, run_program
-from repro.arch.fast import FastChipModel
 from repro.config import tiny_chip
 from repro.isa import (
     ChipProgram,
@@ -424,8 +423,7 @@ class TestTraceLimit:
         config = tiny_chip()
         config = dataclasses.replace(config, sim=dataclasses.replace(
             config.sim, trace=True, fidelity=fidelity))
-        model_cls = FastChipModel if fidelity == "fast" else ChipModel
-        model = model_cls(single_core_chip(self.INSTS), config)
+        model = ChipModel(single_core_chip(self.INSTS), config)
         model.trace.limit = limit
         return model.run()
 

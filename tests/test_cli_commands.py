@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import JobSpec, simulate
-from repro.config import tiny_chip
+from repro.config import small_chip, tiny_chip
 from repro.engine import PoolUnavailable, save_specs
 from repro.runner.cli import (
     BATCH_EXIT_FATAL,
@@ -155,6 +155,29 @@ class TestSubcommands:
         assert "3 decode steps" in out
         assert "p50=" in out and "p99=" in out
 
+    def test_decode_fidelity_flag(self, tmp_path, capsys):
+        """``--fidelity`` reaches the single request and every mix
+        request, including one that carries its own configuration."""
+        path = tmp_path / "decode.json"
+        assert main(["decode", "--model", "gpt_tiny", "--preset", "tiny",
+                     "--steps", "3", "--fidelity", "fast",
+                     "--json", str(path)]) == 0
+        assert json.loads(path.read_text())["fidelity"] == "fast"
+        specs = [JobSpec("gpt_tiny", decode_steps=3), JobSpec("mlp"),
+                 JobSpec("mlp", small_chip())]
+        save_specs(specs, tmp_path / "mix.json")
+        cycles = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"mix{workers}.json"
+            assert main(["decode", "--mix", str(tmp_path / "mix.json"),
+                         "--preset", "tiny", "--fidelity", "fast",
+                         "--workers", workers, "--json", str(out)]) == 0
+            reports = json.loads(out.read_text())["reports"]
+            assert [r["fidelity"] for r in reports] == ["fast"] * 3
+            cycles[workers] = [r["cycles"] for r in reports]
+        capsys.readouterr()
+        assert cycles["1"] == cycles["2"]
+
     def test_decode_requires_model_xor_mix(self, capsys):
         assert main(["decode", "--preset", "tiny"]) == 2
         err = capsys.readouterr().err
@@ -233,6 +256,41 @@ class TestBatch:
         assert records[1]["error"]["kind"] == "KeyError"
         assert lines[-1]["summary"]["failed"] == 1
         assert "1 failed" in captured.err
+
+    def test_fidelity_flag_reaches_every_job(self, tmp_path, capsys):
+        """``--fidelity`` runs every job at that tier, serial and pooled,
+        and each line makes it explicit after the preset."""
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([{"network": "mlp"},
+                                    {"network": "mlp", "config": "tiny"}]))
+        lines = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert main(["batch", str(path), "--preset", "small",
+                         "--fidelity", "fast", "--workers", workers,
+                         "--output", str(out)]) == 0
+            lines[workers] = out.read_text().splitlines()
+        capsys.readouterr()
+        records = [json.loads(line) for line in lines["1"]]
+        assert records.pop()["summary"]["ok"] == 2
+        assert [r["report"]["fidelity"] for r in records] == ["fast"] * 2
+        assert [list(r["spec"]) for r in records] == [
+            ["network", "config", "fidelity"]] * 2
+        assert [r["id"] for r in records] == ["j1393aba3a33878b4a27ef9f6",
+                                              "j7e31191c848ae5bb2eea60f5"]
+
+        def settled(text_lines):
+            # the compile-cache counters are per process, so they differ
+            # between one in-process engine and two pool workers
+            out = set()
+            for line in text_lines:
+                record = json.loads(line)
+                for key in ("compile_cache_hits", "compile_cache_misses"):
+                    record.get("report", {}).get("meta", {}).pop(key, None)
+                out.add(json.dumps(record))
+            return out
+
+        assert settled(lines["1"]) == settled(lines["2"])
 
     def test_batch_flag_defaults(self):
         args = build_parser().parse_args(["batch", "jobs.json"])

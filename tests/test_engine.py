@@ -54,6 +54,16 @@ class TestEngineSimulate:
         with pytest.raises(TypeError, match="rob_size"):
             engine.simulate(JobSpec("mlp"), rob_size=8)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected(self, engine, batch):
+        """A batch of no images is an error, not a one-image run."""
+        with pytest.raises(ValueError, match="batch"):
+            simulate("mlp", tiny_chip(), batch=batch)
+        with pytest.raises(ValueError, match="batch"):
+            engine.run(JobSpec("mlp", batch=batch))
+        with pytest.raises(ValueError, match="batch"):
+            engine.run(JobSpec("gpt_tiny", decode_steps=2, batch=batch))
+
     def test_engine_default_config_applies(self, engine):
         assert engine.simulate("mlp").config_name == tiny_chip().name
 

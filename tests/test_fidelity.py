@@ -209,7 +209,7 @@ class TestReportPlumbing:
 
 class TestKnobPrecedence:
     def test_spec_overrides_engine_default(self):
-        with Engine(tiny_chip(), fidelity="fast") as engine:
+        with Engine(validate(tiny_chip().with_fidelity("fast"))) as engine:
             defaulted = engine.run(JobSpec("mlp"))
             pinned = engine.run(JobSpec("mlp", fidelity="cycle"))
         assert defaulted.fidelity == "fast"
@@ -223,10 +223,6 @@ class TestKnobPrecedence:
         with pytest.raises(ConfigError, match="fidelity"):
             validate(tiny_chip().with_fidelity("approximate"))
 
-    def test_invalid_engine_fidelity_rejected(self):
-        with pytest.raises(ConfigError, match="fidelity"):
-            Engine(tiny_chip(), fidelity="approximate")
-
     def test_invalid_spec_fidelity_rejected(self):
         with Engine(tiny_chip()) as engine:
             with pytest.raises(ConfigError, match="fidelity"):
@@ -237,7 +233,8 @@ class TestFaultToleranceParity:
     """A fast job rides the same retry / quarantine machinery."""
 
     def test_fast_job_crash_is_retried(self):
-        with Engine(tiny_chip(), fidelity="fast", max_retries=1) as engine:
+        with Engine(validate(tiny_chip().with_fidelity("fast")),
+                    max_retries=1) as engine:
             clean = engine.map([JobSpec("mlp", tag=i) for i in range(3)],
                                workers=2)
             chaos = [JobSpec("mlp", tag=0),

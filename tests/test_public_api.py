@@ -151,7 +151,6 @@ ENGINE_INIT_PARAMS = [
     "workers",
     "max_retries",
     "job_timeout",
-    "fidelity",
 ]
 
 #: every JobSpec field, in declaration order — the JSON schema of
