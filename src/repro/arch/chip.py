@@ -78,8 +78,8 @@ class ChipModel:
 
     def __init__(self, program: ChipProgram, config: ArchConfig) -> None:
         validate(config)
-        # Cores address their cost and blocker tables by ``inst.index``,
-        # which only ``Program.seal()`` assigns.
+        # Cores address their cost and blocker tables by stream position,
+        # and only a sealed program can no longer grow past its tables.
         for core_id, core_program in program.programs.items():
             if not core_program.sealed:
                 raise ProgramError(f"core {core_id}: program is not sealed")

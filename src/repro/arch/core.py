@@ -240,7 +240,7 @@ class CoreModel(CoreBase):
                     yield rob.slot_freed
                 self.rob_stall_cycles += sim.now - t0
 
-            entry = rob.allocate(inst)
+            entry = rob.allocate(inst, pc)
             items, not_empty = queues[inst.unit]
             items.append(entry)
             if len(items) == 1 and not_empty._waiters:

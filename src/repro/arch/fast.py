@@ -11,8 +11,9 @@ issue loop and four execution units) collapse into ONE walker generator:
   integer recurrences: the front-end pacing, the ROB's in-order
   retirement frontier, the static-blocker waits (the per-program lag
   tables of :meth:`~repro.isa.Program.static_blockers`, read at ring
-  slot ``index - lag``) and per-unit serialization that decide a start
-  cycle are all arithmetic over known completion times, so a whole
+  slot ``position - lag`` as the walker enumerates stream positions)
+  and per-unit serialization that decide a start cycle are all
+  arithmetic over known completion times, so a whole
   straight-line compute run costs zero kernel events;
 * transfer instructions (SEND / RECV / LOAD / STORE) execute against the
   real flow channels and global memory at their computed start cycle:
@@ -163,11 +164,13 @@ class FastCore(CoreBase):
         last_index = -1
         outstanding: list[PendingCompletion] = []
 
-        for inst in self.program.instructions:
+        # Instructions are values shared across positions: the stream
+        # position, not the object, addresses the cost and blocker tables
+        # and the completion ring.
+        for index, inst in enumerate(self.program.instructions):
             tinst = type(inst)
             if tinst is ScalarInst and inst.is_control:
                 break  # straight-line programs: a (possibly early) HALT
-            index = inst.index
             last_index = index
             # ROB-full: the front-end runs at most rob_size entries
             # ahead of the in-order retirement frontier.

@@ -40,10 +40,14 @@ __all__ = ["RobEntry", "ReorderBuffer"]
 class RobEntry:
     """One in-flight instruction: identity-keyed, slotted (hot path)."""
 
-    __slots__ = ("inst", "done", "seq", "done_event")
+    __slots__ = ("inst", "pc", "done", "seq", "done_event")
 
-    def __init__(self, inst: Instruction, seq: int = 0) -> None:
+    def __init__(self, inst: Instruction, pc: int, seq: int = 0) -> None:
         self.inst = inst
+        #: the instruction's stream position: instructions are values
+        #: shared across positions, so the entry carries where it sits.
+        #: Cost and blocker tables are addressed by it.
+        self.pc = pc
         self.done = False
         #: allocation sequence number; program order within the core.
         self.seq = seq
@@ -52,7 +56,7 @@ class RobEntry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "in-flight"
-        return f"RobEntry({self.inst!r}, {state}, seq={self.seq})"
+        return f"RobEntry({self.inst!r} @{self.pc}, {state}, seq={self.seq})"
 
 
 class ReorderBuffer:
@@ -84,12 +88,12 @@ class ReorderBuffer:
         # -- static hazard table (straight-line programs) --------------------
         self._static = static_blockers
         if static_blockers is not None:
-            # While entry i awaits its blockers (indices >= i-size+1),
+            # While entry i awaits its blockers (positions >= i-size+1),
             # instructions through i+size-1 may allocate, so slots must
-            # cover 2*size-1 consecutive indices without collision.
+            # cover 2*size-1 consecutive positions without collision.
             ring_size = 1 << (2 * size - 1).bit_length()
             self._ring_mask = ring_size - 1
-            #: recent entries by instruction index (in-flight ⊆ ring).
+            #: recent entries by stream position (in-flight ⊆ ring).
             self._ring: list[RobEntry | None] = [None] * ring_size
 
     @property
@@ -115,16 +119,16 @@ class ReorderBuffer:
         In table mode the static blocker set is fixed at allocation and
         only done-flags change, so the oldest *undone* static blocker is
         exactly what the window scan would return.  The table holds lags
-        in descending order, i.e. oldest blocker first; every ``index -
-        lag`` is within the ``2*size - 1`` indices the ring covers.
+        in descending order, i.e. oldest blocker first; every ``pc - lag``
+        is within the ``2*size - 1`` positions the ring covers.
         """
         table = self._static
         if table is not None:
             ring = self._ring
             mask = self._ring_mask
-            index = entry.inst.index
-            for lag in table[index]:  # descending: oldest blocker first
-                blocker = ring[(index - lag) & mask]
+            pc = entry.pc
+            for lag in table[pc]:  # descending: oldest blocker first
+                blocker = ring[(pc - lag) & mask]
                 if not blocker.done:
                     return blocker
             return None
@@ -157,16 +161,18 @@ class ReorderBuffer:
                                              f"{self.name}.e{entry.seq}.done")
         return event
 
-    def allocate(self, inst: Instruction) -> RobEntry:
+    def allocate(self, inst: Instruction, pc: int) -> RobEntry:
+        """Allocate an entry for ``inst``, the instruction at stream
+        position ``pc``."""
         entries = self.entries
         if len(entries) >= self.size:
             raise RuntimeError(f"{self.name}: allocate on full ROB")
         self._seq = seq = self._seq + 1
-        entry = RobEntry(inst, seq)
+        entry = RobEntry(inst, pc, seq)
         entries.append(entry)
         if self._static is not None:
-            # Table mode: in-flight lookups go through the index ring.
-            self._ring[inst.index & self._ring_mask] = entry
+            # Table mode: in-flight lookups go through the position ring.
+            self._ring[pc & self._ring_mask] = entry
         n = len(entries)
         if n > self.occupancy_peak:
             self.occupancy_peak = n

@@ -19,8 +19,10 @@ both fidelity tiers time them with.
 :func:`instruction_costs` is the one place an instruction's latency and
 MVM / vector / scalar / local-memory energy are computed.  Each core
 builds the table once per run (``CoreBase.costs``); these units and the
-fast walker (:mod:`repro.arch.fast`) read ``costs[inst.index]`` and
-add its energy terms to the meter.  Global-memory, NoC and leakage
+fast walker (:mod:`repro.arch.fast`) read ``costs[pc]`` — the entry at
+the instruction's stream position, which a ROB entry carries
+(``RobEntry.pc``) and the walker enumerates — and add its energy terms
+to the meter.  Global-memory, NoC and leakage
 energy keep their own sites (:mod:`repro.arch.noc`,
 :class:`~repro.arch.chip.ChipModel`).
 
@@ -66,7 +68,7 @@ __all__ = ["MatrixUnit", "VectorUnit", "TransferUnit", "ScalarUnit",
 
 def instruction_costs(program: Program, config: "ArchConfig") -> list:
     """Latency and energy of each instruction of a sealed program, in one
-    pass; entry ``i`` is the instruction whose ``index`` is ``i``:
+    pass; entry ``i`` is the instruction at stream position ``i``:
 
     * MVM: ``(latency, xbar, dac, adc, local_mem pJ)``;
     * vector: ``(latency, vector, local_mem pJ)`` — plain ops retire
@@ -249,7 +251,7 @@ class MatrixUnit(_UnitBase):
     def _begin(self, entry: RobEntry) -> None:
         """Frame-free MVM execution, phase 1: schedule completion after
         the MVM's latency (the no-ADC twin of :meth:`_execute`)."""
-        cost = self._costs[entry.inst.index]
+        cost = self._costs[entry.pc]
         self.sim.call_after(cost[0], self._finish,
                             (entry, self.sim.now, cost))
 
@@ -268,7 +270,7 @@ class MatrixUnit(_UnitBase):
         adc = self._adc
         if not adc.try_acquire():
             yield from adc.acquire()
-        cost = self._costs[entry.inst.index]
+        cost = self._costs[entry.pc]
         yield cost[0]
         adc.release()
         self._finish((entry, start, cost))
@@ -299,7 +301,7 @@ class VectorUnit(_UnitBase):
                 yield rob.ready_event(blocker)
                 blocker = rob.oldest_conflict(entry)
             start = self.sim.now
-            latency, vector, local_mem = costs[entry.inst.index]
+            latency, vector, local_mem = costs[entry.pc]
             yield latency
             pj["vector"] += vector
             pj["local_mem"] += local_mem
@@ -341,7 +343,7 @@ class TransferUnit(_UnitBase):
                 blocker = rob.oldest_conflict(entry)
             inst = entry.inst
             start = self.sim.now
-            cycles, local_mem = costs[inst.index]
+            cycles, local_mem = costs[entry.pc]
             if inst.op == "SEND":
                 yield cycles  # drain local memory
                 pj["local_mem"] += local_mem
@@ -381,7 +383,7 @@ class ScalarUnit(_UnitBase):
                 blocker = rob.oldest_conflict(entry)
             inst = entry.inst
             start = self.sim.now
-            latency, scalar = costs[inst.index]
+            latency, scalar = costs[entry.pc]
             yield latency
             execute(inst)
             pj["scalar"] += scalar

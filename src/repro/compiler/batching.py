@@ -71,35 +71,36 @@ def repeat_chip_program(chip: ChipProgram, batch: int) -> ChipProgram:
         body_len = len(body)
         repeated = Program(core=core_id, groups=program.groups,
                            local_memory_used=program.local_memory_used)
+        # Instructions are values: every image shares the source objects,
+        # and only transfers (shifted ``seq``) and branches (rebased
+        # ``target``) get new ones.  The body precedes the only HALT, so a
+        # body position is also the source stream position.
         for image in range(batch):
             base = image * body_len
-            for inst in body:
+            for pos, inst in enumerate(body):
                 if isinstance(inst, TransferInst) and inst.op in ("SEND",
                                                                   "RECV"):
                     if inst.flow not in messages_per_image:
                         raise ProgramError(
                             f"core {core_id}: {inst.op} at index "
-                            f"{inst.index} references flow {inst.flow}, "
+                            f"{pos} references flow {inst.flow}, "
                             f"which is not declared in chip.flows "
                             f"(declared: {sorted(chip.flows) or 'none'}); "
                             f"cannot batch a program with dangling flows"
                         )
                     inst = dataclasses.replace(
                         inst,
-                        seq=inst.seq + image * messages_per_image[inst.flow],
-                        index=-1)
+                        seq=inst.seq + image * messages_per_image[inst.flow])
                 elif isinstance(inst, ScalarInst) and inst.is_control:
                     if not 0 <= inst.target <= len(insts):
                         raise ProgramError(
-                            f"core {core_id}: branch at index {inst.index} "
+                            f"core {core_id}: branch at index {pos} "
                             f"targets {inst.target}, outside the "
                             f"{len(insts)}-instruction stream"
                         )
                     target = (base + body_len if inst.target == len(insts)
                               else base + rebased[inst.target])
-                    inst = dataclasses.replace(inst, target=target, index=-1)
-                else:
-                    inst = dataclasses.replace(inst, index=-1)
+                    inst = dataclasses.replace(inst, target=target)
                 repeated.append(inst)
         out.programs[core_id] = repeated.seal()
 

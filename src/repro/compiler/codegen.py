@@ -45,6 +45,7 @@ from ..isa import (
     ChipProgram,
     FlowInfo,
     GroupTable,
+    Instruction,
     MvmInst,
     Program,
     TransferInst,
@@ -131,6 +132,9 @@ class _CodeGenerator:
         self.shard_groups: dict[str, list[int]] = {}
         self.shard_ranges: dict[str, list[tuple[int, int]]] = {}
         self.shard_owner: dict[str, list[int]] = {}
+        #: (class, layer, every field in declaration order) -> the one
+        #: instance of that value this compile emits (see :meth:`_intern`).
+        self.values: dict[tuple, Instruction] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -431,6 +435,32 @@ class _CodeGenerator:
 
     # -------------------------------------------------------------- emission
 
+    def _intern(self, key: tuple) -> Instruction:
+        """The instruction ``key[0](*key[2:], layer=key[1])``, built once
+        per compile: an instruction is a value, so every position and core
+        emitting an equal one shares the object (DESIGN.md "An instruction
+        is a value").  Keys are positional tuples because one built from a
+        keyword dict costs more than the object it saves."""
+        inst = self.values.get(key)
+        if inst is None:
+            inst = self.values[key] = key[0](*key[2:], layer=key[1])
+        return inst
+
+    def _mvm(self, *, group, src, src_bytes, dst, dst_bytes, count,
+             layer) -> MvmInst:
+        return self._intern((MvmInst, layer, group, src, src_bytes, dst,
+                             dst_bytes, count))
+
+    def _vector(self, *, op, src1, dst, length, src_bytes, dst_bytes, layer,
+                src2=0, src2_bytes=0) -> VectorInst:
+        return self._intern((VectorInst, layer, op, src1, src2, dst, length,
+                             src_bytes, dst_bytes, src2_bytes))
+
+    def _transfer(self, *, op, peer, addr, bytes, flow, seq,
+                  layer) -> TransferInst:
+        return self._intern((TransferInst, layer, op, peer, addr, bytes,
+                             flow, seq))
+
     def generate(self) -> ChipProgram:
         self._assign_shards()
         self._assign_receivers()
@@ -498,7 +528,7 @@ class _CodeGenerator:
                 req = self.deps.req[(stage.name, edge_idx)]
                 start = port.q_lo if tile == first else req[tile - 1] + 1
                 for q in range(start, req[tile] + 1):
-                    program.append(TransferInst(
+                    program.append(self._transfer(
                         op=port.op, peer=port.peer, addr=port.region.slot(q),
                         bytes=self._tile_bytes(producer, q), flow=port.flow,
                         seq=q - port.q_lo if port.op == "RECV" else q,
@@ -537,14 +567,14 @@ class _CodeGenerator:
                 for r, ref in self.copy_groups[(stage.name, core, copy)]:
                     nbytes = count * ref.cols_cells * ACC_BYTES
                     part_lo, _ = part.range_of(r)
-                    program.append(MvmInst(
+                    program.append(self._mvm(
                         group=ref.group_id,
                         src=src_lo, src_bytes=src_hi - src_lo,
                         dst=part_lo, dst_bytes=nbytes,
                         count=count, layer=stage.name))
                     acc_off = acc.base + (px_off * cells_core
                                           + ref.cell_offset) * ACC_BYTES
-                    vadds.append(VectorInst(
+                    vadds.append(self._vector(
                         op="VADD", src1=part_lo, src2=acc_off, dst=acc_off,
                         length=count * ref.cols_cells,
                         src_bytes=nbytes, dst_bytes=nbytes,
@@ -553,7 +583,7 @@ class _CodeGenerator:
 
             if core != home:
                 nbytes = ppx * cells_core * ACC_BYTES
-                program.append(TransferInst(
+                program.append(self._transfer(
                     op="SEND", peer=home, addr=acc.base, bytes=nbytes,
                     flow=self.gathers[(stage.name, core)][1],
                     seq=tile, layer=stage.name))
@@ -568,10 +598,10 @@ class _CodeGenerator:
             nbytes = ppx * cells * ACC_BYTES
             prec, flow = self.gathers[(stage.name, partner)]
             prec_lo, _ = prec.range_of(tile, nbytes)
-            program.append(TransferInst(
+            program.append(self._transfer(
                 op="RECV", peer=partner, addr=prec_lo, bytes=nbytes,
                 flow=flow, seq=tile, layer=stage.name))
-            program.append(VectorInst(
+            program.append(self._vector(
                 op="VADD", src1=prec_lo, src2=acc.base, dst=acc.base,
                 length=ppx * cells, src_bytes=nbytes, dst_bytes=nbytes,
                 layer=stage.name))
@@ -588,20 +618,20 @@ class _CodeGenerator:
         wrote_out = False
         for op in stage.post_ops:
             if op in ("relu", "gelu"):
-                program.append(VectorInst(
+                program.append(self._vector(
                     op="VRELU" if op == "relu" else "VGELU",
                     src1=acc.base, dst=acc.base, length=pre_len,
                     src_bytes=pre_len * ACC_BYTES, dst_bytes=pre_len * ACC_BYTES,
                     layer=stage.name))
             elif op in ("maxpool", "avgpool"):
-                program.append(VectorInst(
+                program.append(self._vector(
                     op="VMAXPOOL" if op == "maxpool" else "VAVGPOOL",
                     src1=acc.base, dst=out_lo, length=(hi - lo) * ch,
                     src_bytes=pre_len * ACC_BYTES, dst_bytes=out_bytes,
                     layer=stage.name))
                 wrote_out = True
         if not wrote_out:
-            program.append(VectorInst(
+            program.append(self._vector(
                 op="VMOV", src1=acc.base, dst=out_lo, length=(hi - lo) * ch,
                 src_bytes=(hi - lo) * ch * ACC_BYTES, dst_bytes=out_bytes,
                 layer=stage.name))
@@ -637,14 +667,14 @@ class _CodeGenerator:
         if stage.op == "add":
             first_lo, first_hi = self._aux_input_range(stage, 0, exec_core, tile)
             src2_lo, _ = self._aux_input_range(stage, 1, exec_core, tile)
-            program.append(VectorInst(
+            program.append(self._vector(
                 op="VADD", src1=first_lo, src2=src2_lo, dst=out_lo,
                 length=length, src_bytes=first_hi - first_lo,
                 dst_bytes=out_bytes, layer=stage.name))
             for edge_idx in range(2, len(stage.edges)):
                 extra_lo, extra_hi = self._aux_input_range(stage, edge_idx,
                                                            exec_core, tile)
-                program.append(VectorInst(
+                program.append(self._vector(
                     op="VADD", src1=extra_lo, src2=out_lo, dst=out_lo,
                     length=length, src_bytes=extra_hi - extra_lo,
                     dst_bytes=out_bytes, layer=stage.name))
@@ -655,7 +685,7 @@ class _CodeGenerator:
                 pch = producer.out_channels
                 src_lo, src_hi = self._aux_input_range(stage, edge_idx,
                                                        exec_core, tile)
-                program.append(VectorInst(
+                program.append(self._vector(
                     op="VMOV", src1=src_lo, dst=out_lo + offset,
                     length=px * pch, src_bytes=src_hi - src_lo,
                     dst_bytes=px * pch * self.act_bytes, layer=stage.name))
@@ -663,7 +693,7 @@ class _CodeGenerator:
         elif stage.op in ("maxpool", "avgpool", "global_avgpool"):
             src_lo, src_hi = self._aux_input_range(stage, 0, exec_core, tile)
             opname = "VAVGPOOL" if "avg" in stage.op else "VMAXPOOL"
-            program.append(VectorInst(
+            program.append(self._vector(
                 op=opname, src1=src_lo, dst=out_lo, length=length,
                 src_bytes=src_hi - src_lo, dst_bytes=out_bytes,
                 layer=stage.name))
@@ -671,7 +701,7 @@ class _CodeGenerator:
             opname = {"relu": "VRELU", "softmax": "VSOFTMAX", "lrn": "VLRN",
                       "layernorm": "VLAYERNORM", "gelu": "VGELU"}[stage.op]
             src_lo, src_hi = self._aux_input_range(stage, 0, exec_core, tile)
-            program.append(VectorInst(
+            program.append(self._vector(
                 op=opname, src1=src_lo, dst=out_lo, length=length,
                 src_bytes=src_hi - src_lo, dst_bytes=out_bytes,
                 layer=stage.name))
@@ -684,7 +714,7 @@ class _CodeGenerator:
             a_lo, a_hi = self._aux_input_range(stage, 0, exec_core, tile)
             b_lo, b_hi = self._aux_input_range(stage, 1, exec_core, tile)
             macs_per_token = stage.attrs["macs_per_token"]
-            program.append(VectorInst(
+            program.append(self._vector(
                 op="VMATMUL", src1=a_lo, src2=b_lo, dst=out_lo,
                 length=px * macs_per_token,
                 src_bytes=a_hi - a_lo, src2_bytes=b_hi - b_lo,
@@ -693,7 +723,7 @@ class _CodeGenerator:
             # Token/channel axis swap: a strided gather over the whole
             # resident input, one element written per output element.
             src_lo, src_hi = self._aux_input_range(stage, 0, exec_core, tile)
-            program.append(VectorInst(
+            program.append(self._vector(
                 op="VTRANS", src1=src_lo, dst=out_lo, length=length,
                 src_bytes=src_hi - src_lo, dst_bytes=out_bytes,
                 layer=stage.name))
@@ -702,7 +732,7 @@ class _CodeGenerator:
 
         for op in stage.post_ops:
             if op in ("relu", "gelu"):
-                program.append(VectorInst(
+                program.append(self._vector(
                     op="VRELU" if op == "relu" else "VGELU",
                     src1=out_lo, dst=out_lo, length=length,
                     src_bytes=out_bytes, dst_bytes=out_bytes, layer=stage.name))
@@ -711,11 +741,11 @@ class _CodeGenerator:
             # Partial gather: the shard's finished token slice streams to
             # the home core's output ring, which then distributes as usual.
             t_lo, _t_hi = self._shard_range_of(stage, exec_core)
-            program.append(TransferInst(
+            program.append(self._transfer(
                 op="SEND", peer=home, addr=out_lo, bytes=out_bytes,
                 flow=flow_id, seq=tile - t_lo, layer=stage.name))
             dst_lo, _ = out.range_of(tile, out_bytes)
-            self._program(home).append(TransferInst(
+            self._program(home).append(self._transfer(
                 op="RECV", peer=exec_core, addr=dst_lo, bytes=out_bytes,
                 flow=flow_id, seq=tile - t_lo, layer=stage.name))
 
@@ -733,7 +763,7 @@ class _CodeGenerator:
         program = self._program(home)
         src_lo, _src_hi = self._aux_input_range(stage, 0, home, 0)
         token_bytes = stage.out_channels * self.act_bytes
-        program.append(TransferInst(
+        program.append(self._transfer(
             op="STORE", peer=0, addr=src_lo, bytes=token_bytes,
             flow=0, seq=0, layer=stage.name))
 
@@ -746,12 +776,12 @@ class _CodeGenerator:
 
         for core, flow, first, end in self.sends.get(stage.name, ()):
             if first <= tile < end:  # else outside this core's slice
-                program.append(TransferInst(
+                program.append(self._transfer(
                     op="SEND", peer=core, addr=out_lo, bytes=out_bytes,
                     flow=flow, seq=tile - first, layer=stage.name))
 
         if stage.name in self.output_names:
-            program.append(TransferInst(
+            program.append(self._transfer(
                 op="STORE", peer=0, addr=out_lo, bytes=out_bytes,
                 flow=0, seq=tile, layer=stage.name))
 

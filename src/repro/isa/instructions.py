@@ -51,15 +51,24 @@ def ranges_overlap(a: MemRange, b: MemRange) -> bool:
 
 @dataclass
 class Instruction:
-    """Base class; concrete classes define their dependence footprint."""
+    """Base class; concrete classes define their dependence footprint.
+
+    An instruction is a value: nothing assigns to its fields after
+    construction (to change one, build a new instance with
+    :func:`dataclasses.replace`).  Codegen emits one object per distinct
+    instruction and shares it across every stream position and core
+    that holds that value, so identity says nothing about position: the
+    position in :attr:`Program.instructions <repro.isa.Program>` is the
+    instruction's address, and the simulator carries it beside the
+    object.  The classes stay plain rather than ``frozen=True`` because
+    a frozen dataclass constructs about 3x slower.
+    """
 
     #: class-level unit name: matrix / vector / transfer / scalar.
     unit: ClassVar[str] = "?"
 
     #: network layer this instruction belongs to (analysis/reporting tag).
     layer: str = field(default="", kw_only=True)
-    #: position in the per-core stream; assigned by Program.seal().
-    index: int = field(default=-1, kw_only=True)
 
     # -- dependence footprint (overridden per class) -------------------------
 
@@ -86,10 +95,12 @@ class Instruction:
     def _footprint(self) -> tuple:
         """Compute and cache the dependence footprint.
 
-        Instructions are immutable once a program is sealed and each one is
-        conflict-checked against many in-flight entries over a simulation,
-        so the sets/ranges are materialized once per instruction instead of
-        on every :meth:`conflicts_with` call.  Only :meth:`conflicts_with`
+        Instructions are values and each one is conflict-checked against
+        many in-flight entries over a simulation, so the sets/ranges are
+        materialized once per instruction object instead of on every
+        :meth:`conflicts_with` call (the cache derives from the fields
+        alone, so positions sharing the object share it safely).  Only
+        :meth:`conflicts_with`
         — the ROB's window scan for branchy or unsealed programs — builds
         this cache; the static blocker tables that every compiled program
         runs from read the instruction fields directly, so compiled

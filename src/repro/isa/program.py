@@ -51,14 +51,14 @@ class Program:
             self.append(inst)
 
     def seal(self) -> "Program":
-        """Terminate with HALT (if absent), number instructions, freeze."""
+        """Terminate with HALT (if absent) and freeze: ``append`` then
+        refuses, so the stream positions the simulator's cost and blocker
+        tables are addressed by can no longer move."""
         if not self.instructions or not (
             isinstance(self.instructions[-1], ScalarInst)
             and self.instructions[-1].op == "HALT"
         ):
             self.instructions.append(ScalarInst(op="HALT"))
-        for index, inst in enumerate(self.instructions):
-            inst.index = index
         self._sealed = True
         return self
 
@@ -138,8 +138,8 @@ class Program:
         """Readable assembly-style dump (first ``limit`` instructions)."""
         lines = [f"core {self.core}: {len(self.instructions)} instructions"]
         shown = self.instructions if limit is None else self.instructions[:limit]
-        for inst in shown:
-            tag = f"  {inst.index:>6}  {inst!r}"
+        for index, inst in enumerate(shown):
+            tag = f"  {index:>6}  {inst!r}"
             if inst.layer:
                 tag += f"    ; {inst.layer}"
             lines.append(tag)

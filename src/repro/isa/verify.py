@@ -64,64 +64,64 @@ def _check_stream(errors: list[str], prefix: str, program, chip: ChipProgram,
     first_halt = -1
     found: list[str] = []
 
-    def fail(inst, msg: str) -> None:
-        found.append(f"{prefix} inst {inst.index}: {msg}")
+    def fail(i: int, msg: str) -> None:
+        found.append(f"{prefix} inst {i}: {msg}")
 
-    def bad_range(inst, start: int, end: int) -> None:
+    def bad_range(i: int, start: int, end: int) -> None:
         if start < 0 or end > mem_limit:
-            fail(inst, f"local-memory range [{start},{end}) outside 0..{mem_limit}")
+            fail(i, f"local-memory range [{start},{end}) outside 0..{mem_limit}")
         if start >= end:
-            fail(inst, f"empty/negative memory range [{start},{end})")
+            fail(i, f"empty/negative memory range [{start},{end})")
 
     for i, inst in enumerate(instructions):
         if isinstance(inst, MvmInst):
             src, dst = inst.src, inst.dst
             end = src + inst.src_bytes
             if not 0 <= src < end <= mem_limit:
-                bad_range(inst, src, end)
+                bad_range(i, src, end)
             end = dst + inst.dst_bytes
             if not 0 <= dst < end <= mem_limit:
-                bad_range(inst, dst, end)
+                bad_range(i, dst, end)
             if group_ids is None:
-                fail(inst, "MVM but core has no group table")
+                fail(i, "MVM but core has no group table")
             elif inst.group not in group_ids:
-                fail(inst, f"undefined group {inst.group}")
+                fail(i, f"undefined group {inst.group}")
             if inst.count < 1:
-                fail(inst, f"MVM count must be >= 1, got {inst.count}")
+                fail(i, f"MVM count must be >= 1, got {inst.count}")
         elif isinstance(inst, VectorInst):
             two = VECTOR_OPS[inst.op] == 2
             src, src_bytes, src2_bytes = inst.src1, inst.src_bytes, inst.src2_bytes
             end = src + src_bytes
             if not 0 <= src < end <= mem_limit:
-                bad_range(inst, src, end)
+                bad_range(i, src, end)
             if two:
                 src = inst.src2
                 end = src + (src2_bytes or src_bytes)
                 if not 0 <= src < end <= mem_limit:
-                    bad_range(inst, src, end)
+                    bad_range(i, src, end)
             dst = inst.dst
             end = dst + inst.dst_bytes
             if not 0 <= dst < end <= mem_limit:
-                bad_range(inst, dst, end)
+                bad_range(i, dst, end)
             if inst.length < 1:
-                fail(inst, "vector length must be >= 1")
+                fail(i, "vector length must be >= 1")
             if two:
                 if src2_bytes < 0:
-                    fail(inst, "negative src2_bytes")
+                    fail(i, "negative src2_bytes")
             elif src2_bytes:
-                fail(inst, f"src2_bytes set on one-operand {inst.op}")
+                fail(i, f"src2_bytes set on one-operand {inst.op}")
         elif isinstance(inst, TransferInst):
             addr, op = inst.addr, inst.op
             end = addr + inst.bytes
             if not 0 <= addr < end <= mem_limit:
-                bad_range(inst, addr, end)
+                bad_range(i, addr, end)
             sync = op == "SEND" or op == "RECV"
             if sync and not 0 <= inst.peer < n_cores:
-                fail(inst, f"peer {inst.peer} outside the chip")
+                fail(i, f"peer {inst.peer} outside the chip")
             if inst.bytes < 1:
-                fail(inst, f"transfer of {inst.bytes} bytes")
+                fail(i, f"transfer of {inst.bytes} bytes")
             if sync and inst.flow not in flows:
-                fail(inst, f"undeclared flow {inst.flow}")
+                fail(i, f"undeclared flow {inst.flow}")
         elif isinstance(inst, ScalarInst):
             if inst.op == "HALT":
                 if first_halt < 0:
@@ -129,9 +129,9 @@ def _check_stream(errors: list[str], prefix: str, program, chip: ChipProgram,
                 continue
             regs = (*inst.reads_regs(), *inst.writes_regs())
             if any(not 0 <= r < N_REGISTERS for r in regs):
-                fail(inst, f"register out of range in {inst!r}")
+                fail(i, f"register out of range in {inst!r}")
             if inst.is_control and not 0 <= inst.target < n:
-                fail(inst, f"branch target {inst.target} outside stream")
+                fail(i, f"branch target {inst.target} outside stream")
 
     if first_halt < 0:
         errors.append(f"{prefix}: no HALT")

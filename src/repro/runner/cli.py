@@ -52,6 +52,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="use 224x224 inputs instead of 32x32")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1, so a bad value is a
+    usage error (exit 2) rather than a traceback from deep in a run."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_config(args: argparse.Namespace) -> ArchConfig:
     if args.config:
         return ArchConfig.load(args.config)
@@ -74,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--mapping", choices=["utilization_first",
                                            "performance_first"])
-    run.add_argument("--rob", type=int, default=None, help="ROB size override")
-    run.add_argument("--batch", type=int, default=1,
+    run.add_argument("--rob", type=_positive_int, default=None,
+                     help="ROB size override")
+    run.add_argument("--batch", type=_positive_int, default=1,
                      help="pipelined image stream length (throughput mode)")
     run.add_argument("--shards", type=int, default=None,
                      help="compiler.attention_shards override (token-sharded "
@@ -206,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--model", default=None,
                         help="decode network "
                              f"({', '.join(sorted(DECODE_MODELS))})")
-    decode.add_argument("--steps", type=int, default=32, metavar="N",
+    decode.add_argument("--steps", type=_positive_int, default=32, metavar="N",
                         help="decode steps to run (default 32)")
     decode.add_argument("--kv-tokens", type=int, default=None, metavar="T",
                         help="KV extent at the first step (default: the "

@@ -3,14 +3,22 @@
 The golden pins what the compiler *emits* and what the dependence
 analysis *derives* on the 17 ``dse_cold_fast`` compile points of the
 small chip plus ``gpt_tiny``'s step template resolved at extent 5: one
-sha256 over every core's instruction stream (class and every field —
-index and layer included, so a superset of ``repr``) and the flow table,
+sha256 over every core's instruction stream (class, every field and the
+stream position — layer included, so a superset of ``repr``) and the flow
+table,
 and one over the static blocker tables at windows 1 / 2 / 8 / 32 in
 **absolute-index form** (``Program.static_blockers`` stores relative
 lags; ``i - lag`` maps them back), so the record survives a change of
 the table's representation.  It was recorded at commit ``fd6cced`` — the
 parent of the PR that indexed codegen's group table and rewrote the
 blocker sweep — where the tables already were absolute indices.
+
+Each instruction hashes as ``(core, class, layer, position, fields…)``.
+The recorded programs numbered every instruction with a per-position
+``index`` field that followed ``layer``; instructions are now values
+shared across positions and carry no position, so the digest puts the
+stream position in that field's place and the record needs no
+re-recording.
 
 Re-record (ONLY from a commit known to emit the same programs) with
 ``cd tests && PYTHONPATH=../src python _compile_digests.py``.
@@ -67,15 +75,17 @@ def _stream_digest(chip: ChipProgram) -> str:
     sha = hashlib.sha256()
     names: dict[type, tuple[str, ...]] = {}
     for core in sorted(chip.programs):
-        for inst in chip.programs[core].instructions:
+        for position, inst in enumerate(chip.programs[core].instructions):
             cls = type(inst)
             fields = names.get(cls)
             if fields is None:
                 fields = names[cls] = tuple(
                     f.name for f in dataclasses.fields(cls))
-            sha.update(repr((core, cls.__name__)
-                            + tuple(getattr(inst, f) for f in fields)
-                            ).encode())
+            # ``layer`` is the first field; the position goes where the
+            # recorded instructions carried their index (module docstring).
+            values = tuple(getattr(inst, f) for f in fields)
+            sha.update(repr((core, cls.__name__, values[0], position)
+                            + values[1:]).encode())
     for flow_id in sorted(chip.flows):
         sha.update(repr(chip.flows[flow_id]).encode())
     return sha.hexdigest()

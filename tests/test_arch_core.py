@@ -394,8 +394,9 @@ class TestTransferAndRob:
 
     @pytest.mark.parametrize("fidelity", FIDELITIES)
     def test_unsealed_program_is_rejected(self, fidelity):
-        """Cost and blocker tables are addressed by ``inst.index``, which
-        only ``Program.seal()`` assigns: the chip refuses anything else."""
+        """Cost and blocker tables are addressed by stream position, and
+        only a sealed program can no longer grow: the chip refuses
+        anything else."""
         program = Program(core=0, groups=GroupTable(core=0))
         program.append(ScalarInst(op="LI", rd=1, imm=1))
         chip = ChipProgram(network="unsealed", programs={0: program})

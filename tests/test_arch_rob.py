@@ -15,14 +15,14 @@ class TestCapacity:
     def test_fills_to_size(self):
         rob = ReorderBuffer(Simulator(), 3)
         for i in range(3):
-            rob.allocate(mvm(group=i, dst=i * 10))
+            rob.allocate(mvm(group=i, dst=i * 10), i)
         assert rob.full
 
     def test_allocate_on_full_raises(self):
         rob = ReorderBuffer(Simulator(), 1)
-        rob.allocate(mvm())
+        rob.allocate(mvm(), 0)
         with pytest.raises(RuntimeError):
-            rob.allocate(mvm(group=1, dst=50))
+            rob.allocate(mvm(group=1, dst=50), 1)
 
     def test_size_one_allowed(self):
         ReorderBuffer(Simulator(), 1)
@@ -36,8 +36,8 @@ class TestRetirement:
     def test_in_order_retirement(self):
         sim = Simulator()
         rob = ReorderBuffer(sim, 4)
-        a = rob.allocate(mvm(group=0, dst=0))
-        b = rob.allocate(mvm(group=1, dst=10))
+        a = rob.allocate(mvm(group=0, dst=0), 0)
+        b = rob.allocate(mvm(group=1, dst=10), 1)
         # completing the younger entry first must NOT free a slot
         rob.mark_done(b)
         assert len(rob.entries) == 2
@@ -49,7 +49,7 @@ class TestRetirement:
     def test_slot_freed_event_fires(self):
         sim = Simulator()
         rob = ReorderBuffer(sim, 1)
-        entry = rob.allocate(mvm())
+        entry = rob.allocate(mvm(), 0)
         fired = []
 
         def waiter():
@@ -64,8 +64,8 @@ class TestRetirement:
     def test_drained_event(self):
         sim = Simulator()
         rob = ReorderBuffer(sim, 4)
-        a = rob.allocate(mvm(group=0, dst=0))
-        b = rob.allocate(mvm(group=1, dst=10))
+        a = rob.allocate(mvm(group=0, dst=0), 0)
+        b = rob.allocate(mvm(group=1, dst=10), 1)
         fired = []
 
         def waiter():
@@ -80,7 +80,7 @@ class TestRetirement:
 
     def test_double_completion_rejected(self):
         rob = ReorderBuffer(Simulator(), 2)
-        entry = rob.allocate(mvm())
+        entry = rob.allocate(mvm(), 0)
         rob.mark_done(entry)
         with pytest.raises(RuntimeError, match="double completion"):
             rob.mark_done(entry)
@@ -88,7 +88,7 @@ class TestRetirement:
     def test_occupancy_peak(self):
         sim = Simulator()
         rob = ReorderBuffer(sim, 8)
-        entries = [rob.allocate(mvm(group=i, dst=i * 10)) for i in range(5)]
+        entries = [rob.allocate(mvm(group=i, dst=i * 10), i) for i in range(5)]
         for entry in entries:
             rob.mark_done(entry)
         assert rob.occupancy_peak == 5
@@ -97,32 +97,32 @@ class TestRetirement:
 class TestHazards:
     def test_conflicts_before_sees_older_only(self):
         rob = ReorderBuffer(Simulator(), 4)
-        a = rob.allocate(mvm(group=7, dst=0))
-        b = rob.allocate(mvm(group=7, dst=10))  # same group as a
+        a = rob.allocate(mvm(group=7, dst=0), 0)
+        b = rob.allocate(mvm(group=7, dst=10), 1)  # same group as a
         assert rob.oldest_conflict(b) is a   # b waits on a
         assert rob.oldest_conflict(a) is None  # a waits on nothing
 
     def test_done_entries_do_not_conflict(self):
         rob = ReorderBuffer(Simulator(), 4)
-        a = rob.allocate(mvm(group=7, dst=0))
-        rob.allocate(mvm(group=9, dst=10))
-        b = rob.allocate(mvm(group=7, dst=20))
+        a = rob.allocate(mvm(group=7, dst=0), 0)
+        rob.allocate(mvm(group=9, dst=10), 1)
+        b = rob.allocate(mvm(group=7, dst=20), 2)
         rob.mark_done(a)
         assert rob.oldest_conflict(b) is None
 
     def test_raw_dependency_chain(self):
         rob = ReorderBuffer(Simulator(), 4)
         producer = rob.allocate(MvmInst(group=0, src=0, src_bytes=4,
-                                        dst=100, dst_bytes=40))
+                                        dst=100, dst_bytes=40), 0)
         consumer = rob.allocate(VectorInst(op="VRELU", src1=100,
                                            src_bytes=40, dst=200,
-                                           dst_bytes=40, length=10))
+                                           dst_bytes=40, length=10), 1)
         assert rob.oldest_conflict(consumer) is producer
         rob.mark_done(producer)
         assert rob.oldest_conflict(consumer) is None
 
     def test_has_conflict_for_branches(self):
         rob = ReorderBuffer(Simulator(), 4)
-        rob.allocate(ScalarInst(op="LI", rd=3, imm=5))
+        rob.allocate(ScalarInst(op="LI", rd=3, imm=5), 0)
         branch = ScalarInst(op="SBEQ", rs1=3, rs2=0, target=0)
         assert rob.oldest_conflict_inst(branch) is not None

@@ -35,6 +35,21 @@ class TestParser:
         assert info.value.code == 2
         assert "--max-sessions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "mlp", "--preset", "tiny", "--batch", "0"],
+        ["run", "--model", "mlp", "--preset", "tiny", "--rob", "0"],
+        ["decode", "--model", "gpt_tiny", "--preset", "tiny", "--steps", "0"],
+    ], ids=["run-batch", "run-rob", "decode-steps"])
+    def test_non_positive_count_is_a_usage_error(self, argv, capsys):
+        """A count flag below 1 is refused by the parser (exit 2, a usage
+        line naming the flag), not by a traceback from the run."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {argv[-2]}: must be >= 1, got 0" in err
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "--model", "vgg8"])
         assert args.preset == "paper"

@@ -289,7 +289,12 @@ class TestStepTemplate:
     @staticmethod
     def _steepen(monkeypatch, fname, step):
         """Make the compiler add ``step * (extent - 1)`` to ``fname`` of one
-        low-address LOAD (the same instruction at every probe)."""
+        low-address LOAD (the same stream position at every probe).
+
+        Instructions are values that codegen shares across positions, so
+        the change is a new instance at that one position of a copied
+        list; assigning to the field would patch every position holding
+        the object."""
         real = stepwise.compile_network
         target = []
 
@@ -298,15 +303,19 @@ class TestStepTemplate:
             extent = kv_extent(graph)[0]
             if not target:
                 target.extend(next(
-                    (core, inst.index)
+                    (core, index)
                     for core, prog in sorted(result.program.programs.items())
-                    for inst in prog.instructions
+                    for index, inst in enumerate(prog.instructions)
                     if isinstance(inst, TransferInst) and inst.op == "LOAD"
                     and inst.addr + inst.bytes
                     <= config.core.local_memory_bytes // 2))
             core, index = target
-            inst = result.program.programs[core].instructions[index]
-            setattr(inst, fname, getattr(inst, fname) + step * (extent - 1))
+            program = result.program.programs[core]
+            insts = list(program.instructions)
+            inst = insts[index]
+            insts[index] = dataclasses.replace(inst, **{
+                fname: getattr(inst, fname) + step * (extent - 1)})
+            program.instructions = insts
             return result
 
         monkeypatch.setattr(stepwise, "compile_network", compile_steeper)

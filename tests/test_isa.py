@@ -179,12 +179,19 @@ class TestGroups:
 
 class TestProgram:
     def test_seal_appends_halt_and_numbers(self):
+        """Sealing appends the HALT and numbers nothing: an instruction is
+        a value, and its stream position is where it sits in the list."""
+        nop = ScalarInst(op="NOP")
         p = Program(core=0)
-        p.append(ScalarInst(op="NOP"))
+        p.append(nop)
+        p.append(nop)  # one value at two positions
         p.seal()
         assert isinstance(p.instructions[-1], ScalarInst)
         assert p.instructions[-1].op == "HALT"
-        assert [i.index for i in p] == [0, 1]
+        assert p.instructions == [nop, nop, ScalarInst(op="HALT")]
+        assert not hasattr(nop, "index")
+        assert p.listing().splitlines()[1:] == [
+            "       0  NOP", "       1  NOP", "       2  HALT"]
 
     def test_seal_idempotent_halt(self):
         p = Program(core=0)

@@ -106,13 +106,13 @@ def test_scoreboard_matches_linear_scan(seed):
     rng = random.Random(seed)
     rob = ReorderBuffer(Simulator(), rng.choice((2, 3, 4, 8, 16)))
     live = []
-    for _ in range(300):
+    for pc in range(300):
         if live and (rng.random() < 0.4 or rob.full):
             victim = rng.choice(live)
             live.remove(victim)
             rob.mark_done(victim)
             continue
-        entry = rob.allocate(random_inst(rng))
+        entry = rob.allocate(random_inst(rng), pc)
         live.append(entry)
         # probe every in-flight entry plus a fresh branch and a fresh
         # arbitrary instruction
@@ -144,7 +144,7 @@ def test_static_table_matches_linear_scan(seed):
             and not (isinstance(insts[pc], ScalarInst)
                      and insts[pc].is_control)
         if can_alloc and (not live or rng.random() < 0.6):
-            entry = rob.allocate(insts[pc])
+            entry = rob.allocate(insts[pc], pc)
             live.append(entry)
             pc += 1
         elif live:
@@ -277,5 +277,6 @@ def test_static_blockers_not_cached_before_seal():
     assert len(table) == len(program) == 5
     assert program.static_blockers(4) is table  # sealed: cached
     rob = ReorderBuffer(Simulator(), 4, static_blockers=table)
-    entries = [rob.allocate(inst) for inst in program.instructions[:4]]
+    entries = [rob.allocate(inst, pc)
+               for pc, inst in enumerate(program.instructions[:4])]
     assert rob.oldest_conflict(entries[3]) is entries[2]

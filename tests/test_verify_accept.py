@@ -9,6 +9,7 @@ mutated one field at a time, both must reject with the same
 ``VerificationError`` text.
 """
 
+import dataclasses
 from contextlib import contextmanager
 from unittest import mock
 
@@ -45,8 +46,8 @@ def _oracle_check_stream(errors, prefix, program, chip, mem_limit, n_cores):
         errors.append(f"{prefix}: HALT at {halts[0]} is not the last instruction")
 
     groups = program.groups
-    for inst in program:
-        where = f"{prefix} inst {inst.index}"
+    for i, inst in enumerate(program):
+        where = f"{prefix} inst {i}"
         for start, end in (*inst.reads_mem(), *inst.writes_mem()):
             if start < 0 or end > mem_limit:
                 errors.append(
@@ -159,10 +160,11 @@ def chip(request):
 
 
 def _targets(chip, cls, which):
-    """First and last instruction of ``cls`` the mutation applies to, over
-    the whole chip (bounded so the test stays ~1 s)."""
-    found = [inst for _, program in sorted(chip.programs.items())
-             for inst in program.instructions
+    """``(core, position)`` of the first and last instruction of ``cls``
+    the mutation applies to, over the whole chip (bounded so the test
+    stays ~1 s)."""
+    found = [(core, i) for core, program in sorted(chip.programs.items())
+             for i, inst in enumerate(program.instructions)
              if type(inst) is cls and _applies(inst, which)]
     return found[:1] + found[-1:] if len(found) > 1 else found
 
@@ -173,27 +175,38 @@ def test_unmutated_programs_pass_both(chip):
 
 
 @contextmanager
-def _mutated(*changes):
-    """Apply ``(inst, field, value)`` changes, restoring them on exit."""
-    saved = [(inst, name, getattr(inst, name)) for inst, name, _ in changes]
+def _mutated(chip, *changes):
+    """Apply ``(core, position, {field: value})`` changes, restoring the
+    programs on exit.
+
+    Instructions are values that codegen shares across positions, so each
+    change puts a ``dataclasses.replace`` copy at its one position of a
+    copied instruction list; assigning to the shared object would mutate
+    every position that holds it."""
+    saved = {core: chip.programs[core].instructions for core, _, _ in changes}
     try:
-        for inst, name, value in changes:
-            setattr(inst, name, value)
+        for core, position, fields in changes:
+            program = chip.programs[core]
+            if program.instructions is saved[core]:
+                program.instructions = list(saved[core])
+            insts = program.instructions
+            insts[position] = dataclasses.replace(insts[position], **fields)
         yield
     finally:
-        for inst, name, value in reversed(saved):
-            setattr(inst, name, value)
+        for core, insts in saved.items():
+            chip.programs[core].instructions = insts
 
 
 @pytest.mark.parametrize("cls", list(MUTATIONS), ids=lambda c: c.__name__)
 def test_every_mutation_rejected_with_the_oracle_text(chip, cls):
     checked = 0
     for label, which, fields in MUTATIONS[cls]:
-        for inst in _targets(chip, cls, which):
-            with _mutated(*((inst, k, v) for k, v in fields.items())):
+        for core, position in _targets(chip, cls, which):
+            with _mutated(chip, (core, position, fields)):
                 expected = _verdict(chip, oracle=True)
                 got = _verdict(chip, oracle=False)
-            assert expected is not None, f"oracle accepted {label} on {inst!r}"
+            assert expected is not None, \
+                f"oracle accepted {label} at core {core} inst {position}"
             assert got == expected, label
             checked += 1
     assert checked, f"no {cls.__name__} in the program to mutate"
@@ -207,11 +220,12 @@ _BREAK = {MvmInst: ("count", -1), VectorInst: ("length", -1),
 def test_two_mutations_keep_stream_order(chip):
     """Errors from two rejected instructions come out in stream order, after
     the stream-level HALT message."""
-    program = max(chip.programs.values(), key=len)
-    first, last, halt = (program.instructions[0], program.instructions[-2],
-                         program.instructions[-1])
-    with _mutated((first, *_BREAK[type(first)]), (last, *_BREAK[type(last)]),
-                  (halt, "op", "NOP")):
+    core, program = max(chip.programs.items(), key=lambda kv: len(kv[1]))
+    n = len(program)
+    first, last = program.instructions[0], program.instructions[-2]
+    with _mutated(chip, (core, 0, dict([_BREAK[type(first)]])),
+                  (core, n - 2, dict([_BREAK[type(last)]])),
+                  (core, n - 1, {"op": "NOP"})):
         expected = _verdict(chip, oracle=True)
         got = _verdict(chip, oracle=False)
     assert expected is not None and "no HALT" in expected
