@@ -136,6 +136,8 @@ class Program:
 
     def listing(self, limit: int | None = None) -> str:
         """Readable assembly-style dump (first ``limit`` instructions)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"listing limit must be >= 0, got {limit}")
         lines = [f"core {self.core}: {len(self.instructions)} instructions"]
         shown = self.instructions if limit is None else self.instructions[:limit]
         for index, inst in enumerate(shown):

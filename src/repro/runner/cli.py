@@ -52,17 +52,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="use 224x224 inputs instead of 32x32")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count flag: an integer >= 1, so a bad value is a
-    usage error (exit 2) rather than a traceback from deep in a run."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type of a count flag: an integer >= ``minimum``, so a bad
+    value is a usage error (exit 2) rather than a traceback from deep in a
+    run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _load_config(args: argparse.Namespace) -> ArchConfig:
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ROB size override")
     run.add_argument("--batch", type=_positive_int, default=1,
                      help="pipelined image stream length (throughput mode)")
-    run.add_argument("--shards", type=int, default=None,
+    run.add_argument("--shards", type=_positive_int, default=None,
                      help="compiler.attention_shards override (token-sharded "
                           "dynamic attention)")
     run.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
@@ -107,15 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(comp)
     comp.add_argument("--mapping", choices=["utilization_first",
                                             "performance_first"])
-    comp.add_argument("--listing", type=int, default=0, metavar="N",
+    comp.add_argument("--listing", type=_int_at_least(0), default=0,
+                      metavar="N",
                       help="print the first N instructions of each core")
-    comp.add_argument("--shards", type=int, default=None,
+    comp.add_argument("--shards", type=_positive_int, default=None,
                       help="compiler.attention_shards override")
 
     mappings = sub.add_parser("mappings",
                               help="compare both mapping policies (Fig. 3)")
     _add_common(mappings)
-    mappings.add_argument("--rob", type=int, default=1)
+    mappings.add_argument("--rob", type=_positive_int, default=1)
     mappings.add_argument("--workers", type=int, default=1,
                           help="simulate sweep points on N worker processes")
     mappings.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
@@ -222,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"({', '.join(sorted(DECODE_MODELS))})")
     decode.add_argument("--steps", type=_positive_int, default=32, metavar="N",
                         help="decode steps to run (default 32)")
-    decode.add_argument("--kv-tokens", type=int, default=None, metavar="T",
+    decode.add_argument("--kv-tokens", type=_positive_int, default=None,
+                        metavar="T",
                         help="KV extent at the first step (default: the "
                              "token count the model was built with)")
     decode.add_argument("--mix", default=None, metavar="SPECFILE",
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--objective", choices=["latency", "energy", "edp"],
                       default="latency",
                       help="what the tuner minimizes (default latency)")
-    tune.add_argument("--top-k", type=int, default=2, metavar="K",
+    tune.add_argument("--top-k", type=_positive_int, default=2, metavar="K",
                       help="fast-fidelity leaders re-verified at cycle "
                            "fidelity (default 2)")
     tune.add_argument("--workers", type=int, default=1,

@@ -35,20 +35,38 @@ class TestParser:
         assert info.value.code == 2
         assert "--max-sessions" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--model", "mlp", "--preset", "tiny", "--batch", "0"],
-        ["run", "--model", "mlp", "--preset", "tiny", "--rob", "0"],
-        ["decode", "--model", "gpt_tiny", "--preset", "tiny", "--steps", "0"],
-    ], ids=["run-batch", "run-rob", "decode-steps"])
-    def test_non_positive_count_is_a_usage_error(self, argv, capsys):
-        """A count flag below 1 is refused by the parser (exit 2, a usage
-        line naming the flag), not by a traceback from the run."""
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--model", "mlp", "--preset", "tiny", "--batch", "0"],
+         "must be >= 1, got 0"),
+        (["run", "--model", "mlp", "--preset", "tiny", "--rob", "0"],
+         "must be >= 1, got 0"),
+        (["run", "--model", "mlp", "--preset", "tiny", "--shards", "0"],
+         "must be >= 1, got 0"),
+        (["compile", "--model", "mlp", "--preset", "tiny", "--shards", "0"],
+         "must be >= 1, got 0"),
+        (["compile", "--model", "mlp", "--preset", "tiny", "--listing", "-1"],
+         "must be >= 0, got -1"),
+        (["mappings", "--model", "mlp", "--preset", "tiny", "--rob", "0"],
+         "must be >= 1, got 0"),
+        (["decode", "--model", "gpt_tiny", "--preset", "tiny", "--steps", "0"],
+         "must be >= 1, got 0"),
+        (["decode", "--model", "gpt_tiny", "--preset", "small",
+          "--steps", "1", "--kv-tokens", "0"],
+         "must be >= 1, got 0"),
+        (["tune", "mlp", "--preset", "tiny", "--top-k", "0"],
+         "must be >= 1, got 0"),
+    ], ids=["run-batch", "run-rob", "run-shards", "compile-shards",
+            "compile-listing", "mappings-rob", "decode-steps",
+            "decode-kv-tokens", "tune-top-k"])
+    def test_non_positive_count_is_a_usage_error(self, argv, message, capsys):
+        """A count flag below its minimum is refused by the parser (exit 2,
+        a usage line naming the flag), not by a traceback from the run."""
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
-        assert f"argument {argv[-2]}: must be >= 1, got 0" in err
+        assert f"argument {argv[-2]}: {message}" in err
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "--model", "vgg8"])

@@ -221,6 +221,13 @@ class TestProgram:
         text = p.listing(limit=3)
         assert "more" in text
 
+    def test_listing_rejects_a_negative_limit(self):
+        """A negative limit is an error, not a slice that drops the last
+        instructions."""
+        p = Program(core=0).seal()
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            p.listing(limit=-1)
+
 
 class TestEncoding:
     CASES = [
