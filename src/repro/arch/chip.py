@@ -8,7 +8,7 @@ It has no tier branch: :meth:`ChipModel._make_core` reads
 ``config.sim.fidelity`` and picks each core's model.
 
 Deadlocks (a protocol bug, e.g. hand-written programs with unmatched
-transfers) are detected when the event wheel drains with cores still
+transfers) are detected when the event queue drains with cores still
 unhalted, and reported with per-core program counters and flow states.
 """
 
@@ -145,7 +145,7 @@ class ChipModel:
             return self._collect()
         finally:
             # Results and diagnosis have read the kernel state: release the
-            # blocked processes and the wheel on every path.
+            # blocked processes and the event queues on every path.
             sim.close()
 
     def _completion_watcher(self):

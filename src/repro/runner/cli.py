@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import threading
@@ -32,7 +33,7 @@ from ..config import FIDELITIES, PRESETS, ArchConfig, get_preset, validate
 from ..engine import (Engine, JobFailed, JobSpec, PoolUnavailable,
                       default_engine, load_specs)
 from ..engine.journal import Journal
-from ..graph import Graph
+from ..graph import Graph, kv_extent
 from ..models import DECODE_MODELS, MODELS
 from .api import compile_model, simulate
 from .sweep import compare_mappings, compare_with_baseline, sweep_rob
@@ -70,6 +71,24 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
+
+
+def _seconds(*, allow_zero: bool):
+    """argparse type of a duration flag: a finite number of seconds, > 0
+    (or >= 0 with ``allow_zero``), so a bad value is a usage error."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid number: {text!r}") from None
+        if not (math.isfinite(value)
+                and (value >= 0 if allow_zero else value > 0)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if allow_zero else '>'} 0 and finite, "
+                f"got {text}")
+        return value
+    return parse
 
 
 def _load_config(args: argparse.Namespace) -> ArchConfig:
@@ -124,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="compare both mapping policies (Fig. 3)")
     _add_common(mappings)
     mappings.add_argument("--rob", type=_positive_int, default=1)
-    mappings.add_argument("--workers", type=int, default=1,
+    mappings.add_argument("--workers", type=_positive_int, default=1,
                           help="simulate sweep points on N worker processes")
     mappings.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
                           help="execution mode for both runs: cycle "
@@ -133,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rob = sub.add_parser("rob", help="sweep ROB sizes (Fig. 4)")
     _add_common(rob)
-    rob.add_argument("--workers", type=int, default=1,
+    rob.add_argument("--workers", type=_positive_int, default=1,
                       help="simulate sweep points on N worker processes")
     rob.add_argument("--sizes", default="1,4,8,12,16",
                      help="comma-separated ROB sizes")
@@ -152,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a JSON job-spec file on a persistent engine, emit JSONL")
     batch.add_argument("specfile", help="JSON file: one spec, a list, or "
                                         "{'jobs': [...]} (see repro.engine)")
-    batch.add_argument("--workers", type=int, default=1,
+    batch.add_argument("--workers", type=_positive_int, default=1,
                        help="persistent worker processes (default: serial)")
     batch.add_argument("--preset", default="paper",
                        help="default preset for jobs without a config "
@@ -163,12 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--resume", action="store_true",
                        help="append to --output, skipping every job whose "
                             "id it already settled (requires --output)")
-    batch.add_argument("--max-retries", type=int, default=1, metavar="N",
+    batch.add_argument("--max-retries", type=_int_at_least(0), default=1,
+                       metavar="N",
                        help="resubmissions allowed per job after a worker "
                             "crash before it is quarantined as poisoned "
                             "(pooled runs; default 1)")
-    batch.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
+    batch.add_argument("--timeout", type=_seconds(allow_zero=False),
+                       default=None, metavar="SECONDS",
                        help="per-job wall-clock timeout enforced by the "
                             "pool watchdog; overridden by a spec's own "
                             "timeout (pooled runs; default: none)")
@@ -191,23 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8787,
                        help="listen port (0: ephemeral; the resolved port "
                             "is printed to stderr before serving)")
-    serve.add_argument("--workers", type=int, default=None,
+    serve.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes (default: all CPUs)")
     serve.add_argument("--preset", default="paper",
                        help="default preset for jobs without a config "
                             f"({', '.join(sorted(PRESETS))})")
-    serve.add_argument("--max-retries", type=int, default=1, metavar="N",
+    serve.add_argument("--max-retries", type=_int_at_least(0), default=1,
+                       metavar="N",
                        help="worker-crash retries per job before poison "
                             "quarantine (default 1)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
+    serve.add_argument("--timeout", type=_seconds(allow_zero=False),
+                       default=None, metavar="SECONDS",
                        help="default per-job wall-clock timeout (a spec's "
                             "own timeout overrides it)")
-    serve.add_argument("--max-backlog", type=int, default=None, metavar="N",
+    serve.add_argument("--max-backlog", type=_positive_int, default=None,
+                       metavar="N",
                        help="admission high-water mark: unsettled jobs "
                             "beyond this are refused with 503 + "
                             "Retry-After (default: 8 per worker, min 16)")
-    serve.add_argument("--max-restarts", type=int, default=1, metavar="N",
+    serve.add_argument("--max-restarts", type=_int_at_least(0), default=1,
+                       metavar="N",
                        help="server crashes a job may be caught running "
                             "through before the store quarantines it as "
                             "poisoned (default 1)")
@@ -215,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default execution mode for jobs that do not "
                             "set their own (applied to the preset "
                             "configuration; a job's fidelity field wins)")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
+    serve.add_argument("--drain-timeout", type=_seconds(allow_zero=True),
+                       default=30.0, metavar="SECONDS",
                        help="on SIGTERM/SIGINT, seconds to let running "
                             "jobs finish before aborting them back to "
                             "the queue (default 30)")
@@ -238,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serving mix instead of a single request: "
                              "JSON job specs (decode requests set "
                              "decode_steps/kv_tokens; others are prefill)")
-    decode.add_argument("--workers", type=int, default=1,
+    decode.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for --mix (default: serial)")
     decode.add_argument("--preset", default="paper",
                         help="architecture preset "
@@ -269,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--top-k", type=_positive_int, default=2, metavar="K",
                       help="fast-fidelity leaders re-verified at cycle "
                            "fidelity (default 2)")
-    tune.add_argument("--workers", type=int, default=1,
+    tune.add_argument("--workers", type=_positive_int, default=1,
                       help="measure candidates on N worker processes")
     tune.add_argument("--output", default=None, metavar="PATH",
                       help="stream measurements to this JSONL journal "
@@ -590,6 +613,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return SERVE_EXIT_DRAIN_EXPIRED
 
 
+def _decode_extent_error(graph: Graph, kv_tokens: int | None,
+                         steps: int) -> str | None:
+    """Why ``steps`` decode steps from ``kv_tokens`` cannot run on
+    ``graph``'s KV cache, or ``None`` if every step fits."""
+    extent = kv_extent(graph)
+    if extent is None:
+        return (f"--model {graph.name} has no KV cache; choose one of "
+                f"{', '.join(sorted(DECODE_MODELS))}")
+    first = extent[0] if kv_tokens is None else kv_tokens
+    capacity = extent[1]
+    if first > capacity:
+        return (f"--kv-tokens {first} exceeds the KV capacity of "
+                f"{graph.name} ({capacity} tokens)")
+    last = first + steps - 1
+    if last > capacity:
+        return (f"--steps {steps} from KV extent {first} reaches extent "
+                f"{last}, beyond the KV capacity of {graph.name} "
+                f"({capacity} tokens; at most {capacity - first + 1} steps)")
+    return None
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     if bool(args.mix) == bool(args.model):
         print("pimsim decode: pass exactly one of --model or --mix",
@@ -597,6 +641,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return 2
     config = _load_config(args)
     with Engine(config) as engine:
+        if args.model:
+            error = _decode_extent_error(engine.resolve_network(args.model),
+                                         args.kv_tokens, args.steps)
+            if error:
+                print(f"pimsim decode: {error}", file=sys.stderr)
+                return 2
         if args.mix:
             mix = engine.serve_mix(
                 [replace(spec, fidelity=spec.fidelity or args.fidelity)

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`~repro.sim.kernel.Simulator` — the event wheel / process scheduler.
+* :class:`~repro.sim.kernel.Simulator` — the event queue / process scheduler.
 * :class:`~repro.sim.kernel.Event`, :class:`~repro.sim.kernel.AnyOf`,
   :class:`~repro.sim.kernel.AllOf` — wait conditions.
 * :class:`~repro.sim.channel.Fifo`, :class:`~repro.sim.channel.Resource`

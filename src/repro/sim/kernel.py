@@ -3,7 +3,7 @@
 This module is the pure-Python stand-in for the SystemC engine used by the
 original PIMSIM-NN.  It provides the same discrete-event semantics:
 
-* an event wheel ordered by simulated time (integer cycles),
+* an event queue ordered by simulated time (integer cycles),
 * *processes* written as Python generators that suspend on ``yield`` and are
   resumed by the kernel when their wake-up condition fires,
 * ``Event`` objects that processes can wait on and that models can notify,
@@ -17,22 +17,18 @@ beyond FIFO fairness).
 
 Scheduler design
 ----------------
-The kernel is the hot loop of every benchmark, so scheduling is split into
-three structures by delay instead of a single binary heap:
+The kernel is the hot loop of every benchmark.  Scheduling uses two
+structures, split by delay:
 
 * **delta queue** — ``delay == 0`` callbacks (the dominant case: every
-  ``Event.notify()``, process spawn and ``yield 0``) go to a plain list of
+  ``Event.notify()``, process spawn and ``yield 0``) go to a ``deque`` of
   ready-to-call zero-argument callables drained FIFO within the current
   cycle.  Nothing is allocated (an :class:`Event` or :class:`Process` is
   itself the entry, through ``__call__``) and the heap is never touched.
-* **near wheel** — delays in ``1 .. _NEAR_SIZE-1`` go to a ring of
-  ``_NEAR_SIZE`` buckets indexed by ``(now + delay) & _NEAR_MASK``; each
-  bucket is again a flat callable list, appended (and therefore drained)
-  in scheduling order.
-* **far heap** — delays ``>= _NEAR_SIZE`` fall back to a ``heapq`` of
-  ``(time, seq, fn)`` tuples, exactly like the classic wheel.
+* **timer heap** — delays ``>= 1`` go to one ``heapq`` of
+  ``(time, seq, fn)`` tuples.
 
-Every entry in all three structures is a zero-argument callable:
+Every entry in both structures is a zero-argument callable:
 ``call_at``/``call_after`` bind their ``fn(arg)`` pair into one
 ``partial`` when scheduling, so the drain loops never inspect an entry.
 Events and processes are callable themselves rather than caching a bound
@@ -40,20 +36,14 @@ method on ``self``: such a cache is a reference cycle on every object.
 
 A finished simulation is freed by reference counting alone:
 :meth:`Simulator.close` closes every still-blocked process's generator,
-unhooks it from the events it waits on and empties the wheel, so no
+unhooks it from the events it waits on and empties both queues, so no
 suspended frame or scheduled entry keeps the model alive (DESIGN.md "A
 finished run is freed by reference counting").
 
-Determinism guarantees are unchanged from the single-heap kernel: all
-callbacks scheduled for one timestamp run in global scheduling (FIFO)
-order.  This holds structurally: for a given fire time ``T`` every far-heap
-entry was scheduled at ``S <= T - _NEAR_SIZE``, every near-wheel entry at
-``T - _NEAR_SIZE < S < T`` and every delta entry at exactly ``T``, so
-draining far entries at ``T`` (heap pops are seq-ordered), then the bucket
-``T & _NEAR_MASK`` (append order), then the delta queue (append order,
-including entries appended while draining) replays scheduling order
-exactly.  New same-cycle work created by a callback can only enter the
-delta queue, never the already-drained structures.
+All callbacks scheduled for one timestamp run in global scheduling (FIFO)
+order: every timed entry carries a global ``seq``, so the heap's entries
+for cycle ``T`` pop in scheduling order, and the delta queue (every entry
+of which was scheduled at ``T``, after them) runs next.
 
 Further fast paths: ``Event`` waiter bookkeeping is an insertion-ordered
 ``dict`` keyed by process, so AnyOf sibling cancellation and the
@@ -65,9 +55,8 @@ Every wake-up — spawn, timer or event fire — steps its process through the
 one condition dispatch in :meth:`Process._resume` (inlined copies of it
 measured within noise; DESIGN.md "Hot paths").
 
-``Simulator.pending`` is exact whenever ``run()`` is not on the stack
-(entries already executed inside the current ``run`` slice are compacted
-away on every return path).
+``Simulator.pending`` is exact whenever ``run()`` is not on the stack:
+each entry leaves its queue before it runs.
 
 Example
 -------
@@ -107,11 +96,6 @@ __all__ = [
     "DeadlockError",
 ]
 
-#: near-wheel span in cycles; delays below this use O(1) ring buckets.
-_NEAR_SIZE = 128
-_NEAR_MASK = _NEAR_SIZE - 1
-
-
 class SimulationError(RuntimeError):
     """Base class for kernel-level errors."""
 
@@ -119,7 +103,7 @@ class SimulationError(RuntimeError):
 class DeadlockError(SimulationError):
     """Raised by :meth:`Simulator.run` when processes remain blocked forever.
 
-    A deadlock is reported when the event wheel drains while live processes
+    A deadlock is reported when the event queue drains while live processes
     are still waiting on events that can no longer be notified.  The message
     lists the stuck processes to make protocol bugs (e.g. an unmatched
     synchronized SEND) easy to diagnose.
@@ -168,7 +152,7 @@ class Event:
             raise ValueError(f"negative notify delay: {delay}")
 
     def __call__(self) -> None:
-        """Fire (the event is its own wheel entry): wake every waiter."""
+        """Fire (the event is its own queue entry): wake every waiter."""
         self._fired_at = self.sim.now
         waiters = self._waiters
         if not waiters:
@@ -238,7 +222,7 @@ class Process:
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "") or gen.__class__.__name__
-        #: each resume skips one lookup; the process itself is the wheel
+        #: each resume skips one lookup; the process itself is the queue
         #: entry that resumes it (``__call__``).
         self._send = gen.send
         #: fast path: the one event this process waits on (no tuple built).
@@ -268,7 +252,7 @@ class Process:
         step, then dispatch on the yielded condition.
 
         ``cause`` is the firing :class:`Event`, or ``None`` for the spawn
-        step and timer wakes (the wheel calls the process itself, which is
+        step and timer wakes (the kernel calls the process itself, which is
         this method) — neither has wait state to clean, so they pay one
         compare.  Only a firing :class:`Event` (whose waiters are by
         construction live, blocked processes), :meth:`Simulator.spawn`
@@ -303,14 +287,11 @@ class Process:
             return
         tc = condition.__class__
         if tc is int:
-            if 0 < condition < _NEAR_SIZE:
-                sim._near[(sim.now + condition) & _NEAR_MASK].append(self)
-                sim._near_count += 1
+            if condition > 0:
+                sim._seq = seq = sim._seq + 1
+                heapq.heappush(sim._timers, (sim.now + condition, seq, self))
             elif condition == 0:
                 sim._delta_append(self)
-            elif condition > 0:
-                sim._seq = seq = sim._seq + 1
-                heapq.heappush(sim._far, (sim.now + condition, seq, self))
             else:
                 raise SimulationError(
                     f"process {self.name!r} yielded a negative delay: {condition}"
@@ -350,11 +331,11 @@ class Process:
 
 
 class Simulator:
-    """The event wheel: schedules callbacks and drives processes.
+    """The event queue: schedules callbacks and drives processes.
 
     ``Simulator`` replaces the SystemC kernel.  Models register processes
     with :meth:`spawn`; :meth:`run` then advances simulated time until the
-    wheel drains, a time bound is hit, or :meth:`stop` is called.
+    queue drains, a time bound is hit, or :meth:`stop` is called.
     """
 
     def __init__(self) -> None:
@@ -365,12 +346,8 @@ class Simulator:
         #: its bound ``append`` can be cached by every scheduling site.
         self._delta: deque = deque()
         self._delta_append = self._delta.append
-        #: ring of near-future buckets (zero-arg callables each).
-        self._near: list[list] = [[] for _ in range(_NEAR_SIZE)]
-        #: number of entries currently in the near wheel.
-        self._near_count = 0
-        #: far-future heap of ``(time, seq, fn)``.
-        self._far: list[tuple[int, int, Callable]] = []
+        #: timed callbacks: a heap of ``(time, seq, fn)``.
+        self._timers: list[tuple[int, int, Callable]] = []
         self._seq = 0
         self._live_processes: set[Process] = set()
         self._stopped = False
@@ -381,12 +358,9 @@ class Simulator:
         """Schedule a zero-argument callable after ``delay`` cycles."""
         if delay == 0:
             self._delta_append(fn)
-        elif delay < _NEAR_SIZE:
-            self._near[(self.now + delay) & _NEAR_MASK].append(fn)
-            self._near_count += 1
         else:
             self._seq = seq = self._seq + 1
-            heapq.heappush(self._far, (self.now + delay, seq, fn))
+            heapq.heappush(self._timers, (self.now + delay, seq, fn))
 
     def call_at(self, time: int, fn: Callable, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at absolute cycle ``time`` (>= now)."""
@@ -420,10 +394,10 @@ class Simulator:
     # -- running ------------------------------------------------------------
 
     def run(self, until: int | None = None, *, detect_deadlock: bool = True) -> None:
-        """Advance simulation until the wheel drains or ``until`` is reached.
+        """Advance simulation until the queue drains or ``until`` is reached.
 
         With ``detect_deadlock`` (default), raises :class:`DeadlockError` if
-        the wheel drains while spawned processes are still blocked on events.
+        the queue drains while spawned processes are still blocked on events.
         An ``until`` before the current cycle raises :class:`SimulationError`:
         the clock never moves backwards.
         """
@@ -434,75 +408,27 @@ class Simulator:
         self._stopped = False
         delta = self._delta
         dpop = delta.popleft
-        near = self._near
-        far = self._far
-        pop_far = heapq.heappop
-        mask = _NEAR_MASK
+        timers = self._timers
+        pop_timer = heapq.heappop
         while True:
             now = self.now
-            # 1. far-heap entries that landed exactly on the current cycle
-            # (only possible right after a time advance or on resume).
-            while far and far[0][0] == now:
-                pop_far(far)[2]()
+            # 1. timers that land on the current cycle, in scheduling
+            # order; a popped entry is gone, so `pending` stays exact.
+            while timers and timers[0][0] == now:
+                pop_timer(timers)[2]()
                 if self._stopped:
                     return
-            # 2. the near bucket for the current cycle.  Its entries were
-            # scheduled strictly before `now`, hence after every far entry
-            # for `now` and before any delta entry (module-docstring proof);
-            # nothing can be appended to it while it drains, so its length
-            # is fixed.  The try/finally is free on 3.11+ and keeps
-            # `pending`/resume exact if a callback raises or ``stop()``s.
-            bucket = near[now & mask]
-            if bucket:
-                if len(bucket) == 1:
-                    # overwhelmingly common in streaming sims: one process
-                    # timer per cycle; skip the loop/compaction machinery.
-                    fn = bucket[0]
-                    bucket.clear()
-                    self._near_count -= 1
-                    fn()
-                    if self._stopped:
-                        return
-                else:
-                    i = 0
-                    n = len(bucket)
-                    try:
-                        while i < n:
-                            fn = bucket[i]
-                            i += 1
-                            fn()
-                            if self._stopped:
-                                return
-                    finally:
-                        del bucket[:i]
-                        self._near_count -= i
-            # 3. the delta queue: all same-cycle work, including work
+            # 2. the delta queue: all same-cycle work, including work
             # appended while draining (entries are consumed as they run, so
             # `pending` and resume-after-stop stay exact with no cleanup).
             while delta:
                 dpop()()
                 if self._stopped:
                     return
-            # 4. advance time to the next scheduled cycle.
-            next_time = -1
-            if self._near_count:
-                k = now + 1
-                if near[k & mask]:
-                    next_time = k  # fast path: something lands next cycle
-                else:
-                    end = now + _NEAR_SIZE
-                    k += 1
-                    while k < end:
-                        if near[k & mask]:
-                            next_time = k
-                            break
-                        k += 1
-            if far:
-                far_time = far[0][0]
-                if next_time < 0 or far_time < next_time:
-                    next_time = far_time
-            if next_time < 0:
+            # 3. advance time to the next timer.
+            if not timers:
                 break  # drained
+            next_time = timers[0][0]
             if has_until and next_time > until:
                 self.now = until
                 return
@@ -525,7 +451,7 @@ class Simulator:
         Closes the generator of every still-blocked process (a suspended
         frame holds its model objects, which hold the simulator, which
         holds the process), unhooks it from the events it waits on and
-        empties the wheel.  The clock and every model counter keep their
+        empties both queues.  The clock and every model counter keep their
         values, so results can still be read; the model is then freed by
         reference counting, with no work left for the cyclic collector.
         Call it outside :meth:`run`, never from a process.
@@ -539,16 +465,12 @@ class Simulator:
             proc._wait_single = proc._wait_multi = proc._pending_all = None
         self._live_processes.clear()
         self._delta.clear()
-        if self._near_count:
-            for bucket in self._near:
-                bucket.clear()
-            self._near_count = 0
-        self._far.clear()
+        self._timers.clear()
 
     @property
     def pending(self) -> int:
-        """Number of scheduled-but-unprocessed wheel entries."""
-        return len(self._far) + self._near_count + len(self._delta)
+        """Number of scheduled-but-unprocessed entries."""
+        return len(self._timers) + len(self._delta)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self.now} pending={self.pending}>"

@@ -5,8 +5,7 @@ run on the current kernel and its wake-order trace is compared against a
 golden trace recorded on the seed (pre-optimization) kernel.  The workload
 mixes every kernel primitive the architecture models use:
 
-* timed waits spanning the delta (0), near-wheel (small) and far-heap
-  (large) delay ranges,
+* timed waits spanning the delay classes 0, 1-127 and >= 128,
 * single-event waits, ``AnyOf`` and ``AllOf`` over a shared event pool,
 * ``Fifo`` producer/consumer streams (bounded and unbounded),
 * ``Rendezvous`` tagged send/receive pairs (the class below: it left
@@ -90,8 +89,7 @@ class Rendezvous:
         return sum(len(q) for q in self._receivers.values())
 
 
-#: delays chosen to exercise delta (0), near-wheel (1..63) and far-heap
-#: (>= 64) scheduling paths.
+#: delays chosen to span the delay classes 0, 1-127 and >= 128.
 _DELAYS = (0, 0, 0, 1, 1, 2, 3, 7, 17, 40, 63, 64, 65, 130, 400)
 
 

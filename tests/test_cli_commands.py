@@ -55,18 +55,54 @@ class TestParser:
          "must be >= 1, got 0"),
         (["tune", "mlp", "--preset", "tiny", "--top-k", "0"],
          "must be >= 1, got 0"),
+        (["mappings", "--model", "mlp", "--preset", "tiny", "--workers", "0"],
+         "must be >= 1, got 0"),
+        (["rob", "--model", "mlp", "--preset", "tiny", "--workers", "0"],
+         "must be >= 1, got 0"),
+        (["batch", "jobs.json", "--workers", "-2"], "must be >= 1, got -2"),
+        (["batch", "jobs.json", "--max-retries", "-1"],
+         "must be >= 0, got -1"),
+        (["batch", "jobs.json", "--workers", "2", "--timeout", "-5"],
+         "must be > 0 and finite, got -5"),
+        (["serve", "--store", "s.jsonl", "--workers", "0"],
+         "must be >= 1, got 0"),
+        (["serve", "--store", "s.jsonl", "--max-retries", "-1"],
+         "must be >= 0, got -1"),
+        (["serve", "--store", "s.jsonl", "--timeout", "0"],
+         "must be > 0 and finite, got 0"),
+        (["serve", "--store", "s.jsonl", "--max-backlog", "0"],
+         "must be >= 1, got 0"),
+        (["serve", "--store", "s.jsonl", "--max-restarts", "-1"],
+         "must be >= 0, got -1"),
+        (["serve", "--store", "s.jsonl", "--drain-timeout", "nan"],
+         "must be >= 0 and finite, got nan"),
+        (["decode", "--model", "gpt_tiny", "--preset", "tiny",
+          "--workers", "0"],
+         "must be >= 1, got 0"),
+        (["tune", "mlp", "--preset", "tiny", "--workers", "0"],
+         "must be >= 1, got 0"),
     ], ids=["run-batch", "run-rob", "run-shards", "compile-shards",
             "compile-listing", "mappings-rob", "decode-steps",
-            "decode-kv-tokens", "tune-top-k"])
+            "decode-kv-tokens", "tune-top-k", "mappings-workers",
+            "rob-workers", "batch-workers", "batch-max-retries",
+            "batch-timeout", "serve-workers", "serve-max-retries",
+            "serve-timeout", "serve-max-backlog", "serve-max-restarts",
+            "serve-drain-timeout", "decode-workers", "tune-workers"])
     def test_non_positive_count_is_a_usage_error(self, argv, message, capsys):
-        """A count flag below its minimum is refused by the parser (exit 2,
-        a usage line naming the flag), not by a traceback from the run."""
+        """A count or duration flag below its minimum is refused by the
+        parser (exit 2, a usage line naming the flag), not by a traceback
+        from the run or a run that ignores it."""
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {argv[-2]}: {message}" in err
+
+    def test_zero_drain_timeout_is_accepted(self):
+        args = build_parser().parse_args(
+            ["serve", "--store", "s.jsonl", "--drain-timeout", "0"])
+        assert args.drain_timeout == 0.0
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "--model", "vgg8"])
@@ -210,6 +246,30 @@ class TestSubcommands:
             cycles[workers] = [r["cycles"] for r in reports]
         capsys.readouterr()
         assert cycles["1"] == cycles["2"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "gpt_tiny", "--kv-tokens", "100", "--steps", "1"],
+         "--kv-tokens 100 exceeds the KV capacity of gpt_tiny (64 tokens)"),
+        (["--model", "gpt_tiny", "--steps", "100"],
+         "--steps 100 from KV extent 8 reaches extent 107, beyond the KV "
+         "capacity of gpt_tiny (64 tokens; at most 57 steps)"),
+        (["--model", "mlp"],
+         "--model mlp has no KV cache; choose one of gpt_tiny"),
+    ], ids=["kv-tokens", "steps", "no-kv-cache"])
+    def test_decode_beyond_kv_capacity_is_refused(self, flags, message,
+                                                  capsys):
+        """Extents past the KV cache, or a model without one, are refused
+        up front with one line (exit 2), not by a traceback from the first
+        or the last step."""
+        assert main(["decode", "--preset", "tiny", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"pimsim decode: {message}\n"
+        assert captured.out == ""
+
+    def test_decode_up_to_kv_capacity_runs(self, capsys):
+        assert main(["decode", "--model", "gpt_tiny", "--preset", "tiny",
+                     "--kv-tokens", "62", "--steps", "3"]) == 0
+        assert "3 steps" in capsys.readouterr().out
 
     def test_decode_requires_model_xor_mix(self, capsys):
         assert main(["decode", "--preset", "tiny"]) == 2

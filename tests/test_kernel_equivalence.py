@@ -1,7 +1,8 @@
 """Kernel- and model-equivalence suite.
 
-The scheduler was rewritten (delta queue + bucketed near wheel + far heap,
-see ``repro/sim/kernel.py``) and the model layer gained fast paths
+The scheduler was rewritten (a delta queue for same-cycle work and one
+``(time, seq)`` timer heap, see ``repro/sim/kernel.py``) and the model
+layer gained fast paths
 (incremental ROB scoreboard + static blocker tables, per-entry ready
 events, route-cached NoC, zero-frame unit issue); these tests pin the
 observable semantics to the seed's, via golden traces recorded on the
@@ -23,9 +24,13 @@ cancellation, double-removal, duplicate events in AnyOf).
 """
 
 import json
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _arch_workload import run_arch_workload
 from _kernel_workload import run_workload
@@ -155,14 +160,14 @@ class TestWaiterBookkeeping:
 
 
 class TestSchedulerStructures:
-    """Delta / near-wheel / far-heap specific orderings."""
+    """Orderings across the delay classes 0, 1-127 and >= 128."""
 
     def test_fifo_order_across_delay_classes(self):
         """Same fire-cycle callbacks run in scheduling order regardless of
-        which structure (delta, near bucket, far heap) they came from."""
+        the delay class (0, 1-127, >= 128) they were scheduled with."""
         sim = Simulator()
         seen = []
-        target = 300  # far for the first schedule, near later, delta at T
+        target = 300  # delay >= 128 first, then 1-127, then 0 at T
 
         def late_schedulers():
             yield target - 5
@@ -184,13 +189,14 @@ class TestSchedulerStructures:
         assert seen == [0, 1, 3, 64, 127, 128, 129, 500]
 
     def test_near_wheel_wraparound(self):
-        """Delays that wrap the bucket ring repeatedly stay ordered."""
+        """A long run of equal 1-127 delays crossing many multiples of
+        128 stays ordered."""
         sim = Simulator()
         seen = []
 
         def stepper():
             for _ in range(40):
-                yield 97  # co-prime with the ring size
+                yield 97  # co-prime with 128
                 seen.append(sim.now)
 
         sim.spawn(stepper())
@@ -199,9 +205,9 @@ class TestSchedulerStructures:
 
     def test_pending_counts_all_structures(self):
         sim = Simulator()
-        sim.call_after(0, lambda _: None)     # delta
-        sim.call_after(5, lambda _: None)     # near bucket
-        sim.call_after(1_000, lambda _: None)  # far heap
+        sim.call_after(0, lambda _: None)     # delay 0
+        sim.call_after(5, lambda _: None)     # delay 1-127
+        sim.call_after(1_000, lambda _: None)  # delay >= 128
         assert sim.pending == 3
         sim.run()
         assert sim.pending == 0
@@ -220,13 +226,13 @@ class TestSchedulerStructures:
 
 
     def test_call_after_delivers_arg_in_scheduling_order(self):
-        """``call_after``/``call_at`` hand ``arg`` to ``fn(arg)`` from all
-        three structures, and same-cycle entries run in scheduling order
-        whichever structure holds them."""
+        """``call_after``/``call_at`` hand ``arg`` to ``fn(arg)`` in every
+        delay class, and same-cycle entries run in scheduling order
+        whichever class they were scheduled with."""
         sim = Simulator()
         seen = []
         record = seen.append
-        for delay in (0, 5, 300):          # delta, near wheel, far heap
+        for delay in (0, 5, 300):          # delay 0, 1-127, >= 128
             sim.call_after(delay, record, ("after", delay))
             sim.call_at(delay, record, ("at", delay))
         sim.call_after(300, record)        # arg defaults to None
@@ -271,3 +277,130 @@ class TestDelayValidation:
         sim = Simulator()
         with _pytest.raises(ValueError, match="integer"):
             Event(sim).notify(1.5)
+
+
+# -- nested random scheduling against a sorting reference ---------------------
+
+@dataclass(frozen=True)
+class _Node:
+    """One scheduled callback: after ``delay`` cycles it records itself
+    and schedules its ``children``.  A process node is spawned and waits
+    with ``yield delay``; the others go through ``call_after``."""
+
+    id: int
+    process: bool
+    delay: int
+    children: tuple["_Node", ...]
+
+
+#: delays 0 to 300 cross every delay class (0, 1-127, >= 128).
+_SHAPES = st.recursive(
+    st.tuples(st.booleans(), st.integers(0, 300), st.just(())),
+    lambda kids: st.tuples(st.booleans(), st.integers(0, 300),
+                           st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=24)
+
+
+def _number(shapes, ids):
+    return tuple(_Node(next(ids), process, delay, _number(kids, ids))
+                 for process, delay, kids in shapes)
+
+
+@st.composite
+def _programs(draw):
+    """Root nodes, the id of the one node that calls ``stop()``, and the
+    ``run(until=now + step)`` slices taken before running to the end."""
+    ids = count()
+    roots = _number(draw(st.lists(_SHAPES, min_size=1, max_size=6)), ids)
+    stop_at = draw(st.integers(0, next(ids) - 1))
+    steps = draw(st.lists(st.integers(0, 400), max_size=4))
+    return roots, stop_at, steps
+
+
+def _run_kernel(roots, stop_at, steps):
+    """Firing order and ``(now, pending, fired)`` after every slice."""
+    sim = Simulator()
+    fired = []
+
+    def fire(node):
+        fired.append((sim.now, node.id))
+        for child in node.children:
+            schedule(child)
+        if node.id == stop_at:
+            sim.stop()
+
+    def waiter(node):
+        yield node.delay
+        fire(node)
+
+    def schedule(node):
+        if node.process:
+            sim.spawn(waiter(node))
+        else:
+            sim.call_after(node.delay, fire, node)
+
+    for root in roots:
+        schedule(root)
+    slices = []
+    for step in steps:
+        sim.run(until=sim.now + step)
+        slices.append((sim.now, sim.pending, len(fired)))
+    while not slices or slices[-1][1]:
+        sim.run()
+        slices.append((sim.now, sim.pending, len(fired)))
+    return fired, slices
+
+
+def _run_reference(roots, stop_at, steps):
+    """The same program on a list sorted by (fire time, scheduling
+    order): a process node is a spawn step at delay 0 that schedules its
+    own fire after ``delay``."""
+    queue = []
+    seq = count()
+    fired = []
+    now = 0
+
+    def schedule(node, at):
+        if node.process:
+            queue.append((at, next(seq), "spawn", node))
+        else:
+            queue.append((at + node.delay, next(seq), "fire", node))
+
+    def run(until=None):
+        nonlocal now
+        while queue:
+            queue.sort(key=lambda entry: entry[:2])
+            time, _, what, node = queue[0]
+            if until is not None and time > until:
+                now = until
+                return
+            del queue[0]
+            now = time
+            if what == "spawn":
+                queue.append((now + node.delay, next(seq), "fire", node))
+                continue
+            fired.append((now, node.id))
+            for child in node.children:
+                schedule(child, now)
+            if node.id == stop_at:
+                return
+
+    for root in roots:
+        schedule(root, 0)
+    slices = []
+    for step in steps:
+        run(until=now + step)
+        slices.append((now, len(queue), len(fired)))
+    while not slices or slices[-1][1]:
+        run()
+        slices.append((now, len(queue), len(fired)))
+    return fired, slices
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_programs())
+def test_nested_scheduling_matches_sorted_reference(program):
+    """Callbacks that schedule callbacks, cut by ``run(until=)`` slices and
+    one ``stop()``, fire in (fire time, scheduling order), and ``now`` and
+    ``pending`` are exact after every slice."""
+    assert _run_kernel(*program) == _run_reference(*program)
