@@ -18,7 +18,6 @@ need:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,102 +180,46 @@ class Dependences:
                 if s.kind not in ("input", "cache") and self.consumers[s.name]]
 
     @cached_property
-    def skews(self) -> dict[tuple[str, int], int]:
-        """Pipeline skew of every windowed edge, in producer-tile units.
+    def _ring_counts(self) -> tuple[dict[tuple[str, int], int],
+                                    dict[tuple[str, int], int]]:
+        """``(skews, lags)`` of every windowed edge, in one pass.
 
-        For edge ``P -> S``, the skew bounds how far P must be able to run
-        ahead of S's consumption before S's item can execute.  Two effects
-        contribute:
-
-        * *data skew* — the highest P tile transitively required by item
-          (S, t) through any ancestor path (``need_P``); the identity
-          shortcut of a residual block accumulates the halo lag of the
-          convolutional path it bypasses;
-        * *order skew* — items are emitted per core in global (level, topo,
-          tile) order, so (S, t) also waits for every same-core
-          predecessor, which may transitively require even later P tiles.
-          This is bounded by the *need curve* ``G_P(L)`` = max P tile
-          required by any item of level <= L, evaluated at (S, t)'s level.
-
-        The code generator sizes each flow's credit window (and its input
-        ring) as ``skew + sync_window``: a synchronized SEND should then
-        never stall its producer before the consumer genuinely cannot
-        progress.  This is the buffering a real compiler must provision
-        for skip connections and branch joins.  The skew counts from the
-        highest tile an item reads, not the lowest, which is not enough
-        on every DAG (DESIGN.md "Ring safety").
+        For consumer tile ``t`` of edge ``P -> S``, ``p_t`` counts the P
+        tiles whose level is <= ``t``'s level: the tiles P has produced,
+        in emission order, by the time (S, t) can run.  Both tables are
+        how far that count runs ahead of the tiles the item reads.
         """
-        stages = self.pipeline.stages
         skews: dict[tuple[str, int], int] = {}
-        for producer in self._windowed():
-            pname = producer.name
-            # need[X] = per-tile max P-tile transitively required by X.
-            need: dict[str, list[int]] = {pname: list(range(
-                n_tiles(producer, self.tile_pixels)))}
-            for stage in stages[producer.topo_index + 1:]:
-                contributions: list[list[int]] = []
-                for edge_idx, edge in enumerate(stage.edges):
-                    upstream = need.get(edge.producer)
-                    if upstream is None:
-                        continue
-                    req = self.req[(stage.name, edge_idx)]
-                    contributions.append([upstream[q] for q in req])
-                if contributions:
-                    need[stage.name] = [max(c) for c in zip(*contributions)]
-            # Need curve: for every item of any stage needing P,
-            # (level, need).
-            points = sorted(
-                (self.levels[xname][u], xneed[u])
-                for xname, xneed in need.items()
-                for u in range(len(xneed))
-            )
-            curve_levels = [p[0] for p in points]
-            curve_need: list[int] = []
-            running = -1
-            for _, value in points:
-                running = max(running, value)
-                curve_need.append(running)
-
-            for consumer, edge_idx in self.consumers[pname]:
-                req = self.req[(consumer.name, edge_idx)]
-                lv = self.levels[consumer.name]
-                worst = 0
-                for t in range(len(req)):
-                    pos = bisect_right(curve_levels, lv[t]) - 1
-                    if pos >= 0:
-                        worst = max(worst, curve_need[pos] - req[t])
-                skews[(consumer.name, edge_idx)] = worst
-        return skews
-
-    @cached_property
-    def lags(self) -> dict[tuple[str, int], int]:
-        """Level-order distance of every windowed edge, in producer tiles.
-
-        A consumer co-resident with its producer reads the producer's
-        output ring in place, so the ring must hold a tile from the
-        producer item writing it to the consumer item reading it: for each
-        consumer tile ``t``, the producer tiles ordered (by level) up to
-        ``t``'s item, ``p_t``, minus the highest tile it reads, plus two.
-        A full-input consumer holds every producer tile.
-        """
         lags: dict[tuple[str, int], int] = {}
         for producer in self._windowed():
             nt = n_tiles(producer, self.tile_pixels)
             lv_p = self.levels[producer.name]
             for consumer, edge_idx in self.consumers[producer.name]:
                 key = (consumer.name, edge_idx)
-                if consumer.edges[edge_idx].full_input:
-                    lags[key] = nt
-                    continue
                 lv_c = self.levels[consumer.name]
-                # max producer item ordered (by level) before consumer item t
-                p = worst = 0
+                p = skew = lag = 0
                 for t, req_t in enumerate(self.req[key]):
                     while p < nt and lv_p[p] <= lv_c[t]:
                         p += 1
-                    worst = max(worst, (p - 1) - req_t + 2)
-                lags[key] = worst
-        return lags
+                    skew = max(skew, p - 1 - req_t)
+                    lag = max(lag, p - 1 - req_t)
+                skews[key] = skew
+                lags[key] = (nt if consumer.edges[edge_idx].full_input
+                             else lag + 2)
+        return skews, lags
+
+    @property
+    def skews(self) -> dict[tuple[str, int], int]:
+        """Pipeline skew of every windowed edge, in producer-tile units:
+        ``max_t(p_t - 1 - req_t)``."""
+        return self._ring_counts[0]
+
+    @property
+    def lags(self) -> dict[tuple[str, int], int]:
+        """Level-order distance of every windowed edge, in producer tiles:
+        ``max_t(p_t - 1 - req_t) + 2``; a full-input consumer holds every
+        producer tile."""
+        return self._ring_counts[1]
 
 
 def dependences(pipeline: Pipeline, tile_pixels: int) -> Dependences:
