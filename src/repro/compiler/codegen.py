@@ -200,17 +200,24 @@ class _CodeGenerator:
     def _edge_window(self, stage: Stage, edge_idx: int) -> int:
         """Input-ring depth for one consumer edge.
 
-        Structural skew (skip connections, branch joins) plus the
-        configured ``sync_window`` of slack; full-input consumers buffer
-        the producer's entire output.  A RECV port's credit window is
-        this depth capped at the messages its core receives (:meth:`_wire`).
+        The producer tiles from the lowest one an item reads to the last
+        one emitted before it (``deps.skews``; for a LOAD edge, whose
+        producer is not windowed, the ``req - lo`` span an item reads),
+        plus the configured ``sync_window`` of slack; full-input consumers
+        buffer the producer's entire output.  A RECV port's credit window
+        is this depth capped at the messages its core receives
+        (:meth:`_wire`).
         """
         edge = stage.edges[edge_idx]
         producer = self.stages[edge.producer]
         p_tiles = n_tiles(producer, self.tile_pixels)
         if edge.full_input:
             return p_tiles
-        skew = self.deps.skews.get((stage.name, edge_idx), 0)
+        key = (stage.name, edge_idx)
+        skew = self.deps.skews.get(key)
+        if skew is None:  # a LOAD edge
+            skew = max(hi - lo for lo, hi in zip(self.deps.lo[key],
+                                                 self.deps.req[key]))
         # +4: the in-order-retire ROB lets a sender dispatch a few items
         # past a credit-blocked SEND before jamming; the window must cover
         # that lookahead on top of the structural skew.

@@ -10,9 +10,15 @@ need:
   exact sliding-window geometry, monotone in the tile index),
 * a global *level* per (stage, tile) work item such that every dependency
   of an item has a strictly smaller level (:func:`dependences`, one table
-  with the intervals, levels, emission order, skews and lags).  Per-core
+  with the intervals, levels, emission order and ring depths).  Per-core
   instruction streams emitted in level order are deadlock-free under
-  windowed synchronized flows (see DESIGN.md).
+  windowed synchronized flows when every ring holds what one item reads
+  (see DESIGN.md).
+
+Ring depths are one count: for consumer tile ``t`` of edge ``P -> S``,
+``p_t`` is the number of P tiles whose level is <= ``t``'s level, and a
+ring must hold the P tiles from the lowest one ``t`` reads up to
+``p_t - 1``.
 """
 
 from __future__ import annotations
@@ -119,12 +125,19 @@ def tile_interval(consumer: Stage, edge: StageEdge, producer: Stage,
     map to output rows; through (kernel, stride, padding) those rows pull
     input rows ``y*stride - pad`` up to ``y*stride - pad + kernel - 1``;
     the first and last needed input pixels identify the producer tiles.
+    A consumer with the producer's pixel count but another shape (a token
+    stage reading a feature map) reads pixel ``i`` for its pixel ``i``.
     Both ends are monotone non-decreasing in ``tile`` by construction.
     """
     tp = n_tiles(producer, tile_pixels)
     if edge.full_input or len(consumer.out_shape) != 3:
         return 0, tp - 1
     first_px, end_px = tile_pixel_range(consumer, tile_pixels, tile)
+    if (consumer.out_pixels == producer.out_pixels
+            and consumer.out_hw != producer.out_hw):
+        lo = first_px // tile_pixels
+        hi = (end_px - 1) // tile_pixels
+        return (lo if lo < tp else tp - 1), (hi if hi < tp else tp - 1)
     out_w = consumer.out_shape[2]
     # A fused pool multiplies the pre-pool rows consumed per output row.
     attrs = consumer.attrs
@@ -162,7 +175,7 @@ class Dependences:
     deadlock-freedom argument (DESIGN.md).  ``consumers[producer]`` lists
     the ``(consumer, edge index)`` pairs reading each stage, in pipeline
     order.  ``skews`` and ``lags`` size the code generator's rings and are
-    computed on first access.
+    computed together on first access.
     """
 
     pipeline: Pipeline
@@ -185,9 +198,11 @@ class Dependences:
         """``(skews, lags)`` of every windowed edge, in one pass.
 
         For consumer tile ``t`` of edge ``P -> S``, ``p_t`` counts the P
-        tiles whose level is <= ``t``'s level: the tiles P has produced,
-        in emission order, by the time (S, t) can run.  Both tables are
-        how far that count runs ahead of the tiles the item reads.
+        tiles whose level is <= ``t``'s level: every P tile emitted before
+        (S, t) in the global order.  Levels strictly increase along every
+        dependence and along every stage's tile axis, so no item ordered
+        before (S, t) needs a P tile past ``p_t - 1``; both tables are how
+        far that count runs ahead of the tiles ``t`` reads.
         """
         skews: dict[tuple[str, int], int] = {}
         lags: dict[tuple[str, int], int] = {}
@@ -196,12 +211,12 @@ class Dependences:
             lv_p = self.levels[producer.name]
             for consumer, edge_idx in self.consumers[producer.name]:
                 key = (consumer.name, edge_idx)
-                lv_c = self.levels[consumer.name]
                 p = skew = lag = 0
-                for t, req_t in enumerate(self.req[key]):
-                    while p < nt and lv_p[p] <= lv_c[t]:
+                for lv_t, lo_t, req_t in zip(self.levels[consumer.name],
+                                             self.lo[key], self.req[key]):
+                    while p < nt and lv_p[p] <= lv_t:
                         p += 1
-                    skew = max(skew, p - 1 - req_t)
+                    skew = max(skew, p - 1 - lo_t)
                     lag = max(lag, p - 1 - req_t)
                 skews[key] = skew
                 lags[key] = (nt if consumer.edges[edge_idx].full_input
@@ -210,14 +225,19 @@ class Dependences:
 
     @property
     def skews(self) -> dict[tuple[str, int], int]:
-        """Pipeline skew of every windowed edge, in producer-tile units:
-        ``max_t(p_t - 1 - req_t)``."""
+        """Input-ring skew of every windowed edge, in producer tiles:
+        ``max_t(p_t - 1 - lo_t)``, the P tiles a consumer's ring holds
+        from the lowest one an item reads to the last one emitted before
+        it.  The code generator adds its ``sync_window`` of slack."""
         return self._ring_counts[0]
 
     @property
     def lags(self) -> dict[tuple[str, int], int]:
-        """Level-order distance of every windowed edge, in producer tiles:
-        ``max_t(p_t - 1 - req_t) + 2``; a full-input consumer holds every
+        """Co-resident ring depth of every windowed edge, in producer
+        tiles: ``max_t(p_t - 1 - req_t) + 2``, the level-order distance
+        from the producer item writing a tile to the consumer item reading
+        it in place.  Counted from the highest tile an item reads
+        (DESIGN.md "Ring safety"); a full-input consumer holds every
         producer tile."""
         return self._ring_counts[1]
 

@@ -42,10 +42,10 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True,
-                        help=f"network name ({', '.join(sorted(MODELS))})")
-    parser.add_argument("--preset", default="paper",
-                        help=f"architecture preset ({', '.join(sorted(PRESETS))})")
+    parser.add_argument("--model", required=True, choices=sorted(MODELS),
+                        help="network name")
+    parser.add_argument("--preset", default="paper", choices=sorted(PRESETS),
+                        help="architecture preset")
     parser.add_argument("--config", default=None,
                         help="architecture configuration JSON file "
                              "(overrides --preset)")
@@ -71,6 +71,14 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
+
+
+def _port(text: str) -> int:
+    """argparse type of ``--port``: 0 (ephemeral) to 65535."""
+    value = _int_at_least(0)(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535, got {value}")
+    return value
 
 
 def _seconds(*, allow_zero: bool):
@@ -173,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "{'jobs': [...]} (see repro.engine)")
     batch.add_argument("--workers", type=_positive_int, default=1,
                        help="persistent worker processes (default: serial)")
-    batch.add_argument("--preset", default="paper",
-                       help="default preset for jobs without a config "
-                            f"({', '.join(sorted(PRESETS))})")
+    batch.add_argument("--preset", default="paper", choices=sorted(PRESETS),
+                       help="default preset for jobs without a config")
     batch.add_argument("--output", default=None, metavar="PATH",
                        help="write JSONL here instead of stdout (doubles "
                             "as the --resume journal)")
@@ -208,14 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "against the same store resumes interrupted "
                             "jobs and serves settled results forever")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787,
+    serve.add_argument("--port", type=_port, default=8787,
                        help="listen port (0: ephemeral; the resolved port "
                             "is printed to stderr before serving)")
     serve.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes (default: all CPUs)")
-    serve.add_argument("--preset", default="paper",
-                       help="default preset for jobs without a config "
-                            f"({', '.join(sorted(PRESETS))})")
+    serve.add_argument("--preset", default="paper", choices=sorted(PRESETS),
+                       help="default preset for jobs without a config")
     serve.add_argument("--max-retries", type=_int_at_least(0), default=1,
                        metavar="N",
                        help="worker-crash retries per job before poison "
@@ -248,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decode",
         help="autoregressive decode: compile-once KV-cache stepping, or a "
              "continuous-batching serving mix (--mix)")
-    decode.add_argument("--model", default=None,
+    decode.add_argument("--model", default=None, choices=sorted(MODELS),
                         help="decode network "
                              f"({', '.join(sorted(DECODE_MODELS))})")
     decode.add_argument("--steps", type=_positive_int, default=32, metavar="N",
@@ -263,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "decode_steps/kv_tokens; others are prefill)")
     decode.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for --mix (default: serial)")
-    decode.add_argument("--preset", default="paper",
-                        help="architecture preset "
-                             f"({', '.join(sorted(PRESETS))})")
+    decode.add_argument("--preset", default="paper", choices=sorted(PRESETS),
+                        help="architecture preset")
     decode.add_argument("--config", default=None,
                         help="architecture configuration JSON file "
                              "(overrides --preset)")
@@ -279,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         "tune",
         help="autotune over mapping / ROB / shard knobs: every candidate "
              "measured at fast fidelity, leaders re-verified at cycle")
-    tune.add_argument("network",
-                      help=f"network name ({', '.join(sorted(MODELS))})")
-    tune.add_argument("--preset", default="paper",
-                      help=f"base preset ({', '.join(sorted(PRESETS))})")
+    tune.add_argument("network", choices=sorted(MODELS),
+                      help="network name")
+    tune.add_argument("--preset", default="paper", choices=sorted(PRESETS),
+                      help="base preset")
     tune.add_argument("--config", default=None,
                       help="base architecture configuration JSON file "
                            "(overrides --preset)")
@@ -583,7 +588,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _request_drain)
+    # A short poll: shutdown() waits for serve_forever's next one.
     server_thread = threading.Thread(target=server.serve_forever,
+                                     kwargs={"poll_interval": 0.05},
                                      daemon=True, name="repro-serve-http")
     server_thread.start()
     # Poll rather than block: the kernel may deliver the signal to any

@@ -81,13 +81,23 @@ class TestParser:
          "must be >= 1, got 0"),
         (["tune", "mlp", "--preset", "tiny", "--workers", "0"],
          "must be >= 1, got 0"),
+        (["run", "--preset", "tiny", "--model", "nope"],
+         "invalid choice: 'nope'"),
+        (["run", "--model", "mlp", "--preset", "nope"],
+         "invalid choice: 'nope'"),
+        (["serve", "--store", "s.jsonl", "--port", "-1"],
+         "must be >= 0, got -1"),
+        (["serve", "--store", "s.jsonl", "--port", "65536"],
+         "must be <= 65535, got 65536"),
     ], ids=["run-batch", "run-rob", "run-shards", "compile-shards",
             "compile-listing", "mappings-rob", "decode-steps",
             "decode-kv-tokens", "tune-top-k", "mappings-workers",
             "rob-workers", "batch-workers", "batch-max-retries",
             "batch-timeout", "serve-workers", "serve-max-retries",
             "serve-timeout", "serve-max-backlog", "serve-max-restarts",
-            "serve-drain-timeout", "decode-workers", "tune-workers"])
+            "serve-drain-timeout", "decode-workers", "tune-workers",
+            "run-model", "run-preset", "serve-port-negative",
+            "serve-port-too-large"])
     def test_non_positive_count_is_a_usage_error(self, argv, message, capsys):
         """A count or duration flag below its minimum is refused by the
         parser (exit 2, a usage line naming the flag), not by a traceback
@@ -98,6 +108,23 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {argv[-2]}: {message}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--model", "nope"], ["mappings", "--model", "nope"],
+        ["rob", "--model", "nope"], ["mnsim", "--model", "nope"],
+        ["decode", "--model", "nope"], ["tune", "nope"],
+        ["tune", "mlp", "--preset", "nope"],
+        ["decode", "--model", "gpt_tiny", "--preset", "nope"],
+        ["batch", "jobs.json", "--preset", "nope"],
+        ["serve", "--store", "s.jsonl", "--preset", "nope"],
+    ], ids=["compile-model", "mappings-model", "rob-model", "mnsim-model",
+            "decode-model", "tune-network", "tune-preset", "decode-preset",
+            "batch-preset", "serve-preset"])
+    def test_unknown_model_or_preset_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_zero_drain_timeout_is_accepted(self):
         args = build_parser().parse_args(

@@ -1,6 +1,11 @@
 """Tests for weight tiling, tile dependence maps, levels and skews."""
 
+from bisect import bisect_right
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_random_networks import _build_random_net, actions
 
 from repro.compiler import (
     build_pipeline,
@@ -11,6 +16,7 @@ from repro.compiler import (
     weight_tiling,
 )
 from repro.compiler.tiling import WeightTiling
+from repro.models import MODELS, build_model
 
 
 class TestWeightTiling:
@@ -177,3 +183,76 @@ class TestSkews:
         pipe = build_pipeline(chain_net)
         skews = dependences(pipe, 4).skews
         assert ("conv1", 0) not in skews  # producer is the input stage
+
+
+def _need_curve_skews(deps, ref: str) -> dict[tuple[str, int], int]:
+    """Reference skews by need propagation, the derivation the count in
+    ``Dependences`` replaced.  For each windowed producer P it propagates
+    the highest P tile every downstream item transitively needs, sorts
+    those needs by level into a running-max *need curve* ``G_P(L)``, and
+    takes ``max_t(G_P(level_t) - ref_t)`` per consumer edge, where
+    ``ref`` is ``deps.lo`` or ``deps.req``."""
+    stages = deps.pipeline.stages
+    refs = getattr(deps, ref)
+    skews = {}
+    for producer in deps._windowed():
+        need = {producer.name: list(range(n_tiles(producer,
+                                                  deps.tile_pixels)))}
+        for stage in stages[producer.topo_index + 1:]:
+            contributions = [
+                [need[edge.producer][q] for q in deps.req[(stage.name, i)]]
+                for i, edge in enumerate(stage.edges)
+                if edge.producer in need]
+            if contributions:
+                need[stage.name] = [max(c) for c in zip(*contributions)]
+        points = sorted((deps.levels[name][u], value)
+                        for name, values in need.items()
+                        for u, value in enumerate(values))
+        curve_levels = [level for level, _ in points]
+        curve_need, running = [], -1
+        for _, value in points:
+            running = max(running, value)
+            curve_need.append(running)
+        for consumer, edge_idx in deps.consumers[producer.name]:
+            key = (consumer.name, edge_idx)
+            worst = 0
+            for level, ref_t in zip(deps.levels[consumer.name], refs[key]):
+                pos = bisect_right(curve_levels, level) - 1
+                if pos >= 0:
+                    worst = max(worst, curve_need[pos] - ref_t)
+            skews[key] = worst
+    return skews
+
+
+def _assert_counts_match_need_curve(pipeline, tile_pixels):
+    deps = dependences(pipeline, tile_pixels)
+    assert deps.skews == _need_curve_skews(deps, "lo")
+    from_req = _need_curve_skews(deps, "req")
+    assert set(deps.lags) == set(from_req)
+    for (name, edge_idx), skew in from_req.items():
+        edge = pipeline.stage(name).edges[edge_idx]
+        want = (n_tiles(pipeline.stage(edge.producer), tile_pixels)
+                if edge.full_input else skew + 2)
+        assert deps.lags[(name, edge_idx)] == want, (name, edge_idx)
+
+
+class TestCountEqualsNeedCurve:
+    """``skews`` (from ``lo``) and ``lags`` (from ``req``, + 2) equal the
+    need-curve derivation: levels strictly increase along every dependence
+    and along every stage's tile axis, so the need curve at a level is the
+    producer's own last tile at or below it."""
+
+    @pytest.mark.parametrize("tile_pixels", [1, 8])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_zoo(self, model, tile_pixels):
+        _assert_counts_match_need_curve(build_pipeline(build_model(model)),
+                                        tile_pixels)
+
+    @given(actions=actions, size=st.sampled_from([4, 8]),
+           tile_pixels=st.sampled_from([1, 2, 8]), fusion=st.booleans())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_random_dags(self, actions, size, tile_pixels, fusion):
+        pipeline = build_pipeline(_build_random_net(actions, size),
+                                  operator_fusion=fusion)
+        _assert_counts_match_need_curve(pipeline, tile_pixels)

@@ -263,31 +263,23 @@ class TestFaultToleranceParity:
 
 
 @pytest.mark.parametrize("fidelity", ["cycle", "fast"])
-@pytest.mark.xfail(strict=True, raises=DeadlockError,
-                   reason="known counterexample to the deadlock-freedom "
-                          "argument (DESIGN.md 'Windowed synchronized "
-                          "transfers'): rings are sized from the highest "
-                          "producer tile an item reads, not the lowest "
-                          "(ROADMAP item 1)")
 def test_vit_tiny_imagenet_on_the_small_chip_completes(fidelity):
-    """The deadlock-freedom argument does not hold for every DAG the
-    frontend accepts: this job deadlocks at cycle 276,844 at both
-    fidelities.  Strict, so the fix of the ring / window sizing has to
-    flip it."""
+    """Seed counterexample to the deadlock-freedom argument (DESIGN.md
+    "Ring safety"): token tiles used to clamp onto every producer row of
+    ``patch_embed``, and rings sized from the highest tile an item reads
+    were too short for that span; the job deadlocked at cycle 276,844 at
+    both fidelities."""
     with Engine(small_chip()) as engine:
         report = engine.run(JobSpec("vit_tiny", config=small_chip(),
                                     imagenet=True, fidelity=fidelity))
     assert report.cycles > 0
 
 
-@pytest.mark.xfail(strict=True, raises=DeadlockError,
-                   reason="second counterexample, same cause: rings are sized "
-                          "from the highest producer tile an item reads, not "
-                          "the lowest (ROADMAP item 1)")
 def test_resnet18_with_one_pixel_tiles_on_the_small_chip_completes():
-    """resnet18 with ``compiler.tile_pixels=1`` deadlocks on the small
-    chip (the fast tier stops at cycle 344,454).  Fast tier only: the
-    cycle tier deadlocks one cycle later, a fidelity gap of its own."""
+    """Second seed counterexample, same cause: resnet18 with
+    ``compiler.tile_pixels=1`` deadlocked on the small chip (the fast tier
+    stopped at cycle 344,454) while input rings counted from the highest
+    tile an item reads instead of the lowest."""
     config = with_param(small_chip(), "compiler.tile_pixels", 1)
     with Engine(config) as engine:
         report = engine.run(JobSpec("resnet18", config=config,

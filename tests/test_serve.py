@@ -519,7 +519,9 @@ def served(tmp_path):
     svc = ServeService(store, config=tiny_chip(), workers=1,
                        max_backlog=4).start()
     server = serve_http(svc, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll (0.5 s by default).
+    thread = threading.Thread(target=server.serve_forever, daemon=True,
+                              kwargs={"poll_interval": 0.01})
     thread.start()
     yield server, svc
     server.shutdown()
@@ -730,7 +732,8 @@ class TestServeHTTP:
         store = JobStore(tmp_path / "store.jsonl", fsync=False)
         svc = ServeService(store, config=tiny_chip(), workers=1).start()
         server = _CountingServer(("127.0.0.1", 0), svc)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, daemon=True,
+                                  kwargs={"poll_interval": 0.01})
         thread.start()
         conn = http.client.HTTPConnection(*server.server_address[:2],
                                           timeout=60)
