@@ -10,8 +10,9 @@ little — consecutive instructions start hitting the same crossbar group
 
 import pytest
 
-from repro import paper_chip, simulate
+from repro import paper_chip
 from repro.models import FIG3_MODELS
+from repro.runner import sweep_rob
 
 from .conftest import record
 
@@ -19,32 +20,32 @@ ROB_SIZES = (1, 4, 8, 12, 16)
 _CAPTION = ("latency vs ROB size, normalized to ROB=1 "
             "(paper: monotone drop, small 12->16 gain)")
 
-_reports: dict = {}
+#: one ``sweep_rob`` (the ``pimsim rob`` sweep) per network.
+_sweeps: dict = {}
 
 
-def _report(network: str, rob: int):
-    key = (network, rob)
-    if key not in _reports:
-        _reports[key] = simulate(network, paper_chip(rob_size=rob))
-    return _reports[key]
+def _sweep(network: str):
+    if network not in _sweeps:
+        _sweeps[network] = sweep_rob(network, paper_chip(), sizes=ROB_SIZES)
+    return _sweeps[network]
 
 
 @pytest.mark.parametrize("network", FIG3_MODELS)
 @pytest.mark.parametrize("rob", ROB_SIZES)
 def test_fig4_rob(benchmark, network, rob):
-    report = benchmark.pedantic(
-        lambda: _report(network, rob), rounds=1, iterations=1)
-    base = _report(network, ROB_SIZES[0])
+    sweep = benchmark.pedantic(
+        lambda: _sweep(network), rounds=1, iterations=1)
     record("Fig. 4", _CAPTION, network, f"ROB {rob}",
-           report.cycles / base.cycles)
-    assert report.cycles > 0
+           sweep.normalized_latency()[rob])
+    assert sweep.reports[rob].cycles > 0
 
 
 def test_fig4_shape_holds():
     """Monotone non-increasing latency; the 12->16 step gains less than
     the 1->4 step (diminishing returns / structure-hazard plateau)."""
     for network in FIG3_MODELS:
-        cycles = [_report(network, rob).cycles for rob in ROB_SIZES]
+        reports = _sweep(network).reports
+        cycles = [reports[rob].cycles for rob in ROB_SIZES]
         for earlier, later in zip(cycles, cycles[1:]):
             assert later <= earlier * 1.01, network
         early_gain = cycles[0] - cycles[1]          # 1 -> 4

@@ -12,54 +12,45 @@ free.
 import pytest
 
 from repro import mnsim_like_chip
-from repro.baseline import run_baseline
-from repro.models import FIG5_MODELS, build_model
-from repro.runner import simulate
+from repro.models import FIG5_MODELS
+from repro.runner import compare_with_baseline
 
 from .conftest import record
 
 _CAPTION = ("latency normalized to the MNSIM2.0-style baseline "
             "(paper: VGG ~1.1, resnet-18 ~1.53)")
 
-_ours: dict = {}
-_base: dict = {}
+#: one ``compare_with_baseline`` (the ``pimsim mnsim`` run) per network.
+_comparisons: dict = {}
 
 
-def _our_report(network: str):
-    if network not in _ours:
-        _ours[network] = simulate(build_model(network), mnsim_like_chip())
-    return _ours[network]
-
-
-def _baseline_result(network: str):
-    if network not in _base:
-        _base[network] = run_baseline(build_model(network), mnsim_like_chip())
-    return _base[network]
+def _comparison(network: str):
+    if network not in _comparisons:
+        _comparisons[network] = compare_with_baseline(network,
+                                                      mnsim_like_chip())
+    return _comparisons[network]
 
 
 @pytest.mark.parametrize("network", FIG5_MODELS)
 def test_fig5_ours(benchmark, network):
-    report = benchmark.pedantic(
-        lambda: _our_report(network), rounds=1, iterations=1)
-    base = _baseline_result(network)
+    cmp = benchmark.pedantic(
+        lambda: _comparison(network), rounds=1, iterations=1)
     record("Fig. 5", _CAPTION, network, "MNSIM2.0-style", 1.0)
-    record("Fig. 5", _CAPTION, network, "ours",
-           report.cycles / base.cycles)
-    assert report.cycles > 0
+    record("Fig. 5", _CAPTION, network, "ours", cmp.latency_vs_baseline)
+    assert cmp.ours.cycles > 0
 
 
 @pytest.mark.parametrize("network", FIG5_MODELS)
 def test_fig5_baseline(benchmark, network):
-    result = benchmark.pedantic(
-        lambda: _baseline_result(network), rounds=1, iterations=1)
-    assert result.cycles > 0
+    cmp = benchmark.pedantic(
+        lambda: _comparison(network), rounds=1, iterations=1)
+    assert cmp.baseline_cycles > 0
 
 
 def test_fig5_shape_holds():
     """VGG chains land near the baseline; the join-heavy resnet-18 pays
     a clearly larger synchronized-communication penalty."""
-    ratios = {n: _our_report(n).cycles / _baseline_result(n).cycles
-              for n in FIG5_MODELS}
+    ratios = {n: _comparison(n).latency_vs_baseline for n in FIG5_MODELS}
     assert 0.85 <= ratios["vgg8"] <= 1.35
     assert 0.85 <= ratios["vgg16"] <= 1.35
     assert ratios["resnet18"] > max(ratios["vgg8"], ratios["vgg16"])

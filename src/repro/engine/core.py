@@ -230,11 +230,12 @@ class Engine:
                        rob_size: int | None = None,
                        imagenet: bool = False,
                        attention_shards: int | None = None) -> DecodeSession:
-        """Open a :class:`~repro.engine.DecodeSession` on this engine."""
+        """Open a :class:`~repro.engine.DecodeSession` on this engine
+        (:meth:`JobSpec.validate` checks the first extent)."""
         return DecodeSession(self, JobSpec(
             network, config, mapping=mapping, rob_size=rob_size,
             imagenet=imagenet, attention_shards=attention_shards,
-            kv_tokens=kv_tokens))
+            kv_tokens=kv_tokens).validate())
 
     def run(self, spec: JobSpec, *, compile_cache: bool = True) -> SimReport:
         """Execute one spec in-process and return its report.
@@ -243,13 +244,12 @@ class Engine:
         (``compile_cache_hits`` / ``compile_cache_misses``) and the spec's
         ``tag`` (as ``sweep_tag``).  Decode specs (``decode_steps`` set)
         drive a compile-once :class:`DecodeSession` and return one
-        aggregated report (``meta["decode"]``).
+        aggregated report (``meta["decode"]``).  The spec is
+        :meth:`JobSpec.validate`\\ d first, so one that no simulation can
+        mean raises :class:`~repro.engine.InvalidJobSpec` before anything compiles.
         """
-        if spec.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {spec.batch!r}")
+        spec.validate()
         if spec.decode_steps is not None:
-            if spec.batch > 1:
-                raise ValueError("decode specs cannot also set batch > 1")
             report = DecodeSession(self, spec).run(spec.decode_steps)
         else:
             compiled, config = self.compile_for(spec, cache=compile_cache)
@@ -521,7 +521,10 @@ class Engine:
         worker pool).  Per-request outcomes fold back into one
         aggregated report each; the returned
         :class:`~repro.runner.results.MixReport` carries the per-step
-        latency samples and their p50/p99/TPOT distribution.
+        latency samples and their p50/p99/TPOT distribution.  A decode
+        spec is :meth:`JobSpec.validate`\\ d before its steps are laid
+        out, so an invalid one raises :class:`~repro.engine.InvalidJobSpec` whatever
+        ``errors`` says.
         """
         specs = list(specs)
         units_per_request: list[list[JobSpec]] = []
@@ -529,8 +532,9 @@ class Engine:
             if spec.decode_steps is None:
                 units_per_request.append([spec])
                 continue
-            start = first_extent(
-                self.resolve_network(spec.network, imagenet=spec.imagenet),
+            start = first_extent(  # validated: the steps fit the cache
+                self.resolve_network(spec.validate().network,
+                                     imagenet=spec.imagenet),
                 spec.kv_tokens)
             units_per_request.append([
                 replace(spec, decode_steps=1, kv_tokens=start + i)

@@ -31,17 +31,11 @@ __all__ = ["DecodeSession", "aggregate_step_reports", "first_extent"]
 
 
 def first_extent(graph: Graph, kv_tokens: int | None) -> int:
-    """KV extent of a decode request's first step on ``graph``.
-
+    """KV extent of a decode request's first step on ``graph``:
     ``kv_tokens`` if given, else the token count the network was built
-    with; the one check that the network can decode at all.
-    """
-    ext = kv_extent(graph)
-    if ext is None:
-        raise ValueError(
-            f"network {graph.name!r} has no kv_cache nodes; decode needs "
-            "one of repro.models.DECODE_MODELS")
-    return kv_tokens if kv_tokens is not None else ext[0]
+    with.  The request is one :meth:`JobSpec.validate` passed on a
+    network with ``kv_cache`` nodes, so the extent fits them."""
+    return kv_tokens if kv_tokens is not None else kv_extent(graph)[0]
 
 
 def aggregate_step_reports(reports: list[SimReport], *,
@@ -109,9 +103,9 @@ class DecodeSession:
         ...     first = session.step()          # extent = built-in tokens
         ...     more = session.run(31)          # 31 further steps, 1 report
 
-    Opened from a :class:`~repro.engine.JobSpec` (network, overrides and
-    the starting ``kv_tokens``; :meth:`Engine.decode_session` builds one
-    from keywords).  The session owns only cursor state (the next step's
+    Opened from a validated :class:`~repro.engine.JobSpec` (network,
+    overrides and the starting ``kv_tokens``; :meth:`Engine.decode_session`
+    builds one from keywords and validates it).  The session owns only cursor state (the next step's
     extent and the step history); the compiled template lives in — and
     is shared through — the engine's template cache, so two sessions
     over the same network and configuration compile nothing twice.
@@ -120,13 +114,10 @@ class DecodeSession:
     def __init__(self, engine: "Engine", spec: JobSpec) -> None:
         self.engine = engine
         self.graph, self.config = engine._resolve(spec)
+        # the template first: it refuses a network without kv_cache nodes
+        self.template = engine._template(self.graph, self.config)
         #: KV extent the *next* step runs at.
         self.extent = first_extent(self.graph, spec.kv_tokens)
-        self.template = engine._template(self.graph, self.config)
-        if not 1 <= self.extent <= self.template.capacity:
-            raise ValueError(
-                f"kv_tokens {self.extent} outside [1, "
-                f"{self.template.capacity}]")
         self._max_cycles = spec.max_cycles
         self.steps_run = 0
         #: per-step (extent, cycles) history.

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -25,18 +27,40 @@ from ..config import FIDELITIES, ArchConfig, get_preset
 from ..config.schema import MAPPINGS
 from ..graph import Graph, kv_extent
 from ..graph.serialize import graph_from_dict, graph_to_dict
-from ..models import DECODE_MODELS, MODELS
+from ..models import DECODE_MODELS, MODELS, build_model
 
 __all__ = ["InvalidJobSpec", "JobSpec", "load_specs", "save_specs"]
 
 
 class InvalidJobSpec(ValueError):
-    """A job spec no simulation can mean: a field of the wrong type or
-    out of range, or a name nothing knows (see :meth:`JobSpec.validate`)."""
+    """A job spec no simulation can mean: a malformed document, a field of
+    the wrong type or out of range, a name nothing knows, or a decode
+    request the network's KV cache cannot hold (see
+    :meth:`JobSpec.validate`).
+
+    ``errors`` holds :meth:`~JobSpec.validate`'s violations as ``(field,
+    problem)`` pairs, so a front end can name its own spelling of each
+    field (``pimsim`` names the flag); it is empty for a malformed
+    document.
+    """
+
+    def __init__(self, message: str,
+                 errors: Iterable[tuple[str, str]] = ()) -> None:
+        super().__init__(message)
+        self.errors = list(errors)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+@cache
+def _zoo_kv_extent(name: str, imagenet: bool) -> tuple[int, int] | None:
+    """:func:`~repro.graph.kv_extent` of a zoo network; only a decode
+    model is built (once per process)."""
+    if name not in DECODE_MODELS:
+        return None
+    return kv_extent(build_model(name, imagenet=imagenet))
 
 
 @dataclass
@@ -92,8 +116,10 @@ class JobSpec:
             data["network"] = {"graph": graph_to_dict(self.network)}
         else:
             data["network"] = self.network
-        if self.config is not None:
+        if isinstance(self.config, ArchConfig):
             data["config"] = self.config.to_dict()
+        elif self.config is not None:  # invalid: validate() names it
+            data["config"] = self.config
         for f in fields(self):
             if f.name in ("network", "config"):
                 continue
@@ -138,55 +164,91 @@ class JobSpec:
     def validate(self) -> "JobSpec":
         """Check every field's type and range; returns ``self``.
 
-        Raises :class:`InvalidJobSpec` naming every violation: an unknown
-        network / mapping / fidelity, a non-integer or non-positive
-        ``batch`` / ``rob_size`` / ``max_cycles`` / ``attention_shards`` /
-        ``decode_steps`` / ``kv_tokens``, a ``timeout`` that is not a
-        positive number, or decode fields on a network without
-        ``kv_cache`` nodes.  ``faults`` is the fault harness's to check.
+        The one statement of the job-field rules: ``from_dict`` (so
+        ``POST /jobs``), :meth:`Engine.run <repro.engine.Engine.run>` (so
+        batch, decode mixes, pool workers, serve dispatch and the tuner)
+        and every ``pimsim`` subcommand that builds a spec from its flags
+        call it.  Raises :class:`InvalidJobSpec` naming every violation:
+
+        * an unknown network / mapping / fidelity, a ``config`` that is
+          not a configuration, a non-boolean ``imagenet``;
+        * a non-integer or non-positive ``batch`` / ``rob_size`` /
+          ``max_cycles`` / ``attention_shards`` / ``decode_steps`` /
+          ``kv_tokens``, a ``timeout`` that is not a positive number;
+        * decode fields on a network without ``kv_cache`` nodes, or
+          ``decode_steps`` with ``batch > 1``;
+        * a first KV extent (``kv_tokens``, else the network's built-in
+          token count) past the KV capacity, or a last one (first +
+          ``decode_steps`` - 1) past it.
+
+        ``faults`` is the fault harness's to check.
         """
-        errors: list[str] = []
-        decodes = True  # an unknown network is reported once, not twice
+        errors: list[tuple[str, str]] = []
         if isinstance(self.network, Graph):
-            decodes = kv_extent(self.network) is not None
+            name, extent = self.network.name, kv_extent(self.network)
         elif isinstance(self.network, str) and self.network in MODELS:
-            decodes = self.network in DECODE_MODELS
+            name = self.network
+            extent = _zoo_kv_extent(name, self.imagenet is True)
         else:
-            errors.append(f"network must be one of {sorted(MODELS)} or a "
-                          f"graph, got {self.network!r}")
+            name = extent = None
+            errors.append(("network", f"must be one of {sorted(MODELS)} or "
+                                      f"a graph, got {self.network!r}"))
         if self.config is not None and not isinstance(self.config,
                                                       ArchConfig):
-            errors.append(f"config must be a configuration, got "
-                          f"{type(self.config).__name__}")
-        for name, known in (("mapping", MAPPINGS),
-                            ("fidelity", FIDELITIES)):
-            value = getattr(self, name)
+            errors.append(("config", f"must be a configuration, got "
+                                     f"{type(self.config).__name__}"))
+        for field, known in (("mapping", MAPPINGS),
+                             ("fidelity", FIDELITIES)):
+            value = getattr(self, field)
             if value is not None and value not in known:
-                errors.append(f"{name} must be one of {known}, got {value!r}")
+                errors.append((field, f"must be one of {known}, got "
+                                      f"{value!r}"))
         if not isinstance(self.imagenet, bool):
-            errors.append(f"imagenet must be a boolean, got "
-                          f"{self.imagenet!r}")
-        for name in ("batch", "rob_size", "max_cycles", "attention_shards",
-                     "decode_steps", "kv_tokens"):
-            value = getattr(self, name)
-            if value is None and name != "batch":
+            errors.append(("imagenet", f"must be a boolean, got "
+                                       f"{self.imagenet!r}"))
+        for field in ("batch", "rob_size", "max_cycles", "attention_shards",
+                      "decode_steps", "kv_tokens"):
+            value = getattr(self, field)
+            if value is None and field != "batch":
                 continue
             if not _is_int(value) or value < 1:
-                errors.append(f"{name} must be an integer >= 1, got "
-                              f"{value!r}")
+                errors.append((field, f"must be an integer >= 1, got "
+                                      f"{value!r}"))
         timeout = self.timeout
         if timeout is not None and not (
                 isinstance(timeout, (int, float))
                 and not isinstance(timeout, bool) and timeout > 0):
-            errors.append(f"timeout must be a number of seconds > 0, got "
-                          f"{timeout!r}")
-        if not decodes:
-            for name in ("decode_steps", "kv_tokens"):
-                if getattr(self, name) is not None:
-                    errors.append(f"{name} needs a network with kv_cache "
-                                  f"nodes (one of {list(DECODE_MODELS)})")
+            errors.append(("timeout", f"must be a number of seconds > 0, "
+                                      f"got {timeout!r}"))
+        bad = {field for field, _problem in errors}
+        steps, tokens = self.decode_steps, self.kv_tokens
+        decoding = [field for field in ("decode_steps", "kv_tokens")
+                    if getattr(self, field) is not None]
+        if decoding and name is not None and extent is None:
+            errors.append(("network", f"must have kv_cache nodes for "
+                                      f"{' / '.join(decoding)} (one of "
+                                      f"{list(DECODE_MODELS)}), got "
+                                      f"{name!r}"))
+        elif extent is not None and not bad & {"decode_steps", "kv_tokens"}:
+            first, capacity = tokens or extent[0], extent[1]
+            if first > capacity:
+                errors.append(("kv_tokens", f"must be <= {capacity}, the KV "
+                                            f"capacity of {name}, got "
+                                            f"{first}"))
+            elif steps is not None and first + steps - 1 > capacity:
+                errors.append(("decode_steps", f"must be <= "
+                                               f"{capacity - first + 1} from "
+                                               f"KV extent {first} (the KV "
+                                               f"capacity of {name} is "
+                                               f"{capacity}), got {steps}"))
+        if steps is not None and "batch" not in bad and self.batch > 1:
+            errors.append(("batch", f"must be 1 for a decode job "
+                                    f"(decode_steps is set), got "
+                                    f"{self.batch}"))
         if errors:
-            raise InvalidJobSpec("; ".join(errors))
+            raise InvalidJobSpec("; ".join(f"{field} {problem}"
+                                           for field, problem in errors),
+                                 errors)
         return self
 
     def job_id(self) -> str:
@@ -214,9 +276,12 @@ class JobSpec:
 def load_specs(path: str | Path) -> list[JobSpec]:
     """Load a job-spec file: one spec object, a list, or ``{"jobs": [...]}``.
 
-    Values are not :meth:`~JobSpec.validate`\\ d: ``pimsim batch`` runs
-    every spec and records one that fails as that job's error record,
-    so one bad line does not cost the rest of the file.
+    Only the document's shape is checked here (an object with a
+    ``network``, no unknown keys, a known preset name).  Values are
+    checked by :meth:`Engine.run <repro.engine.Engine.run>`, which calls
+    :meth:`~JobSpec.validate` first: ``pimsim batch`` records a line that
+    fails it as that job's ``InvalidJobSpec`` error record, and the other
+    lines still run.
     """
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict) and "jobs" in data:

@@ -30,33 +30,46 @@ from pathlib import Path
 
 from ..analysis import ascii_bars, comm_ratios, step_latency_stats
 from ..config import FIDELITIES, PRESETS, ArchConfig, get_preset, validate
-from ..engine import (Engine, JobFailed, JobSpec, PoolUnavailable,
-                      default_engine, load_specs)
+from ..config.schema import MAPPINGS
+from ..engine import (Engine, InvalidJobSpec, JobFailed, JobSpec,
+                      PoolUnavailable, default_engine, load_specs)
 from ..engine.journal import Journal
-from ..graph import Graph, kv_extent
+from ..graph import Graph
 from ..models import DECODE_MODELS, MODELS
-from .api import compile_model, simulate
 from .sweep import compare_mappings, compare_with_baseline, sweep_rob
 
 __all__ = ["main", "build_parser"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, choices=sorted(MODELS),
-                        help="network name")
+def _add_config(parser: argparse.ArgumentParser) -> None:
+    """``--preset`` and ``--config``, read by :func:`_load_config`."""
     parser.add_argument("--preset", default="paper", choices=sorted(PRESETS),
                         help="architecture preset")
     parser.add_argument("--config", default=None,
                         help="architecture configuration JSON file "
                              "(overrides --preset)")
+
+
+def _add_fidelity(parser: argparse.ArgumentParser, scope: str) -> None:
+    parser.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
+                        help=f"execution mode{scope}: cycle (bit-exact, "
+                             "default) or fast (batched analytic, "
+                             "bounded-error)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True, choices=sorted(MODELS),
+                        help="network name")
+    _add_config(parser)
     parser.add_argument("--imagenet", action="store_true",
                         help="use 224x224 inputs instead of 32x32")
 
 
-def _int_at_least(minimum: int):
-    """argparse type of a count flag: an integer >= ``minimum``, so a bad
-    value is a usage error (exit 2) rather than a traceback from deep in a
-    run."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type of a count flag that is not a job field (those are
+    :meth:`JobSpec.validate`'s): an integer >= ``minimum`` (and <=
+    ``maximum``), so a bad value is a usage error (exit 2) rather than a
+    traceback from a run."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -66,19 +79,14 @@ def _int_at_least(minimum: int):
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {maximum}, got {value}")
         return value
     return parse
 
 
 _positive_int = _int_at_least(1)
-
-
-def _port(text: str) -> int:
-    """argparse type of ``--port``: 0 (ephemeral) to 65535."""
-    value = _int_at_least(0)(text)
-    if value > 65535:
-        raise argparse.ArgumentTypeError(f"must be <= 65535, got {value}")
-    return value
 
 
 def _seconds(*, allow_zero: bool):
@@ -99,10 +107,46 @@ def _seconds(*, allow_zero: bool):
     return parse
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """argparse type of ``rob --sizes``: comma-separated integers."""
+    try:
+        return tuple(int(size) for size in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid comma-separated integers: {text!r}") from None
+
+
+class _Refused(Exception):
+    """Arguments or an input file no run can use: :func:`main` prints the
+    message as one stderr line and exits 2."""
+
+
+#: the flag that sets each job field, named in a usage error
+_FLAGS = {"network": "--model", "rob_size": "--rob", "batch": "--batch",
+          "attention_shards": "--shards", "decode_steps": "--steps",
+          "kv_tokens": "--kv-tokens"}
+
+
+def _checked(spec: JobSpec, **flags: str) -> JobSpec:
+    """``spec.validate()``; a violation is a usage error naming the flag of
+    each field (``flags`` overrides :data:`_FLAGS`)."""
+    try:
+        return spec.validate()
+    except InvalidJobSpec as exc:
+        names = {**_FLAGS, **flags}
+        raise argparse.ArgumentError(None, "; ".join(
+            f"argument {names.get(field, field)}: {problem}"
+            for field, problem in exc.errors)) from None
+
+
 def _load_config(args: argparse.Namespace) -> ArchConfig:
-    if args.config:
-        return ArchConfig.load(args.config)
-    return get_preset(args.preset)
+    if not args.config:
+        return get_preset(args.preset)
+    try:
+        return validate(ArchConfig.load(args.config))
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        raise _Refused(f"--config {args.config}: "
+                       f"{' '.join(str(exc).split())}") from None
 
 
 def _network(args: argparse.Namespace) -> Graph:
@@ -119,18 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="compile + simulate one network")
     _add_common(run)
-    run.add_argument("--mapping", choices=["utilization_first",
-                                           "performance_first"])
-    run.add_argument("--rob", type=_positive_int, default=None,
+    run.add_argument("--mapping", choices=MAPPINGS)
+    run.add_argument("--rob", type=int, default=None,
                      help="ROB size override")
-    run.add_argument("--batch", type=_positive_int, default=1,
+    run.add_argument("--batch", type=int, default=1,
                      help="pipelined image stream length (throughput mode)")
-    run.add_argument("--shards", type=_positive_int, default=None,
+    run.add_argument("--shards", type=int, default=None,
                      help="compiler.attention_shards override (token-sharded "
                           "dynamic attention)")
-    run.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
-                     help="execution mode: cycle (bit-exact, default) or "
-                          "fast (batched analytic, bounded-error)")
+    _add_fidelity(run, "")
     run.add_argument("--json", default=None, help="write the report as JSON")
     run.add_argument("--comm-ratios", action="store_true",
                      help="print per-layer communication ratios")
@@ -139,35 +180,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compile", help="compile only; print program stats")
     _add_common(comp)
-    comp.add_argument("--mapping", choices=["utilization_first",
-                                            "performance_first"])
+    comp.add_argument("--mapping", choices=MAPPINGS)
     comp.add_argument("--listing", type=_int_at_least(0), default=0,
                       metavar="N",
                       help="print the first N instructions of each core")
-    comp.add_argument("--shards", type=_positive_int, default=None,
+    comp.add_argument("--shards", type=int, default=None,
                       help="compiler.attention_shards override")
 
     mappings = sub.add_parser("mappings",
                               help="compare both mapping policies (Fig. 3)")
     _add_common(mappings)
-    mappings.add_argument("--rob", type=_positive_int, default=1)
+    mappings.add_argument("--rob", type=int, default=1)
     mappings.add_argument("--workers", type=_positive_int, default=1,
                           help="simulate sweep points on N worker processes")
-    mappings.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
-                          help="execution mode for both runs: cycle "
-                               "(bit-exact, default) or fast (batched "
-                               "analytic, bounded-error)")
+    _add_fidelity(mappings, " for both runs")
 
     rob = sub.add_parser("rob", help="sweep ROB sizes (Fig. 4)")
     _add_common(rob)
     rob.add_argument("--workers", type=_positive_int, default=1,
                       help="simulate sweep points on N worker processes")
-    rob.add_argument("--sizes", default="1,4,8,12,16",
+    rob.add_argument("--sizes", type=_sizes, default=(1, 4, 8, 12, 16),
                      help="comma-separated ROB sizes")
-    rob.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
-                     help="execution mode for every point: cycle "
-                          "(bit-exact, default) or fast (batched "
-                          "analytic, bounded-error)")
+    _add_fidelity(rob, " for every point")
 
     mnsim = sub.add_parser("mnsim",
                            help="compare with the MNSIM2.0-style baseline "
@@ -215,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "against the same store resumes interrupted "
                             "jobs and serves settled results forever")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=_port, default=8787,
+    serve.add_argument("--port", type=_int_at_least(0, 65535), default=8787,
                        help="listen port (0: ephemeral; the resolved port "
                             "is printed to stderr before serving)")
     serve.add_argument("--workers", type=_positive_int, default=None,
@@ -257,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--model", default=None, choices=sorted(MODELS),
                         help="decode network "
                              f"({', '.join(sorted(DECODE_MODELS))})")
-    decode.add_argument("--steps", type=_positive_int, default=32, metavar="N",
+    decode.add_argument("--steps", type=int, default=32, metavar="N",
                         help="decode steps to run (default 32)")
-    decode.add_argument("--kv-tokens", type=_positive_int, default=None,
+    decode.add_argument("--kv-tokens", type=int, default=None,
                         metavar="T",
                         help="KV extent at the first step (default: the "
                              "token count the model was built with)")
@@ -269,14 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "decode_steps/kv_tokens; others are prefill)")
     decode.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for --mix (default: serial)")
-    decode.add_argument("--preset", default="paper", choices=sorted(PRESETS),
-                        help="architecture preset")
-    decode.add_argument("--config", default=None,
-                        help="architecture configuration JSON file "
-                             "(overrides --preset)")
-    decode.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
-                        help="execution mode: cycle (bit-exact, default) "
-                             "or fast (batched analytic, bounded-error)")
+    _add_config(decode)
+    _add_fidelity(decode, "")
     decode.add_argument("--json", default=None, metavar="PATH",
                         help="write the report JSON here")
 
@@ -286,11 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
              "measured at fast fidelity, leaders re-verified at cycle")
     tune.add_argument("network", choices=sorted(MODELS),
                       help="network name")
-    tune.add_argument("--preset", default="paper", choices=sorted(PRESETS),
-                      help="base preset")
-    tune.add_argument("--config", default=None,
-                      help="base architecture configuration JSON file "
-                           "(overrides --preset)")
+    _add_config(tune)
     tune.add_argument("--objective", choices=["latency", "energy", "edp"],
                       default="latency",
                       help="what the tuner minimizes (default latency)")
@@ -314,11 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    report = simulate(args.model, config, mapping=args.mapping,
-                      rob_size=args.rob, imagenet=args.imagenet,
-                      batch=args.batch, attention_shards=args.shards,
-                      fidelity=args.fidelity)
+    report = default_engine().run(_checked(JobSpec(
+        args.model, _load_config(args), mapping=args.mapping,
+        rob_size=args.rob, imagenet=args.imagenet, batch=args.batch,
+        attention_shards=args.shards, fidelity=args.fidelity)))
     if args.full_report:
         from ..analysis import full_report
         print(full_report(report))
@@ -338,10 +361,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    result = compile_model(args.model, config, mapping=args.mapping,
-                           imagenet=args.imagenet,
-                           attention_shards=args.shards)
+    result, _config = default_engine().compile_for(_checked(JobSpec(
+        args.model, _load_config(args), mapping=args.mapping,
+        imagenet=args.imagenet, attention_shards=args.shards)))
     print(result.summary())
     if args.listing:
         for core in result.program.cores_used:
@@ -351,6 +373,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_mappings(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    _checked(JobSpec(args.model, config, rob_size=args.rob))
     cmp = compare_mappings(_network(args), config, rob_size=args.rob,
                            workers=args.workers, fidelity=args.fidelity)
     print(f"{args.model}: utilization-first {cmp.utilization.cycles:,} cycles, "
@@ -366,7 +389,9 @@ def _cmd_mappings(args: argparse.Namespace) -> int:
 
 def _cmd_rob(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    sizes = args.sizes
+    for size in sizes:
+        _checked(JobSpec(args.model, config, rob_size=size), rob_size="--sizes")
     sweep = sweep_rob(_network(args), config, sizes=sizes,
                       workers=args.workers, fidelity=args.fidelity)
     print(ascii_bars(
@@ -439,9 +464,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """
     specs = load_specs(args.specfile)
     if args.resume and not args.output:
-        print("batch: --resume requires --output (the journal file)",
-              file=sys.stderr)
-        return BATCH_EXIT_FATAL
+        raise _Refused("--resume requires --output (the journal file)")
     preset = get_preset(args.preset)
     # what runs: each spec with the --fidelity default (its own wins)
     runs = [replace(spec, fidelity=spec.fidelity or args.fidelity)
@@ -620,64 +643,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return SERVE_EXIT_DRAIN_EXPIRED
 
 
-def _decode_extent_error(graph: Graph, kv_tokens: int | None,
-                         steps: int) -> str | None:
-    """Why ``steps`` decode steps from ``kv_tokens`` cannot run on
-    ``graph``'s KV cache, or ``None`` if every step fits."""
-    extent = kv_extent(graph)
-    if extent is None:
-        return (f"--model {graph.name} has no KV cache; choose one of "
-                f"{', '.join(sorted(DECODE_MODELS))}")
-    first = extent[0] if kv_tokens is None else kv_tokens
-    capacity = extent[1]
-    if first > capacity:
-        return (f"--kv-tokens {first} exceeds the KV capacity of "
-                f"{graph.name} ({capacity} tokens)")
-    last = first + steps - 1
-    if last > capacity:
-        return (f"--steps {steps} from KV extent {first} reaches extent "
-                f"{last}, beyond the KV capacity of {graph.name} "
-                f"({capacity} tokens; at most {capacity - first + 1} steps)")
-    return None
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     if bool(args.mix) == bool(args.model):
-        print("pimsim decode: pass exactly one of --model or --mix",
-              file=sys.stderr)
-        return 2
+        raise _Refused("pass exactly one of --model or --mix")
     config = _load_config(args)
-    with Engine(config) as engine:
-        if args.model:
-            error = _decode_extent_error(engine.resolve_network(args.model),
-                                         args.kv_tokens, args.steps)
-            if error:
-                print(f"pimsim decode: {error}", file=sys.stderr)
-                return 2
-        if args.mix:
-            mix = engine.serve_mix(
-                [replace(spec, fidelity=spec.fidelity or args.fidelity)
-                 for spec in load_specs(args.mix)], workers=args.workers)
-            print(mix.summary())
-            if args.json:
-                Path(args.json).write_text(mix.to_json())
-                print(f"mix report written to {args.json}")
-            return 0
-        report = engine.run(JobSpec(args.model, decode_steps=args.steps,
-                                    kv_tokens=args.kv_tokens,
-                                    fidelity=args.fidelity))
+    if args.mix:
+        try:
+            specs = [replace(spec, fidelity=spec.fidelity or args.fidelity)
+                     .validate() for spec in load_specs(args.mix)]
+        except (OSError, ValueError) as exc:  # InvalidJobSpec included
+            raise _Refused(f"--mix {args.mix}: {exc}") from None
+        with Engine(config) as engine:
+            report = engine.serve_mix(specs, workers=args.workers)
+        print(report.summary())
+    else:
+        spec = _checked(JobSpec(args.model, decode_steps=args.steps,
+                                kv_tokens=args.kv_tokens,
+                                fidelity=args.fidelity))
+        with Engine(config) as engine:
+            report = engine.run(spec)
+            misses = engine.compile_stats()["template_misses"]
         print(report.summary())
         stats = step_latency_stats(report)
         print(f"  decode  : {stats['steps']} steps, per-step "
               f"p50={stats['p50_step_ms']:.4f} ms "
               f"p99={stats['p99_step_ms']:.4f} ms "
               f"tpot={stats['tpot_ms']:.4f} ms")
-        misses = engine.compile_stats()["template_misses"]
         print(f"  compile : {misses} template compile(s); "
               "steps 2..N replay the warm template")
-        if args.json:
-            report.save(args.json)
-            print(f"report written to {args.json}")
+    if args.json:
+        Path(args.json).write_text(report.to_json())
+        print(f"{'mix ' if args.mix else ''}report written to {args.json}")
     return 0
 
 
@@ -691,9 +687,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from ..tune import Tuner
 
     if args.resume and not args.output:
-        print("tune: --resume requires --output (the journal file)",
-              file=sys.stderr)
-        return BATCH_EXIT_FATAL
+        raise _Refused("--resume requires --output (the journal file)")
     config = _load_config(args)
     try:
         with Engine(config) as engine:
@@ -712,14 +706,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "models":
-        for name in sorted(MODELS):
-            print(name)
-        return 0
-    if args.command == "presets":
-        for name in sorted(PRESETS):
-            print(name)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("models", "presets"):
+        print("\n".join(sorted(MODELS if args.command == "models"
+                               else PRESETS)))
         return 0
     handler = {
         "run": _cmd_run,
@@ -732,7 +723,13 @@ def main(argv: list[str] | None = None) -> int:
         "decode": _cmd_decode,
         "tune": _cmd_tune,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except argparse.ArgumentError as exc:  # a job field's flag (_checked)
+        parser.error(str(exc))
+    except _Refused as exc:
+        print(f"pimsim {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

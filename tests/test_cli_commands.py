@@ -37,22 +37,22 @@ class TestParser:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--model", "mlp", "--preset", "tiny", "--batch", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["run", "--model", "mlp", "--preset", "tiny", "--rob", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["run", "--model", "mlp", "--preset", "tiny", "--shards", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["compile", "--model", "mlp", "--preset", "tiny", "--shards", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["compile", "--model", "mlp", "--preset", "tiny", "--listing", "-1"],
          "must be >= 0, got -1"),
         (["mappings", "--model", "mlp", "--preset", "tiny", "--rob", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["decode", "--model", "gpt_tiny", "--preset", "tiny", "--steps", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["decode", "--model", "gpt_tiny", "--preset", "small",
           "--steps", "1", "--kv-tokens", "0"],
-         "must be >= 1, got 0"),
+         "must be an integer >= 1, got 0"),
         (["tune", "mlp", "--preset", "tiny", "--top-k", "0"],
          "must be >= 1, got 0"),
         (["mappings", "--model", "mlp", "--preset", "tiny", "--workers", "0"],
@@ -89,6 +89,10 @@ class TestParser:
          "must be >= 0, got -1"),
         (["serve", "--store", "s.jsonl", "--port", "65536"],
          "must be <= 65535, got 65536"),
+        (["rob", "--model", "mlp", "--preset", "tiny", "--sizes", "a,4"],
+         "invalid comma-separated integers: 'a,4'"),
+        (["rob", "--model", "mlp", "--preset", "tiny", "--sizes", "0,4"],
+         "must be an integer >= 1, got 0"),
     ], ids=["run-batch", "run-rob", "run-shards", "compile-shards",
             "compile-listing", "mappings-rob", "decode-steps",
             "decode-kv-tokens", "tune-top-k", "mappings-workers",
@@ -97,11 +101,14 @@ class TestParser:
             "serve-timeout", "serve-max-backlog", "serve-max-restarts",
             "serve-drain-timeout", "decode-workers", "tune-workers",
             "run-model", "run-preset", "serve-port-negative",
-            "serve-port-too-large"])
+            "serve-port-too-large", "rob-sizes-not-integers",
+            "rob-sizes-zero"])
     def test_non_positive_count_is_a_usage_error(self, argv, message, capsys):
-        """A count or duration flag below its minimum is refused by the
-        parser (exit 2, a usage line naming the flag), not by a traceback
-        from the run or a run that ignores it."""
+        """A count or duration flag below its minimum is refused before
+        anything runs (exit 2, a usage line naming the flag), not by a
+        traceback from the run or a run that ignores it.  A job field's
+        flag is checked by ``JobSpec.validate()``, every other flag by its
+        argparse type."""
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -241,6 +248,45 @@ class TestSubcommands:
         data = json.loads(path.read_text())
         assert len(data["meta"]["decode"]["step_cycles"]) == 4
 
+    def test_decode_mix_beyond_kv_capacity_is_refused(self, tmp_path,
+                                                     capsys):
+        """A mix request past the KV cache is refused before anything runs:
+        one stderr line (exit 2), not a traceback from its sixth step."""
+        path = tmp_path / "mix.json"
+        save_specs([JobSpec("mlp"),
+                    JobSpec("gpt_tiny", decode_steps=10, kv_tokens=60)], path)
+        assert main(["decode", "--mix", str(path), "--preset", "tiny"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"pimsim decode: --mix {path}: decode_steps must be <= 5 from KV "
+            "extent 60 (the KV capacity of gpt_tiny is 64), got 10\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        ('{"core": {"rob_size": 0}}', "core.rob_size must be positive"),
+    ], ids=["missing", "not-json", "invalid-config"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "mlp"], ["compile", "--model", "mlp"],
+        ["mappings", "--model", "mlp"], ["decode", "--model", "gpt_tiny"],
+        ["tune", "mlp"],
+    ], ids=["run", "compile", "mappings", "decode", "tune"])
+    def test_bad_config_file_is_refused_in_one_line(self, tmp_path, capsys,
+                                                    argv, content, reason):
+        """A ``--config`` file that is missing, is not JSON or is not a
+        valid configuration is one stderr line (exit 2) for every
+        subcommand that reads one, not a traceback."""
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"pimsim {argv[0]}: --config {path}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_decode_mix_from_spec_file(self, tmp_path, capsys):
         specs = [JobSpec("gpt_tiny", decode_steps=3), JobSpec("mlp")]
         save_specs(specs, tmp_path / "mix.json")
@@ -276,21 +322,25 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flags, message", [
         (["--model", "gpt_tiny", "--kv-tokens", "100", "--steps", "1"],
-         "--kv-tokens 100 exceeds the KV capacity of gpt_tiny (64 tokens)"),
+         "argument --kv-tokens: must be <= 64, the KV capacity of gpt_tiny, "
+         "got 100"),
         (["--model", "gpt_tiny", "--steps", "100"],
-         "--steps 100 from KV extent 8 reaches extent 107, beyond the KV "
-         "capacity of gpt_tiny (64 tokens; at most 57 steps)"),
+         "argument --steps: must be <= 57 from KV extent 8 (the KV capacity "
+         "of gpt_tiny is 64), got 100"),
         (["--model", "mlp"],
-         "--model mlp has no KV cache; choose one of gpt_tiny"),
+         "argument --model: must have kv_cache nodes for decode_steps (one "
+         "of ['gpt_tiny']), got 'mlp'"),
     ], ids=["kv-tokens", "steps", "no-kv-cache"])
     def test_decode_beyond_kv_capacity_is_refused(self, flags, message,
                                                   capsys):
         """Extents past the KV cache, or a model without one, are refused
-        up front with one line (exit 2), not by a traceback from the first
-        or the last step."""
-        assert main(["decode", "--preset", "tiny", *flags]) == 2
+        up front as a usage error naming the flag (exit 2), not by a
+        traceback from the first or the last step."""
+        with pytest.raises(SystemExit) as info:
+            main(["decode", "--preset", "tiny", *flags])
+        assert info.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == f"pimsim decode: {message}\n"
+        assert captured.err.endswith(f"pimsim: error: {message}\n")
         assert captured.out == ""
 
     def test_decode_up_to_kv_capacity_runs(self, capsys):
@@ -373,9 +423,36 @@ class TestBatch:
                  for line in captured.out.splitlines() if line]
         records = {r["index"]: r for r in lines if "index" in r}
         assert "report" in records[0]
-        assert records[1]["error"]["kind"] == "KeyError"
+        assert records[1]["error"]["kind"] == "InvalidJobSpec"
         assert lines[-1]["summary"]["failed"] == 1
         assert "1 failed" in captured.err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_invalid_lines_are_their_jobs_error_records(self, tmp_path,
+                                                        capsys, workers):
+        """Every line goes through ``JobSpec.validate()`` (``Engine.run``
+        calls it, in-process and in pool workers): a line it refuses is
+        that job's ``InvalidJobSpec`` record, and the other lines run."""
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([
+            {"network": "mlp", "config": "tiny"},
+            {"network": "mlp", "config": "tiny", "imagenet": "yes"},
+            {"network": "mlp", "config": "tiny", "rob_size": "8"},
+            {"network": "mlp", "config": 3},
+            {"network": "mlp", "config": "tiny", "rob_size": 8}]))
+        assert main(["batch", str(path), "--workers", workers]) == 1
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        records = {r["index"]: r for r in lines if "index" in r}
+        assert records[0]["report"]["cycles"] > 0
+        assert records[4]["report"]["cycles"] > 0
+        for index, field in ((1, "imagenet"), (2, "rob_size"),
+                             (3, "config")):
+            error = records[index]["error"]
+            assert error["kind"] == "InvalidJobSpec"
+            assert error["message"].startswith(f"{field} must be")
+        assert lines[-1]["summary"]["ok"] == 2
+        assert lines[-1]["summary"]["failed"] == 3
 
     def test_fidelity_flag_reaches_every_job(self, tmp_path, capsys):
         """``--fidelity`` runs every job at that tier, serial and pooled,

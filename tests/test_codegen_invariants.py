@@ -148,6 +148,60 @@ def test_every_input_ring_holds_the_tiles_one_item_reads():
     assert short == []
 
 
+class _RingsShort(AssertionError):
+    """The co-resident rings too shallow for one item, as known."""
+
+
+#: (preset, network, consumer stage, ring slots, tiles one item needs),
+#: sorted
+_SHORT_CO_RESIDENT_RINGS = [
+    ("paper", "googlenet", "pool3", 4, 5),
+    ("paper", "googlenet", "pool4", 4, 5),
+    ("paper", "resnet18", "s1b1_add", 6, 8),
+    ("paper", "resnet18", "s1b2_add", 6, 8),
+    ("paper", "squeezenet", "pool4", 4, 5),
+    ("paper", "squeezenet", "pool8", 4, 5),
+    ("small", "googlenet", "pool3", 4, 5),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=_RingsShort, reason=(
+    "co-resident output rings are sized from deps.lags, which counts from "
+    "the highest tile an item reads"))
+def test_every_co_resident_ring_holds_the_tiles_one_item_reads():
+    """A co-resident port (``op is None``) reads the producer's output
+    ring in place, so the ring must hold every producer tile from the
+    lowest one an item reads to the last one emitted before it,
+    ``min(skew + 1, producer tiles)`` slots.  Rings sized from ``lags``
+    are short on the listed points; any other shortfall fails outright,
+    and none at all turns this strict xfail into a failure."""
+    from repro.compiler import build_pipeline, map_network
+    from repro.compiler.codegen import _CodeGenerator
+    from repro.config import paper_chip, small_chip
+    from repro.models import MODELS
+
+    short = []
+    for preset, config in (("small", small_chip()), ("paper", paper_chip())):
+        for net in sorted(MODELS):
+            pipeline = build_pipeline(build_model(net))
+            gen = _CodeGenerator(pipeline, map_network(pipeline, config),
+                                 config)
+            gen.generate()
+            for (stage, _core), ports in gen.ports.items():
+                for edge_idx, port in enumerate(ports):
+                    if port.op is not None:
+                        continue
+                    producer = pipeline.stage(
+                        pipeline.stage(stage).edges[edge_idx].producer)
+                    span = min(gen.deps.skews[(stage, edge_idx)] + 1,
+                               n_tiles(producer, gen.tile_pixels))
+                    if port.region.slots < span:
+                        short.append((preset, net, stage,
+                                      port.region.slots, span))
+    assert sorted(short) == _SHORT_CO_RESIDENT_RINGS
+    raise _RingsShort(short)
+
+
 class TestLayerAccounting:
     def test_every_compute_stage_has_mvms(self, compiled):
         chip = compiled.program

@@ -422,7 +422,7 @@ class TestEngineDecode:
             engine.run(JobSpec("gpt_tiny", decode_steps=2, batch=2))
 
     def test_decode_rejects_fixed_networks(self, engine):
-        with pytest.raises(ValueError, match="no kv_cache"):
+        with pytest.raises(ValueError, match="kv_cache nodes"):
             engine.run(JobSpec("mlp", decode_steps=2))
 
     def test_session_steps_and_grows(self, engine):
@@ -451,7 +451,7 @@ class TestEngineDecode:
             engine.decode_session("mlp")
 
     def test_session_rejects_extent_beyond_capacity(self, engine):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="KV capacity of gpt_tiny"):
             engine.decode_session("gpt_tiny", kv_tokens=65)
 
     def test_decode_spec_roundtrips_through_job_files(self, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from repro import Engine, JobSpec, simulate
 from repro.config import ConfigError, small_chip, tiny_chip
-from repro.engine import JobFailed, default_engine
+from repro.engine import InvalidJobSpec, JobFailed, default_engine
 from repro.models import bert_tiny
 from repro.runner import compare_mappings, compare_with_baseline, sweep_rob
 from repro.tune import Tuner
@@ -177,18 +177,19 @@ class TestEngineMap:
                               errors="capture")
         assert outcomes[0].cycles > 0
         assert isinstance(outcomes[1], JobFailed)
-        assert outcomes[1].kind == "KeyError"
+        assert outcomes[1].kind == "InvalidJobSpec"
         assert "nosuch_net" in outcomes[1].message
 
     def test_errors_raise_serial(self, engine):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidJobSpec):
             engine.map([JobSpec("nosuch_net")], workers=1)
 
     def test_errors_raise_parallel_preserves_type(self):
         """The pool re-raises the worker's original exception type."""
         with Engine(tiny_chip()) as eng:
-            with pytest.raises(KeyError):
+            with pytest.raises(InvalidJobSpec) as info:
                 eng.map([JobSpec("nosuch_net"), JobSpec("mlp")], workers=2)
+            assert info.value.errors[0][0] == "network"
 
     def test_bad_errors_mode_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -245,7 +246,7 @@ class TestSubmit:
     def test_failure_propagates_through_future(self):
         with Engine(tiny_chip()) as eng:
             future = eng.submit(JobSpec("nosuch_net"))
-            with pytest.raises(KeyError):
+            with pytest.raises(InvalidJobSpec):
                 future.result(timeout=120)
 
     def test_pool_sized_by_engine_default_workers(self):

@@ -35,7 +35,7 @@ from repro.config import (
     validate,
     with_param,
 )
-from repro.engine import JobPoisoned
+from repro.engine import InvalidJobSpec, JobPoisoned
 from repro.models import build_model
 from repro.sim import DeadlockError
 
@@ -225,7 +225,7 @@ class TestKnobPrecedence:
 
     def test_invalid_spec_fidelity_rejected(self):
         with Engine(tiny_chip()) as engine:
-            with pytest.raises(ConfigError, match="fidelity"):
+            with pytest.raises(InvalidJobSpec, match="fidelity"):
                 engine.run(JobSpec("mlp", fidelity="approximate"))
 
 

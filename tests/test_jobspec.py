@@ -170,6 +170,9 @@ class TestValidate:
         {"mapping": "fastest"}, {"fidelity": "exact"},
         {"max_cycles": -1}, {"attention_shards": 0}, {"imagenet": "yes"},
         {"config": 3}, {"config": "no-such-preset"},
+        {"kv_tokens": 100, "network": "gpt_tiny"},
+        {"decode_steps": 10, "kv_tokens": 60, "network": "gpt_tiny"},
+        {"batch": 2, "decode_steps": 2, "network": "gpt_tiny"},
     ])
     def test_refused(self, overrides):
         with pytest.raises(InvalidJobSpec) as info:
@@ -183,6 +186,7 @@ class TestValidate:
         {"mapping": "utilization_first", "fidelity": "fast"},
         {"config": "tiny", "attention_shards": 2, "imagenet": True},
         {"tag": {"anything": [1, "goes"]}, "faults": {"mode": "hang"}},
+        {"network": "gpt_tiny", "kv_tokens": 62, "decode_steps": 3},
     ])
     def test_accepted(self, overrides):
         spec = JobSpec.from_dict({"network": "mlp", **overrides})
@@ -206,8 +210,10 @@ class TestValidate:
             JobSpec(build_chain_net(), decode_steps=2).validate()
 
     def test_construction_and_spec_files_are_not_validated(self, tmp_path):
-        """Only ``from_dict`` checks: the engine and ``pimsim batch``
-        report a bad spec as that job's failure."""
+        """Construction and ``load_specs`` do not check values; ``from_dict``
+        and ``Engine.run`` call ``validate()``, so the engine and ``pimsim
+        batch`` report a bad spec as that job's ``InvalidJobSpec``
+        failure."""
         JobSpec("nosuch_net", batch=0)
         path = tmp_path / "jobs.json"
         path.write_text(json.dumps([{"network": "nosuch_net"}]))

@@ -15,6 +15,7 @@ from repro.analysis import (
     unit_breakdown,
 )
 from repro.config import small_chip, tiny_chip
+from repro.engine import InvalidJobSpec
 from repro.runner import compare_mappings, compare_with_baseline, sweep_rob
 from repro.runner.cli import main
 from tests.conftest import build_chain_net
@@ -49,7 +50,7 @@ class TestSimulateApi:
         assert report.config_name == "paper-64core"
 
     def test_unknown_model_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidJobSpec, match="nonexistent_net"):
             simulate("nonexistent_net", tiny_chip())
 
 

@@ -713,8 +713,10 @@ class TestServeHTTP:
     @pytest.mark.parametrize("overrides", [
         {"batch": -3}, {"rob_size": "x"}, {"network": "nope"},
         {"timeout": -1}, {"kv_tokens": 5},
+        {"decode_steps": 10, "kv_tokens": 60, "network": "gpt_tiny"},
     ], ids=["negative-batch", "string-rob-size", "unknown-network",
-            "negative-timeout", "kv-tokens-on-mlp"])
+            "negative-timeout", "kv-tokens-on-mlp",
+            "decode-past-kv-capacity"])
     def test_invalid_spec_is_400_before_anything_is_journaled(
             self, served, overrides):
         server, svc = served
