@@ -40,11 +40,11 @@ from ..compiler import (
     repeat_chip_program,
 )
 from ..config import ArchConfig, paper_chip, validate
-from ..graph import Graph, with_kv_extent
+from ..graph import Graph, kv_extent, with_kv_extent
 from ..graph.serialize import graph_digest
 from ..models import build_model
 from ..runner.results import MixReport, SimReport
-from .decode import DecodeSession, aggregate_step_reports, first_extent
+from .decode import DecodeSession, aggregate_step_reports
 from .pool import (
     JobFailed,
     PoolUnavailable,
@@ -230,8 +230,7 @@ class Engine:
                        rob_size: int | None = None,
                        imagenet: bool = False,
                        attention_shards: int | None = None) -> DecodeSession:
-        """Open a :class:`~repro.engine.DecodeSession` on this engine
-        (:meth:`JobSpec.validate` checks the first extent)."""
+        """Open a :class:`~repro.engine.DecodeSession` on this engine."""
         return DecodeSession(self, JobSpec(
             network, config, mapping=mapping, rob_size=rob_size,
             imagenet=imagenet, attention_shards=attention_shards,
@@ -244,9 +243,8 @@ class Engine:
         (``compile_cache_hits`` / ``compile_cache_misses``) and the spec's
         ``tag`` (as ``sweep_tag``).  Decode specs (``decode_steps`` set)
         drive a compile-once :class:`DecodeSession` and return one
-        aggregated report (``meta["decode"]``).  The spec is
-        :meth:`JobSpec.validate`\\ d first, so one that no simulation can
-        mean raises :class:`~repro.engine.InvalidJobSpec` before anything compiles.
+        aggregated report (``meta["decode"]``).  :meth:`JobSpec.validate`
+        runs first: a bad spec raises before anything compiles.
         """
         spec.validate()
         if spec.decode_steps is not None:
@@ -522,9 +520,7 @@ class Engine:
         aggregated report each; the returned
         :class:`~repro.runner.results.MixReport` carries the per-step
         latency samples and their p50/p99/TPOT distribution.  A decode
-        spec is :meth:`JobSpec.validate`\\ d before its steps are laid
-        out, so an invalid one raises :class:`~repro.engine.InvalidJobSpec` whatever
-        ``errors`` says.
+        spec that fails :meth:`JobSpec.validate` raises whatever ``errors``.
         """
         specs = list(specs)
         units_per_request: list[list[JobSpec]] = []
@@ -532,10 +528,9 @@ class Engine:
             if spec.decode_steps is None:
                 units_per_request.append([spec])
                 continue
-            start = first_extent(  # validated: the steps fit the cache
-                self.resolve_network(spec.validate().network,
-                                     imagenet=spec.imagenet),
-                spec.kv_tokens)
+            graph = self.resolve_network(spec.validate().network,
+                                         imagenet=spec.imagenet)
+            start = spec.kv_tokens or kv_extent(graph)[0]
             units_per_request.append([
                 replace(spec, decode_steps=1, kv_tokens=start + i)
                 for i in range(spec.decode_steps)])

@@ -27,15 +27,7 @@ from .spec import JobSpec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Engine
 
-__all__ = ["DecodeSession", "aggregate_step_reports", "first_extent"]
-
-
-def first_extent(graph: Graph, kv_tokens: int | None) -> int:
-    """KV extent of a decode request's first step on ``graph``:
-    ``kv_tokens`` if given, else the token count the network was built
-    with.  The request is one :meth:`JobSpec.validate` passed on a
-    network with ``kv_cache`` nodes, so the extent fits them."""
-    return kv_tokens if kv_tokens is not None else kv_extent(graph)[0]
+__all__ = ["DecodeSession", "aggregate_step_reports"]
 
 
 def aggregate_step_reports(reports: list[SimReport], *,
@@ -103,9 +95,9 @@ class DecodeSession:
         ...     first = session.step()          # extent = built-in tokens
         ...     more = session.run(31)          # 31 further steps, 1 report
 
-    Opened from a validated :class:`~repro.engine.JobSpec` (network,
-    overrides and the starting ``kv_tokens``; :meth:`Engine.decode_session`
-    builds one from keywords and validates it).  The session owns only cursor state (the next step's
+    Opened from a :class:`~repro.engine.JobSpec` (network, overrides and
+    the starting ``kv_tokens``; :meth:`Engine.decode_session` builds one
+    from keywords).  The session owns only cursor state (the next step's
     extent and the step history); the compiled template lives in — and
     is shared through — the engine's template cache, so two sessions
     over the same network and configuration compile nothing twice.
@@ -114,10 +106,10 @@ class DecodeSession:
     def __init__(self, engine: "Engine", spec: JobSpec) -> None:
         self.engine = engine
         self.graph, self.config = engine._resolve(spec)
-        # the template first: it refuses a network without kv_cache nodes
+        # the template refuses a network without kv_cache nodes
         self.template = engine._template(self.graph, self.config)
         #: KV extent the *next* step runs at.
-        self.extent = first_extent(self.graph, spec.kv_tokens)
+        self.extent = spec.kv_tokens or kv_extent(self.graph)[0]
         self._max_cycles = spec.max_cycles
         self.steps_run = 0
         #: per-step (extent, cycles) history.

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
@@ -33,21 +32,13 @@ __all__ = ["InvalidJobSpec", "JobSpec", "load_specs", "save_specs"]
 
 
 class InvalidJobSpec(ValueError):
-    """A job spec no simulation can mean: a malformed document, a field of
-    the wrong type or out of range, a name nothing knows, or a decode
-    request the network's KV cache cannot hold (see
-    :meth:`JobSpec.validate`).
+    """A job spec no simulation can mean (see :meth:`JobSpec.validate`).
+    ``errors`` maps each refused field to its problem, so ``pimsim`` can
+    name the flag; a malformed document has none."""
 
-    ``errors`` holds :meth:`~JobSpec.validate`'s violations as ``(field,
-    problem)`` pairs, so a front end can name its own spelling of each
-    field (``pimsim`` names the flag); it is empty for a malformed
-    document.
-    """
-
-    def __init__(self, message: str,
-                 errors: Iterable[tuple[str, str]] = ()) -> None:
+    def __init__(self, message: str, errors: dict | None = None) -> None:
         super().__init__(message)
-        self.errors = list(errors)
+        self.errors = errors or {}
 
 
 def _is_int(value) -> bool:
@@ -55,12 +46,9 @@ def _is_int(value) -> bool:
 
 
 @cache
-def _zoo_kv_extent(name: str, imagenet: bool) -> tuple[int, int] | None:
-    """:func:`~repro.graph.kv_extent` of a zoo network; only a decode
-    model is built (once per process)."""
-    if name not in DECODE_MODELS:
-        return None
-    return kv_extent(build_model(name, imagenet=imagenet))
+def _zoo_kv_extent(name: str) -> tuple[int, int] | None:
+    """:func:`kv_extent` of a zoo network (decode models take no image)."""
+    return kv_extent(build_model(name)) if name in DECODE_MODELS else None
 
 
 @dataclass
@@ -164,91 +152,69 @@ class JobSpec:
     def validate(self) -> "JobSpec":
         """Check every field's type and range; returns ``self``.
 
-        The one statement of the job-field rules: ``from_dict`` (so
-        ``POST /jobs``), :meth:`Engine.run <repro.engine.Engine.run>` (so
-        batch, decode mixes, pool workers, serve dispatch and the tuner)
-        and every ``pimsim`` subcommand that builds a spec from its flags
-        call it.  Raises :class:`InvalidJobSpec` naming every violation:
-
-        * an unknown network / mapping / fidelity, a ``config`` that is
-          not a configuration, a non-boolean ``imagenet``;
-        * a non-integer or non-positive ``batch`` / ``rob_size`` /
-          ``max_cycles`` / ``attention_shards`` / ``decode_steps`` /
-          ``kv_tokens``, a ``timeout`` that is not a positive number;
-        * decode fields on a network without ``kv_cache`` nodes, or
-          ``decode_steps`` with ``batch > 1``;
-        * a first KV extent (``kv_tokens``, else the network's built-in
-          token count) past the KV capacity, or a last one (first +
-          ``decode_steps`` - 1) past it.
-
-        ``faults`` is the fault harness's to check.
+        The one copy of the job-field rules: ``from_dict``, :meth:`Engine.run
+        <repro.engine.Engine.run>` and the ``pimsim`` flags all call it.
+        Raises :class:`InvalidJobSpec` naming every violation: an unknown
+        network / mapping / fidelity, a non-integer or non-positive
+        ``batch`` / ``rob_size`` / ``max_cycles`` / ``attention_shards`` /
+        ``decode_steps`` / ``kv_tokens``, a ``timeout`` that is not a
+        positive number, decode fields on a network without ``kv_cache``
+        nodes or with ``batch > 1``, or a first or last KV extent past the
+        cache.  ``faults`` is the fault harness's to check.
         """
-        errors: list[tuple[str, str]] = []
+        bad: dict[str, str] = {}  # field -> what is wrong with it
+        name = getattr(self.network, "name", self.network)
         if isinstance(self.network, Graph):
-            name, extent = self.network.name, kv_extent(self.network)
+            extent = kv_extent(self.network)
         elif isinstance(self.network, str) and self.network in MODELS:
-            name = self.network
-            extent = _zoo_kv_extent(name, self.imagenet is True)
+            extent = _zoo_kv_extent(self.network)
         else:
-            name = extent = None
-            errors.append(("network", f"must be one of {sorted(MODELS)} or "
-                                      f"a graph, got {self.network!r}"))
+            name = extent = None  # reported once, not again for decoding
+            bad["network"] = (f"must be one of {sorted(MODELS)} or a graph, "
+                              f"got {self.network!r}")
         if self.config is not None and not isinstance(self.config,
                                                       ArchConfig):
-            errors.append(("config", f"must be a configuration, got "
-                                     f"{type(self.config).__name__}"))
+            bad["config"] = f"must be a configuration, got {type(self.config).__name__}"
         for field, known in (("mapping", MAPPINGS),
                              ("fidelity", FIDELITIES)):
             value = getattr(self, field)
             if value is not None and value not in known:
-                errors.append((field, f"must be one of {known}, got "
-                                      f"{value!r}"))
+                bad[field] = f"must be one of {known}, got {value!r}"
         if not isinstance(self.imagenet, bool):
-            errors.append(("imagenet", f"must be a boolean, got "
-                                       f"{self.imagenet!r}"))
+            bad["imagenet"] = f"must be a boolean, got {self.imagenet!r}"
         for field in ("batch", "rob_size", "max_cycles", "attention_shards",
                       "decode_steps", "kv_tokens"):
             value = getattr(self, field)
             if value is None and field != "batch":
                 continue
             if not _is_int(value) or value < 1:
-                errors.append((field, f"must be an integer >= 1, got "
-                                      f"{value!r}"))
+                bad[field] = f"must be an integer >= 1, got {value!r}"
         timeout = self.timeout
         if timeout is not None and not (
                 isinstance(timeout, (int, float))
                 and not isinstance(timeout, bool) and timeout > 0):
-            errors.append(("timeout", f"must be a number of seconds > 0, "
-                                      f"got {timeout!r}"))
-        bad = {field for field, _problem in errors}
-        steps, tokens = self.decode_steps, self.kv_tokens
+            bad["timeout"] = f"must be a number of seconds > 0, got {timeout!r}"
+        steps = self.decode_steps
         decoding = [field for field in ("decode_steps", "kv_tokens")
                     if getattr(self, field) is not None]
         if decoding and name is not None and extent is None:
-            errors.append(("network", f"must have kv_cache nodes for "
-                                      f"{' / '.join(decoding)} (one of "
-                                      f"{list(DECODE_MODELS)}), got "
-                                      f"{name!r}"))
-        elif extent is not None and not bad & {"decode_steps", "kv_tokens"}:
-            first, capacity = tokens or extent[0], extent[1]
+            bad["network"] = (f"must have kv_cache nodes for {' / '.join(decoding)} "
+                              f"(one of {list(DECODE_MODELS)}), got {name!r}")
+        elif extent is not None and not bad.keys() & set(decoding):
+            first, capacity = self.kv_tokens or extent[0], extent[1]
             if first > capacity:
-                errors.append(("kv_tokens", f"must be <= {capacity}, the KV "
-                                            f"capacity of {name}, got "
-                                            f"{first}"))
+                bad["kv_tokens"] = (f"must be <= {capacity}, the KV "
+                                    f"capacity of {name}, got {first}")
             elif steps is not None and first + steps - 1 > capacity:
-                errors.append(("decode_steps", f"must be <= "
-                                               f"{capacity - first + 1} from "
-                                               f"KV extent {first} (the KV "
-                                               f"capacity of {name} is "
-                                               f"{capacity}), got {steps}"))
+                bad["decode_steps"] = (
+                    f"must be <= {capacity - first + 1} from KV extent {first} "
+                    f"(the KV capacity of {name} is {capacity}), got {steps}")
         if steps is not None and "batch" not in bad and self.batch > 1:
-            errors.append(("batch", f"must be 1 for a decode job "
-                                    f"(decode_steps is set), got "
-                                    f"{self.batch}"))
-        if errors:
-            raise InvalidJobSpec("; ".join(f"{field} {problem}"
-                                           for field, problem in errors),
-                                 errors)
+            bad["batch"] = (f"must be 1 for a decode job (decode_steps is "
+                            f"set), got {self.batch}")
+        if bad:
+            raise InvalidJobSpec("; ".join(f"{field} {problem}" for field,
+                                           problem in bad.items()), bad)
         return self
 
     def job_id(self) -> str:
@@ -276,12 +242,10 @@ class JobSpec:
 def load_specs(path: str | Path) -> list[JobSpec]:
     """Load a job-spec file: one spec object, a list, or ``{"jobs": [...]}``.
 
-    Only the document's shape is checked here (an object with a
-    ``network``, no unknown keys, a known preset name).  Values are
-    checked by :meth:`Engine.run <repro.engine.Engine.run>`, which calls
-    :meth:`~JobSpec.validate` first: ``pimsim batch`` records a line that
-    fails it as that job's ``InvalidJobSpec`` error record, and the other
-    lines still run.
+    Only the document's shape is checked here; :meth:`Engine.run
+    <repro.engine.Engine.run>` calls :meth:`~JobSpec.validate`, so
+    ``pimsim batch`` records a bad line as that job's ``InvalidJobSpec``
+    error record and still runs the others.
     """
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict) and "jobs" in data:

@@ -42,7 +42,6 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_config(parser: argparse.ArgumentParser) -> None:
-    """``--preset`` and ``--config``, read by :func:`_load_config`."""
     parser.add_argument("--preset", default="paper", choices=sorted(PRESETS),
                         help="architecture preset")
     parser.add_argument("--config", default=None,
@@ -66,10 +65,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _int_at_least(minimum: int, maximum: int | None = None):
-    """argparse type of a count flag that is not a job field (those are
-    :meth:`JobSpec.validate`'s): an integer >= ``minimum`` (and <=
-    ``maximum``), so a bad value is a usage error (exit 2) rather than a
-    traceback from a run."""
+    """argparse type of a count flag that is not a job field: an integer in
+    ``[minimum, maximum]``, so a bad value is a usage error (exit 2)
+    rather than a traceback from deep in a run."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -136,7 +134,7 @@ def _checked(spec: JobSpec, **flags: str) -> JobSpec:
         names = {**_FLAGS, **flags}
         raise argparse.ArgumentError(None, "; ".join(
             f"argument {names.get(field, field)}: {problem}"
-            for field, problem in exc.errors)) from None
+            for field, problem in exc.errors.items())) from None
 
 
 def _load_config(args: argparse.Namespace) -> ArchConfig:
@@ -233,10 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock timeout enforced by the "
                             "pool watchdog; overridden by a spec's own "
                             "timeout (pooled runs; default: none)")
-    batch.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
-                       help="default execution mode for jobs that do not "
-                            "set their own (cycle: bit-exact; fast: "
-                            "batched analytic, bounded-error)")
+    _add_fidelity(batch, " of jobs that do not set their own")
     batch.add_argument("--progress", action="store_true",
                        help="print per-job completions to stderr")
 
@@ -274,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="server crashes a job may be caught running "
                             "through before the store quarantines it as "
                             "poisoned (default 1)")
-    serve.add_argument("--fidelity", choices=list(FIDELITIES), default=None,
-                       help="default execution mode for jobs that do not "
-                            "set their own (applied to the preset "
-                            "configuration; a job's fidelity field wins)")
+    _add_fidelity(serve, " of jobs that do not set their own")
     serve.add_argument("--drain-timeout", type=_seconds(allow_zero=True),
                        default=30.0, metavar="SECONDS",
                        help="on SIGTERM/SIGINT, seconds to let running "
@@ -373,7 +365,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_mappings(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    _checked(JobSpec(args.model, config, rob_size=args.rob))
+    _checked(JobSpec(args.model, rob_size=args.rob))
     cmp = compare_mappings(_network(args), config, rob_size=args.rob,
                            workers=args.workers, fidelity=args.fidelity)
     print(f"{args.model}: utilization-first {cmp.utilization.cycles:,} cycles, "
@@ -389,15 +381,14 @@ def _cmd_mappings(args: argparse.Namespace) -> int:
 
 def _cmd_rob(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    sizes = args.sizes
-    for size in sizes:
-        _checked(JobSpec(args.model, config, rob_size=size), rob_size="--sizes")
-    sweep = sweep_rob(_network(args), config, sizes=sizes,
+    for size in args.sizes:
+        _checked(JobSpec(args.model, rob_size=size), rob_size="--sizes")
+    sweep = sweep_rob(_network(args), config, sizes=args.sizes,
                       workers=args.workers, fidelity=args.fidelity)
     print(ascii_bars(
         {f"ROB {size:>2}": value
          for size, value in sweep.normalized_latency().items()},
-        title=f"{args.model}: latency normalized to ROB {min(sizes)} "
+        title=f"{args.model}: latency normalized to ROB {min(args.sizes)} "
               f"(Fig. 4 style):"))
     return 0
 
@@ -579,9 +570,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         store = JobStore(args.store, max_restarts=args.max_restarts)
     except (OSError, ValueError) as exc:
-        print(f"serve: cannot open store {args.store}: {exc}",
-              file=sys.stderr)
-        return SERVE_EXIT_FATAL
+        raise _Refused(f"cannot open store {args.store}: {exc}") from None
     config = get_preset(args.preset)
     if args.fidelity is not None:
         config = validate(config.with_fidelity(args.fidelity))

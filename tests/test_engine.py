@@ -189,7 +189,7 @@ class TestEngineMap:
         with Engine(tiny_chip()) as eng:
             with pytest.raises(InvalidJobSpec) as info:
                 eng.map([JobSpec("nosuch_net"), JobSpec("mlp")], workers=2)
-            assert info.value.errors[0][0] == "network"
+            assert "network" in info.value.errors
 
     def test_bad_errors_mode_rejected(self, engine):
         with pytest.raises(ValueError):
