@@ -15,9 +15,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
-from typing import Any
+from types import NoneType, UnionType
+from typing import Annotated, Any, Literal, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "CrossbarConfig",
@@ -38,6 +41,33 @@ class ConfigError(ValueError):
     """Raised when a configuration fails validation."""
 
 
+# A field's annotation declares every value it accepts on its own (a
+# number's bound is ``Annotated`` metadata: operator, bound), and
+# :func:`field_errors` is the one check of it.
+PositiveInt = Annotated[int, ">=", 1]
+NonNegativeInt = Annotated[int, ">=", 0]
+PositiveFloat = Annotated[float, ">", 0]
+NonNegativeFloat = Annotated[float, ">=", 0]
+
+#: Valid mapping policies (Section III-A, Fig. 3).
+MAPPINGS = ("utilization_first", "performance_first")
+
+#: Valid execution fidelities: ``"cycle"`` is the bit-exact event-driven
+#: simulator; ``"fast"`` batch-executes straight-line instruction runs
+#: analytically (bounded-error, validated by ``tools/check_fidelity.py``).
+FIDELITIES = ("cycle", "fast")
+
+#: Valid shard-group placement policies: ``"distance"`` picks the home
+#: core's nearest mesh neighbours (Manhattan distance, core-id
+#: tie-break); ``"load_aware"`` adds a per-core static-crossbar-load
+#: penalty so hot cores are skipped when an idle one is nearby.
+SHARD_PLACEMENTS = ("distance", "load_aware")
+
+MappingPolicy = Literal[MAPPINGS]
+Fidelity = Literal[FIDELITIES]
+ShardPlacement = Literal[SHARD_PLACEMENTS]
+
+
 @dataclass
 class CrossbarConfig:
     """One memristor crossbar and its converters.
@@ -48,20 +78,20 @@ class CrossbarConfig:
     each phase the ``adcs_per_crossbar`` ADCs scan the ``cols`` bitlines.
     """
 
-    rows: int = 128
-    cols: int = 128
-    cell_bits: int = 2
+    rows: PositiveInt = 128
+    cols: PositiveInt = 128
+    cell_bits: PositiveInt = 2
     #: weight precision; with ``bit_sliced`` each logical weight column
     #: spreads over ceil(weight_bits / cell_bits) physical columns whose
     #: partial products are shift-added digitally (PUMA/MNSIM-style).
-    weight_bits: int = 8
+    weight_bits: PositiveInt = 8
     bit_sliced: bool = False
-    input_bits: int = 8
-    dac_bits: int = 1
-    adcs_per_crossbar: int = 8
-    adc_cycles_per_sample: int = 1
+    input_bits: PositiveInt = 8
+    dac_bits: PositiveInt = 1
+    adcs_per_crossbar: PositiveInt = 8
+    adc_cycles_per_sample: PositiveInt = 1
     #: explicit override for the per-crossbar MVM latency (cycles).
-    mvm_latency_cycles: int | None = None
+    mvm_latency_cycles: PositiveInt | None = None
 
     @property
     def dac_phases(self) -> int:
@@ -91,37 +121,37 @@ class CrossbarConfig:
 class CoreConfig:
     """Per-core resources: execution units, ROB, queues, local memory."""
 
-    crossbars_per_core: int = 512
-    rob_size: int = 8
-    fetch_width: int = 1
-    decode_cycles: int = 1
-    dispatch_cycles: int = 1
-    vector_lanes: int = 32
-    vector_issue_cycles: int = 1
+    crossbars_per_core: PositiveInt = 512
+    rob_size: PositiveInt = 8
+    fetch_width: PositiveInt = 1
+    decode_cycles: NonNegativeInt = 1
+    dispatch_cycles: NonNegativeInt = 1
+    vector_lanes: PositiveInt = 32
+    vector_issue_cycles: NonNegativeInt = 1
     #: per-element cycle cost of transcendental-heavy vector ops
     #: (softmax / layernorm / gelu): each element runs an exp / rsqrt /
     #: erf micro-pipeline instead of one ALU op.
-    vector_special_cycles_per_element: int = 4
-    scalar_cycles: int = 1
-    local_memory_bytes: int = 2 * 1024 * 1024
-    local_memory_read_bytes_per_cycle: int = 64
-    local_memory_write_bytes_per_cycle: int = 64
+    vector_special_cycles_per_element: PositiveInt = 4
+    scalar_cycles: NonNegativeInt = 1
+    local_memory_bytes: PositiveInt = 2 * 1024 * 1024
+    local_memory_read_bytes_per_cycle: PositiveInt = 64
+    local_memory_write_bytes_per_cycle: PositiveInt = 64
     #: number of ADC time-multiplex domains shared across the core's
     #: crossbars; 0 means no core-level ADC sharing constraint (each
     #: crossbar's own converters bound the rate).
-    shared_adc_domains: int = 0
+    shared_adc_domains: NonNegativeInt = 0
 
 
 @dataclass
 class ChipConfig:
     """Chip-level layout: mesh of cores plus a global memory node."""
 
-    mesh_rows: int = 8
-    mesh_cols: int = 8
+    mesh_rows: PositiveInt = 8
+    mesh_cols: PositiveInt = 8
     #: mesh coordinate of the global-memory access point.
     global_memory_xy: tuple[int, int] = (0, 0)
-    global_memory_bytes_per_cycle: int = 32
-    global_memory_latency_cycles: int = 100
+    global_memory_bytes_per_cycle: PositiveInt = 32
+    global_memory_latency_cycles: NonNegativeInt = 100
 
     @property
     def n_cores(self) -> int:
@@ -132,11 +162,11 @@ class ChipConfig:
 class NocConfig:
     """Mesh interconnect parameters."""
 
-    hop_cycles: int = 2
-    link_bytes_per_cycle: int = 32
+    hop_cycles: PositiveInt = 2
+    link_bytes_per_cycle: PositiveInt = 32
     #: per-flow credit window (in messages) for synchronized transfers;
     #: 1 degenerates to strict rendezvous.
-    sync_window: int = 4
+    sync_window: PositiveInt = 4
     #: model per-link contention (serialize messages sharing a link).
     model_contention: bool = True
 
@@ -145,21 +175,21 @@ class NocConfig:
 class EnergyConfig:
     """Per-operation energies (picojoules) and static power (milliwatts)."""
 
-    xbar_read_pj_per_cell: float = 0.0002
-    dac_pj_per_conversion: float = 0.1
-    adc_pj_per_sample: float = 2.0
-    vector_pj_per_element: float = 0.5
+    xbar_read_pj_per_cell: NonNegativeFloat = 0.0002
+    dac_pj_per_conversion: NonNegativeFloat = 0.1
+    adc_pj_per_sample: NonNegativeFloat = 2.0
+    vector_pj_per_element: NonNegativeFloat = 0.5
     #: transcendental-heavy vector ops (softmax / layernorm / gelu).
-    vector_special_pj_per_element: float = 2.5
+    vector_special_pj_per_element: NonNegativeFloat = 2.5
     #: one multiply-accumulate on the vector unit (dynamic matmuls that
     #: cannot live in crossbars: attention scores / context products).
-    vector_mac_pj: float = 0.8
-    scalar_pj_per_op: float = 0.1
-    local_mem_pj_per_byte: float = 0.6
-    global_mem_pj_per_byte: float = 12.0
-    noc_pj_per_byte_hop: float = 1.2
-    core_leakage_mw: float = 2.0
-    chip_leakage_mw: float = 30.0
+    vector_mac_pj: NonNegativeFloat = 0.8
+    scalar_pj_per_op: NonNegativeFloat = 0.1
+    local_mem_pj_per_byte: NonNegativeFloat = 0.6
+    global_mem_pj_per_byte: NonNegativeFloat = 12.0
+    noc_pj_per_byte_hop: NonNegativeFloat = 1.2
+    core_leakage_mw: NonNegativeFloat = 2.0
+    chip_leakage_mw: NonNegativeFloat = 30.0
 
 
 @dataclass
@@ -167,59 +197,44 @@ class CompilerConfig:
     """Software-side knobs (Section III-A)."""
 
     #: one of :data:`MAPPINGS`.
-    mapping: str = "performance_first"
+    mapping: MappingPolicy = "performance_first"
     #: allow weight duplication to fill spare crossbars (performance-first).
     allow_duplication: bool = True
     #: cap on copies of one layer per core.
-    max_duplication: int = 16
+    max_duplication: PositiveInt = 16
     #: output pixels per compute tile (codegen granularity).
-    tile_pixels: int = 8
+    tile_pixels: PositiveInt = 8
     #: fuse activation (and pooling) into the producing conv/fc stage.
     operator_fusion: bool = True
     #: bytes per activation element (fixed-point width).
-    activation_bytes: int = 1
+    activation_bytes: PositiveInt = 1
     #: shard each dynamic attention op's token range across this many
     #: cores (VMATMUL / per-head VSOFTMAX / VLAYERNORM / VGELU streams
     #: with partial gathers back to the home core); 1 = home-core only,
     #: the classic lowering.
-    attention_shards: int = 1
+    attention_shards: PositiveInt = 1
     #: how shard-group cores are chosen: one of :data:`SHARD_PLACEMENTS`.
     #: ``"distance"`` (the default, bit-identical to the classic PR 4
     #: behaviour) takes the home core's nearest mesh neighbours;
     #: ``"load_aware"`` additionally penalizes cores already hot with
     #: static crossbar work, trading up to one extra hop to shard onto
     #: an idle core.
-    shard_placement: str = "distance"
-
-
-#: Valid mapping policies (Section III-A, Fig. 3).
-MAPPINGS = ("utilization_first", "performance_first")
-
-#: Valid execution fidelities: ``"cycle"`` is the bit-exact event-driven
-#: simulator; ``"fast"`` batch-executes straight-line instruction runs
-#: analytically (bounded-error, validated by ``tools/check_fidelity.py``).
-FIDELITIES = ("cycle", "fast")
-
-#: Valid shard-group placement policies: ``"distance"`` picks the home
-#: core's nearest mesh neighbours (Manhattan distance, core-id
-#: tie-break); ``"load_aware"`` adds a per-core static-crossbar-load
-#: penalty so hot cores are skipped when an idle one is nearby.
-SHARD_PLACEMENTS = ("distance", "load_aware")
+    shard_placement: ShardPlacement = "distance"
 
 
 @dataclass
 class SimSettings:
     """Simulator settings block of the configuration file."""
 
-    frequency_mhz: float = 1000.0
-    max_cycles: int | None = None
+    frequency_mhz: PositiveFloat = 1000.0
+    max_cycles: PositiveInt | None = None
     trace: bool = False
     #: execution fidelity: one of :data:`FIDELITIES`.  ``"cycle"`` (the
     #: default) is the cycle-accurate event simulator; ``"fast"`` is the
     #: batched analytic executor (ROADMAP 3a) — same programs, same
     #: energy accounting, cycle counts within the check_fidelity gate's
     #: bound instead of bit-exact.
-    fidelity: str = "cycle"
+    fidelity: Fidelity = "cycle"
 
     @property
     def cycle_seconds(self) -> float:
@@ -254,7 +269,9 @@ class ArchConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ArchConfig":
         """Build a configuration from a nested dict, rejecting unknown keys
-        (retired fields are dropped: see ``_RETIRED_FIELDS``)."""
+        (retired fields are dropped: see ``_RETIRED_FIELDS``).  Sections
+        and tuples are built as the annotations say; :func:`validate`
+        checks every other value against its annotation."""
         return _from_dict(cls, data, context="ArchConfig")
 
     @classmethod
@@ -302,27 +319,24 @@ class ArchConfig:
 
 def _from_dict(cls: type, data: Any, context: str,
                retired: frozenset = frozenset()) -> Any:
-    """Recursively instantiate a dataclass tree from nested dicts."""
-    if not dataclasses.is_dataclass(cls):
-        return data
+    """Instantiate dataclass ``cls`` from nested dicts."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields - retired
+    hints = _hints(cls)
+    unknown = set(data) - hints.keys() - retired
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
         if key in retired:
             continue
-        nested = _DATACLASS_FIELDS.get((cls.__name__, key))
-        if nested is not None:
-            kwargs[key] = _from_dict(nested, value, f"{context}.{key}",
-                                     _RETIRED_FIELDS.get(key, frozenset()))
-        elif key == "global_memory_xy" and isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _from_dict(hint, value, f"{context}.{key}",
+                               _RETIRED_FIELDS.get(key, frozenset()))
+        elif get_origin(hint) is tuple and isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -338,14 +352,85 @@ _RETIRED_FIELDS: dict[str, frozenset] = {
 }
 
 
-#: map of (owner dataclass, field name) -> nested dataclass type, used by the
-#: JSON loader.  Kept explicit so loading never relies on typing introspection.
-_DATACLASS_FIELDS: dict[tuple[str, str], type] = {
-    ("ArchConfig", "chip"): ChipConfig,
-    ("ArchConfig", "core"): CoreConfig,
-    ("ArchConfig", "crossbar"): CrossbarConfig,
-    ("ArchConfig", "noc"): NocConfig,
-    ("ArchConfig", "energy"): EnergyConfig,
-    ("ArchConfig", "compiler"): CompilerConfig,
-    ("ArchConfig", "sim"): SimSettings,
+@cache
+def _hints(cls: type) -> dict[str, Any]:
+    """Field name -> resolved annotation, ``Annotated`` metadata kept."""
+    return get_type_hints(cls, include_extras=True)
+
+
+#: base type -> (test of the value named ``{v}``, what it expects): an
+#: int refuses bool and float; a float takes an int, not bool, NaN or ±inf.
+_BASES: dict[type, tuple[str, str]] = {
+    int: ("type({v}) is int", "an integer"),
+    float: ("type({v}) is int or type({v}) is float and isfinite({v})",
+            "a finite number"),
+    bool: ("type({v}) is bool", "a boolean"),
+    str: ("type({v}) is str", "a string"),
 }
+
+
+def _test(hint: Any, v: str, env: dict) -> tuple[str, str]:
+    """``(test, expected)`` of one annotation: a Python expression that
+    holds exactly when the value named ``v`` is accepted, and the phrase
+    naming what is.  A class outside :data:`_BASES` is an ``isinstance``
+    test, the class bound in ``env``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        test, expected = _test(args[0], v, env)
+        limit = f"{args[1]} {args[2]}"
+        return f"({test}) and {v} {limit}", f"{expected} {limit}"
+    if origin is Literal:
+        return f"{v} in {args!r}", f"one of {args}"
+    if origin in (Union, UnionType):
+        tests = [_test(arg, v, env) for arg in args if arg is not NoneType]
+        test = " or ".join(f"({test})" for test, _ in tests)
+        if NoneType in args:  # None is the unset default: not named
+            test = f"{v} is None or {test}"
+        return test, " or ".join(expected for _, expected in tests)
+    if origin is tuple:
+        tests = [_test(arg, f"{v}[{i}]", env) for i, arg in enumerate(args)]
+        return (f"type({v}) is tuple and len({v}) == {len(args)}"
+                + "".join(f" and ({test})" for test, _ in tests),
+                f"[{', '.join(expected for _, expected in tests)}]")
+    if hint is Any:
+        return "True", "anything"
+    if hint in _BASES:
+        test, expected = _BASES[hint]
+        return test.format(v=v), expected
+    env[hint.__name__] = hint
+    return f"isinstance({v}, {hint.__name__})", f"an instance of {hint.__name__}"
+
+
+def _checks(cls: type, obj: str, prefix: str, indent: str,
+            env: dict) -> str:
+    """Source testing each field of the dataclass named ``obj``, and each
+    field of a section (a dataclass field) once the section is one."""
+    hints, source = _hints(cls), ""
+    for f in dataclasses.fields(cls):
+        path, hint = prefix + f.name, hints[f.name]
+        test, expected = _test(hint, "v", env)
+        source += (f"{indent}v = {obj}.{f.name}\n{indent}if not ({test}):\n"
+                   f"{indent}    bad[{path!r}] = "
+                   f"{f'must be {expected}, got '!r} + repr(v)\n")
+        if dataclasses.is_dataclass(hint):
+            section = "s_" + path.replace(".", "_")
+            source += (f"{indent}else:\n{indent}    {section} = v\n"
+                       + _checks(hint, section, path + ".", indent + "    ", env))
+    return source
+
+
+@cache
+def _decoder(cls: type) -> Callable[[Any], dict[str, str]]:
+    """:func:`field_errors` of dataclass ``cls``, generated once per class:
+    a valid object costs one inline test per field."""
+    env = {"isfinite": math.isfinite}
+    exec("def refused(obj):\n    bad = {}\n"
+         + _checks(cls, "obj", "", "    ", env) + "    return bad\n", env)
+    return env["refused"]
+
+
+def field_errors(obj: Any) -> dict[str, str]:
+    """The decoder: ``{dotted field: problem}`` for every field of
+    dataclass ``obj`` (and of its sections) whose value its annotation
+    does not accept."""
+    return _decoder(type(obj))(obj)

@@ -22,8 +22,9 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
-from ..config import FIDELITIES, ArchConfig, get_preset
-from ..config.schema import MAPPINGS
+from ..config import ArchConfig, get_preset
+from ..config.schema import (Fidelity, MappingPolicy, PositiveFloat,
+                             PositiveInt, field_errors)
 from ..graph import Graph, kv_extent
 from ..graph.serialize import graph_from_dict, graph_to_dict
 from ..models import DECODE_MODELS, MODELS, build_model
@@ -39,10 +40,6 @@ class InvalidJobSpec(ValueError):
     def __init__(self, message: str, errors: dict | None = None) -> None:
         super().__init__(message)
         self.errors = errors or {}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @cache
@@ -62,20 +59,20 @@ class JobSpec:
 
     network: str | Graph
     config: ArchConfig | None = None
-    mapping: str | None = None
-    rob_size: int | None = None
+    mapping: MappingPolicy | None = None
+    rob_size: PositiveInt | None = None
     imagenet: bool = False
-    batch: int = 1
-    max_cycles: int | None = None
+    batch: PositiveInt = 1
+    max_cycles: PositiveInt | None = None
     tag: Any = None
     #: override for ``compiler.attention_shards`` (token-sharded dynamic
     #: attention, PR 4); ``None`` keeps the configuration's value.
-    attention_shards: int | None = None
+    attention_shards: PositiveInt | None = None
     #: wall-clock seconds a pooled worker may spend on this job before
     #: the watchdog kills it and the job fails with
     #: :class:`~repro.engine.JobTimeout` (``None``: the pool's
     #: ``default_timeout``; enforced on pooled runs only).
-    timeout: float | None = None
+    timeout: PositiveFloat | None = None
     #: chaos directive for the fault-injection harness
     #: (:mod:`repro.engine.faults`); trips only inside pool workers,
     #: never in-process.
@@ -85,15 +82,15 @@ class JobSpec:
     #: compiled once as an extent-parameterized template and replayed
     #: per step; the report aggregates all steps and carries the
     #: per-step cycle counts in ``meta["decode"]``.
-    decode_steps: int | None = None
+    decode_steps: PositiveInt | None = None
     #: KV extent (tokens in the cache) at the *first* decode step;
     #: ``None``: the token count the network was built with.
-    kv_tokens: int | None = None
+    kv_tokens: PositiveInt | None = None
     #: execution fidelity override: ``"cycle"`` (bit-exact) or ``"fast"``
     #: (batched analytic executor, bounded-error); ``None`` falls back to
     #: the configuration's ``sim.fidelity``.  Appended last so job ids of
     #: specs that never set it are unchanged.
-    fidelity: str | None = None
+    fidelity: Fidelity | None = None
 
     # -- serialization -------------------------------------------------------
 
@@ -117,13 +114,15 @@ class JobSpec:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output, :meth:`validate`\\ d.
+    def from_dict(cls, data: dict,
+                  default_config: ArchConfig | None = None) -> "JobSpec":
+        """Rebuild a spec from :meth:`to_dict` output, :meth:`validate`\\ d
+        against ``default_config`` (what it runs on if it carries none).
 
         ``network`` may be a zoo name or an embedded graph description;
         ``config`` may be a full configuration dict or a preset name.
         """
-        return cls._parse(data).validate()
+        return cls._parse(data).validate(default_config)
 
     @classmethod
     def _parse(cls, data: dict) -> "JobSpec":
@@ -149,20 +148,20 @@ class JobSpec:
             kwargs["config"] = ArchConfig.from_dict(config)
         return cls(**kwargs)
 
-    def validate(self) -> "JobSpec":
-        """Check every field's type and range; returns ``self``.
+    def validate(self, default_config: ArchConfig | None = None) -> "JobSpec":
+        """Check every field; returns ``self``.
 
         The one copy of the job-field rules: ``from_dict``, :meth:`Engine.run
-        <repro.engine.Engine.run>` and the ``pimsim`` flags all call it.
-        Raises :class:`InvalidJobSpec` naming every violation: an unknown
-        network / mapping / fidelity, a non-integer or non-positive
-        ``batch`` / ``rob_size`` / ``max_cycles`` / ``attention_shards`` /
-        ``decode_steps`` / ``kv_tokens``, a ``timeout`` that is not a
-        positive number, decode fields on a network without ``kv_cache``
-        nodes or with ``batch > 1``, or a first or last KV extent past the
-        cache.  ``faults`` is the fault harness's to check.
+        <repro.engine.Engine.run>`, ``POST /jobs`` and the ``pimsim`` flags
+        all call it.  A field's type, range and choices are its annotation,
+        checked by the configuration decoder (``faults``' contents are the
+        fault harness's).  Then: a known network; decode fields only on a
+        network with ``kv_cache`` nodes, with ``batch == 1`` and KV extents
+        within the cache; ``attention_shards`` within the cores of the
+        spec's configuration, else of ``default_config`` (what it runs on).
+        Raises :class:`InvalidJobSpec` naming every violation.
         """
-        bad: dict[str, str] = {}  # field -> what is wrong with it
+        bad = field_errors(self)  # field -> what is wrong with it
         name = getattr(self.network, "name", self.network)
         if isinstance(self.network, Graph):
             extent = kv_extent(self.network)
@@ -172,28 +171,14 @@ class JobSpec:
             name = extent = None  # reported once, not again for decoding
             bad["network"] = (f"must be one of {sorted(MODELS)} or a graph, "
                               f"got {self.network!r}")
-        if self.config is not None and not isinstance(self.config,
-                                                      ArchConfig):
-            bad["config"] = f"must be a configuration, got {type(self.config).__name__}"
-        for field, known in (("mapping", MAPPINGS),
-                             ("fidelity", FIDELITIES)):
-            value = getattr(self, field)
-            if value is not None and value not in known:
-                bad[field] = f"must be one of {known}, got {value!r}"
-        if not isinstance(self.imagenet, bool):
-            bad["imagenet"] = f"must be a boolean, got {self.imagenet!r}"
-        for field in ("batch", "rob_size", "max_cycles", "attention_shards",
-                      "decode_steps", "kv_tokens"):
-            value = getattr(self, field)
-            if value is None and field != "batch":
-                continue
-            if not _is_int(value) or value < 1:
-                bad[field] = f"must be an integer >= 1, got {value!r}"
-        timeout = self.timeout
-        if timeout is not None and not (
-                isinstance(timeout, (int, float))
-                and not isinstance(timeout, bool) and timeout > 0):
-            bad["timeout"] = f"must be a number of seconds > 0, got {timeout!r}"
+        target, shards = self.config or default_config, self.attention_shards
+        if (shards is not None and target is not None
+                and not bad.keys() & {"attention_shards", "config"}
+                and not field_errors(target)  # else it has no core count
+                and shards > target.chip.n_cores):
+            bad["attention_shards"] = (
+                f"must be <= {target.chip.n_cores}, the core count of "
+                f"{target.name}, got {shards}")
         steps = self.decode_steps
         decoding = [field for field in ("decode_steps", "kv_tokens")
                     if getattr(self, field) is not None]

@@ -453,15 +453,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     poisoned / timeout telemetry); it settles nothing, so ``--resume``
     never mistakes it for a completed job.
     """
-    specs = load_specs(args.specfile)
+    try:
+        specs = load_specs(args.specfile)
+    except (OSError, ValueError) as exc:  # InvalidJobSpec included
+        raise _Refused(f"{args.specfile}: {' '.join(str(exc).split())}") from None
     if args.resume and not args.output:
         raise _Refused("--resume requires --output (the journal file)")
     preset = get_preset(args.preset)
-    # what runs: each spec with the --fidelity default (its own wins)
-    runs = [replace(spec, fidelity=spec.fidelity or args.fidelity)
+    # what runs: each spec with the --preset and --fidelity defaults (its
+    # own win), so Engine.run checks it against the chip it runs on
+    runs = [replace(spec, config=spec.config or preset,
+                    fidelity=spec.fidelity or args.fidelity)
             for spec in specs]
-    ids = [replace(run, config=run.config or preset).job_id()
-           for run in runs]
+    ids = [run.job_id() for run in runs]
     #: job id -> one "it failed" flag per settled journal record
     settled: dict[str, list[bool]] = {job_id: [] for job_id in ids}
     n_settled = 0
@@ -639,7 +643,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if args.mix:
         try:
             specs = [replace(spec, fidelity=spec.fidelity or args.fidelity)
-                     .validate() for spec in load_specs(args.mix)]
+                     .validate(config) for spec in load_specs(args.mix)]
         except (OSError, ValueError) as exc:  # InvalidJobSpec included
             raise _Refused(f"--mix {args.mix}: {exc}") from None
         with Engine(config) as engine:

@@ -153,7 +153,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         if not isinstance(entries, list):
             return self._json(400, {"error": "'jobs' must be a list"})
         try:
-            specs = [JobSpec.from_dict(entry) for entry in entries]
+            specs = [JobSpec.from_dict(entry, self.service.config)
+                     for entry in entries]
         except (ValueError, TypeError) as exc:
             return self._json(400, {"error": f"bad job spec: {exc}"})
         admitted, any_created = [], False

@@ -118,6 +118,11 @@ class ServeService:
         self._closed = False
         self._dispatcher: threading.Thread | None = None
 
+    @property
+    def config(self) -> ArchConfig | None:
+        """The configuration of jobs whose spec carries none."""
+        return self._engine.config
+
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ServeService":

@@ -46,15 +46,13 @@ from typing import Any
 
 from ..compiler.frontend import build_pipeline
 from ..config import SHARD_PLACEMENTS, ArchConfig, paper_chip, with_param
+from ..config.schema import MAPPINGS
 from ..engine import Engine, JobFailed, JobSpec, resolve_engine
 from ..engine.journal import Journal
 from .costmodel import OBJECTIVES, CostEstimate
 
 __all__ = ["Candidate", "Tuner", "TuneEntry", "TuneReport"]
 
-#: both built-in mapping policies — the tuner always covers (and
-#: baselines against) the full set.
-MAPPINGS = ("utilization_first", "performance_first")
 
 #: the two paths a point is normalised on (module docstring, stage 1).
 SHARDS = "compiler.attention_shards"

@@ -133,6 +133,19 @@ class TestParser:
         assert info.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compile"])
+    def test_shards_past_the_chip_are_a_usage_error(self, command, capsys):
+        """``--shards`` above the configuration's cores is refused before
+        anything runs: a usage error naming the flag, not a traceback."""
+        with pytest.raises(SystemExit) as info:
+            main([command, "--model", "vit_tiny", "--preset", "tiny",
+                  "--shards", "100"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert ("argument --shards: must be <= 4, the core count of "
+                "tiny-4core, got 100") in err
+
     def test_zero_drain_timeout_is_accepted(self):
         args = build_parser().parse_args(
             ["serve", "--store", "s.jsonl", "--drain-timeout", "0"])
@@ -265,7 +278,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("content, reason", [
         (None, "No such file or directory"),
         ("not json", "Expecting value"),
-        ('{"core": {"rob_size": 0}}', "core.rob_size must be positive"),
+        ('{"core": {"rob_size": 0}}',
+         "core.rob_size must be an integer >= 1, got 0"),
     ], ids=["missing", "not-json", "invalid-config"])
     @pytest.mark.parametrize("argv", [
         ["run", "--model", "mlp"], ["compile", "--model", "mlp"],
@@ -453,6 +467,46 @@ class TestBatch:
             assert error["message"].startswith(f"{field} must be")
         assert lines[-1]["summary"]["ok"] == 2
         assert lines[-1]["summary"]["failed"] == 3
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        ('[{"network": "mlp", "bogus": 1}]', "unknown keys ['bogus']"),
+    ], ids=["missing", "not-json", "unknown-key"])
+    def test_malformed_spec_file_is_refused_in_one_line(
+            self, tmp_path, capsys, content, reason):
+        """A spec file that is missing, is not JSON or holds an unknown key
+        is one stderr line (exit 2), not a traceback."""
+        path = tmp_path / "jobs.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["batch", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"pimsim batch: {path}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_shards_past_the_chip_are_error_records(self, tmp_path, capsys):
+        """A shard count above the cores of the chip a line runs on (its
+        own configuration, else ``--preset``) is that line's
+        ``InvalidJobSpec`` record; the other lines run."""
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([
+            {"network": "mlp", "attention_shards": 5},
+            {"network": "mlp", "config": "small", "attention_shards": 17},
+            {"network": "mlp", "config": "small", "attention_shards": 5}]))
+        assert main(["batch", str(path), "--preset", "tiny"]) == 1
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        records = {r["index"]: r for r in lines if "index" in r}
+        for index, cores in ((0, "4, the core count of tiny-4core"),
+                             (1, "16, the core count of small-16core")):
+            assert records[index]["error"] == {
+                "kind": "InvalidJobSpec",
+                "message": f"attention_shards must be <= {cores}, got "
+                           f"{records[index]['spec']['attention_shards']}"}
+        assert records[2]["report"]["cycles"] > 0
 
     def test_fidelity_flag_reaches_every_job(self, tmp_path, capsys):
         """``--fidelity`` runs every job at that tier, serial and pooled,

@@ -1,6 +1,8 @@
 """Tests for the architecture configuration schema, validation, presets."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.config import (
     tiny_chip,
     validate,
 )
+from repro.config.schema import field_errors
 
 
 class TestCrossbarConfig:
@@ -118,6 +121,67 @@ class TestValidation:
             validate(cfg)
         assert "mesh_rows" in str(err.value)
         assert "rob_size" in str(err.value)
+
+
+#: values a hand-edited configuration file may hold in any field
+HOSTILE = [None, "x", "8", -1, 0, 1, 2**40, 1.5, math.nan, True, [], {},
+           [1], {"a": 1}]
+
+
+def _leaves(data: dict, prefix: str = ""):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+class TestDecoder:
+    """Every field is checked against its annotation, once: a wrong type is
+    a ``ConfigError`` naming the field, never a traceback or a run."""
+
+    @pytest.mark.parametrize("path", list(_leaves(small_chip().to_dict())))
+    def test_every_leaf_refuses_or_validates(self, path):
+        section, _, name = path.rpartition(".")
+        for value in HOSTILE:
+            data = small_chip().to_dict()
+            (data[section] if section else data)[name] = value
+            try:
+                validate(ArchConfig.from_dict(data))
+            except ConfigError as exc:
+                assert re.search(rf"\b{re.escape(path)}\b", str(exc)), \
+                    (value, str(exc))
+
+    @pytest.mark.parametrize("path, value", [
+        ("core.rob_size", True), ("chip.mesh_rows", 1.5),
+        ("core.rob_size", 8.0), ("energy.adc_pj_per_sample", math.inf),
+        ("energy.adc_pj_per_sample", False), ("sim.max_cycles", 0),
+        ("chip.global_memory_xy", [0]), ("chip.global_memory_xy", [0, 0.5]),
+        ("compiler.mapping", "fastest_first"), ("crossbar.bit_sliced", 1),
+    ])
+    def test_ill_typed_values_are_refused(self, path, value):
+        section, name = path.split(".")
+        data = small_chip().to_dict()
+        data[section][name] = value
+        with pytest.raises(ConfigError, match=f"{path} must be "):
+            validate(ArchConfig.from_dict(data))
+
+    def test_a_float_field_takes_an_int(self):
+        config = ArchConfig.from_dict({"energy": {"adc_pj_per_sample": 2},
+                                       "sim": {"frequency_mhz": 500}})
+        assert validate(config).energy.adc_pj_per_sample == 2
+
+    def test_every_violation_is_named_with_its_field(self):
+        config = ArchConfig(chip=ChipConfig(mesh_rows="2"),
+                            noc=NocConfig(hop_cycles=None))
+        assert field_errors(config) == {
+            "chip.mesh_rows": "must be an integer >= 1, got '2'",
+            "noc.hop_cycles": "must be an integer >= 1, got None"}
+
+    def test_a_section_of_the_wrong_type_is_named(self):
+        with pytest.raises(ConfigError, match="core must be an instance "
+                                              "of CoreConfig, got 3"):
+            validate(ArchConfig(core=3))
 
 
 class TestPresets:

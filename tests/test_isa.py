@@ -1,6 +1,8 @@
 """Tests for the instruction set: classes, dependence footprints, groups,
 programs, binary/text codecs, static verification."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa import (
@@ -358,6 +360,54 @@ class TestVerification:
                                 seq=0))
         chip.programs[1] = bad.seal()
         with pytest.raises(VerificationError, match="undefined group"):
+            verify_program(chip, tiny_cfg)
+
+    def test_recv_from_a_peer_other_than_the_source_detected(self, tiny_cfg):
+        chip = _well_formed_chip(tiny_cfg)
+        bad = Program(core=1, groups=GroupTable(core=1))
+        bad.append(TransferInst(op="RECV", peer=2, addr=0, bytes=64, flow=0,
+                                seq=0))
+        chip.programs[1] = bad.seal()
+        with pytest.raises(VerificationError,
+                           match="flow 0: RECV peer 2 != declared src 0"):
+            verify_program(chip, tiny_cfg)
+
+    def test_send_to_a_peer_other_than_the_destination_detected(self,
+                                                                tiny_cfg):
+        chip = _well_formed_chip(tiny_cfg)
+        bad = Program(core=0, groups=chip.programs[0].groups)
+        bad.append(TransferInst(op="SEND", peer=2, addr=0, bytes=64, flow=0,
+                                seq=0))
+        chip.programs[0] = bad.seal()
+        with pytest.raises(VerificationError,
+                           match="flow 0: SEND peer 2 != declared dst 1"):
+            verify_program(chip, tiny_cfg)
+
+    def test_declared_message_count_mismatch_detected(self, tiny_cfg):
+        chip = _well_formed_chip(tiny_cfg)
+        chip.flows[0] = dataclasses.replace(chip.flows[0], n_messages=2)
+        with pytest.raises(VerificationError,
+                           match=r"flow 0 \(l2\): declared 2 messages, "
+                                 r"found 1"):
+            verify_program(chip, tiny_cfg)
+
+    def test_flow_never_declared_detected(self, tiny_cfg):
+        chip = _well_formed_chip(tiny_cfg)
+        del chip.flows[0]
+        with pytest.raises(VerificationError,
+                           match="flow 0: used by transfers but never "
+                                 "declared"):
+            verify_program(chip, tiny_cfg)
+
+    def test_halt_before_the_end_detected(self, tiny_cfg):
+        chip = _well_formed_chip(tiny_cfg)
+        early = Program(core=2, groups=GroupTable(core=2))
+        early.append(ScalarInst(op="HALT"))
+        early.append(ScalarInst(op="NOP"))
+        chip.programs[2] = early.seal()
+        with pytest.raises(VerificationError,
+                           match="core 2: HALT at 0 is not the last "
+                                 "instruction"):
             verify_program(chip, tiny_cfg)
 
     def test_memory_out_of_range_detected(self, tiny_cfg):

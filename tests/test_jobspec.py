@@ -173,6 +173,8 @@ class TestValidate:
         {"kv_tokens": 100, "network": "gpt_tiny"},
         {"decode_steps": 10, "kv_tokens": 60, "network": "gpt_tiny"},
         {"batch": 2, "decode_steps": 2, "network": "gpt_tiny"},
+        {"timeout": float("inf")}, {"faults": "crash"},
+        {"attention_shards": 5, "config": "tiny"},
     ])
     def test_refused(self, overrides):
         with pytest.raises(InvalidJobSpec) as info:

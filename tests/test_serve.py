@@ -714,9 +714,12 @@ class TestServeHTTP:
         {"batch": -3}, {"rob_size": "x"}, {"network": "nope"},
         {"timeout": -1}, {"kv_tokens": 5},
         {"decode_steps": 10, "kv_tokens": 60, "network": "gpt_tiny"},
+        {"attention_shards": 5, "config": None},
+        {"attention_shards": 17, "config": "small"},
     ], ids=["negative-batch", "string-rob-size", "unknown-network",
             "negative-timeout", "kv-tokens-on-mlp",
-            "decode-past-kv-capacity"])
+            "decode-past-kv-capacity", "shards-past-the-served-cores",
+            "shards-past-the-spec-cores"])
     def test_invalid_spec_is_400_before_anything_is_journaled(
             self, served, overrides):
         server, svc = served
